@@ -23,7 +23,7 @@ from .errors import (
     PaletteExhaustedError,
     PreconditionError,
 )
-from .graph import Graph, girth
+from .graph import Graph, has_cycle_shorter_than_five
 from .symmetry import fixed_propagation, is_distinguishing
 from .tree import BfsTree, bfs_tree
 
@@ -218,7 +218,7 @@ def color_delta_plus_2(g: Graph, w: int = 0) -> Coloring:
     The root w takes the top color; nobody else can reach it, so w is fixed
     and the greedy rules pin everything else down level by level.
     """
-    if girth(g) < 5:
+    if has_cycle_shorter_than_five(g):
         raise PreconditionError("girth below five")
     k = g.max_degree() + 2
     tree = bfs_tree(g, w)
@@ -237,7 +237,7 @@ def list_color_delta_plus_2(g: Graph, lists: ListAssignment, w: int = 0) -> Colo
     Lists of size max degree + 2 always suffice; one color smaller is accepted
     and may raise PaletteExhaustedError.
     """
-    if girth(g) < 5:
+    if has_cycle_shorter_than_five(g):
         raise PreconditionError("girth below five")
     if len(lists) != g.n:
         raise PreconditionError("list assignment length does not match the graph")

@@ -16,7 +16,13 @@ from itertools import permutations
 
 from .coloring import Coloring, render_coloring
 from .errors import InternalConsistencyError, PreconditionError
-from .graph import Graph, diameter, distances, girth, is_connected
+from .graph import (
+    Graph,
+    diameter,
+    distances,
+    has_cycle_shorter_than_five,
+    is_connected,
+)
 from .greedy import Chooser, greedy_extend
 from .symmetry import (
     exists_automorphism_mapping,
@@ -113,7 +119,7 @@ def _validate(g: Graph) -> None:
         raise PreconditionError("graph has no vertices")
     if not is_connected(g):
         raise PreconditionError("graph must be connected")
-    if girth(g) < 5:
+    if has_cycle_shorter_than_five(g):
         raise PreconditionError("girth must be at least five")
 
 
@@ -179,7 +185,6 @@ def _walk_from(g: Graph, start: int) -> list[int]:
 
 
 def _path_or_cycle_parts(g: Graph) -> tuple[BfsTree, Coloring]:
-    _validate(g)
     if g.max_degree() > 2:
         raise PreconditionError("maximum degree exceeds two")
     values: list[int | None] = [None] * g.n
@@ -205,13 +210,13 @@ def _path_or_cycle_parts(g: Graph) -> tuple[BfsTree, Coloring]:
 
 def color_path_or_cycle(g: Graph) -> Coloring:
     """One end 1 then 2,3 alternating; cycles open 1,2,3,1,2 then alternate."""
+    _validate(g)
     tree, coloring = _path_or_cycle_parts(g)
     _verified_result(g, tree, coloring, BRANCH_PATH_OR_CYCLE)
     return coloring
 
 
 def _nonregular_parts(g: Graph, w: int) -> tuple[BfsTree, Coloring, tuple[int, ...]]:
-    _validate(g)
     delta = g.max_degree()
     if not 0 <= w < g.n:
         raise PreconditionError(f"vertex {w} out of range")
@@ -228,6 +233,7 @@ def color_nonregular(g: Graph, w: int) -> Coloring:
     No other vertex of degree below the maximum can reach the top color under
     the greedy rules, which pins w; the rest follows from the tree structure.
     """
+    _validate(g)
     tree, coloring, prefix = _nonregular_parts(g, w)
     _verified_result(g, tree, coloring, BRANCH_NONREGULAR, prefix)
     return coloring
@@ -279,6 +285,10 @@ def _neighborhood_split_chooser(
 def find_geodesic_config(g: Graph) -> GeodesicConfig | None:
     """First (smallest root, then smallest pair) geodesic configuration, if any."""
     _validate(g)
+    return _first_geodesic_config(g)
+
+
+def _first_geodesic_config(g: Graph) -> GeodesicConfig | None:
     for w in g.vertices():
         dist = distances(g, w)
         pairs = [
@@ -315,7 +325,6 @@ def _check_geodesic_config(g: Graph, cfg: GeodesicConfig) -> list[int | float]:
 def _geodesic_parts(
     g: Graph, cfg: GeodesicConfig
 ) -> tuple[BfsTree, Coloring, tuple[int, ...]]:
-    _validate(g)
     delta = g.max_degree()
     if delta < 3:
         raise PreconditionError("maximum degree must be at least three")
@@ -351,6 +360,7 @@ def color_geodesic(g: Graph, cfg: GeodesicConfig) -> Coloring:
     color in their neighborhood, and x3's chosen color makes those two
     neighborhood multisets differ.
     """
+    _validate(g)
     tree, coloring, prefix = _geodesic_parts(g, cfg)
     _verified_result(g, tree, coloring, BRANCH_GEODESIC, prefix)
     return coloring
@@ -409,7 +419,6 @@ def _check_diam3_config(g: Graph, cfg: DiameterThreeConfig) -> list[int | float]
 def _diam3_parts(
     g: Graph, cfg: DiameterThreeConfig
 ) -> tuple[BfsTree, Coloring, tuple[int, ...]]:
-    _validate(g)
     delta = g.max_degree()
     if delta < 4:
         raise PreconditionError("maximum degree must be at least four")
@@ -475,6 +484,7 @@ def color_diameter3(g: Graph, cfg: DiameterThreeConfig) -> Coloring:
     """
     if diameter(g) != 3:
         raise PreconditionError("diameter must be exactly three")
+    _validate(g)
     tree, coloring, prefix = _diam3_parts(g, cfg)
     _verified_result(g, tree, coloring, BRANCH_DIAMETER3, prefix)
     return coloring
@@ -495,7 +505,6 @@ def _solve_diameter3(g: Graph) -> SolveResult:
 
 
 def _moore_parts(g: Graph, w: int) -> tuple[BfsTree, Coloring]:
-    _validate(g)
     delta = g.max_degree()
     if delta < 4:
         raise PreconditionError("maximum degree must be at least four")
@@ -536,6 +545,7 @@ def color_moore_recursive(g: Graph, w: int) -> Coloring:
     uses; w is then the only vertex with two top-colored neighbors, and each
     collar vertex is the sole common neighbor of any two of its fixed ones.
     """
+    _validate(g)
     tree, coloring = _moore_parts(g, w)
     _verified_result(g, tree, coloring, BRANCH_MOORE)
     return coloring
@@ -544,7 +554,6 @@ def color_moore_recursive(g: Graph, w: int) -> Coloring:
 def _dissimilar_parts(
     g: Graph, w: int, x1: int, y1: int
 ) -> tuple[BfsTree, Coloring, tuple[int, ...]]:
-    _validate(g)
     if len({w, x1, y1}) != 3:
         raise PreconditionError("w, x1, y1 must be three distinct vertices")
     for u in (x1, y1):
@@ -565,13 +574,13 @@ def color_dissimilar_neighbors(g: Graph, w: int, x1: int, y1: int) -> Coloring:
     w is the only top-colored vertex with two 1-colored neighbors, and no
     automorphism can swap x1 with y1, so all three are fixed outright.
     """
+    _validate(g)
     tree, coloring, prefix = _dissimilar_parts(g, w, x1, y1)
     _verified_result(g, tree, coloring, BRANCH_DISSIMILAR, prefix)
     return coloring
 
 
 def _special_parts(g: Graph) -> tuple[BfsTree, Coloring]:
-    _validate(g)
     for edges, colors in (
         (_PETERSEN_EDGES, _PETERSEN_COLORS),
         (_HEAWOOD_EDGES, _HEAWOOD_COLORS),
@@ -590,6 +599,7 @@ def _special_parts(g: Graph) -> tuple[BfsTree, Coloring]:
 
 def color_special(g: Graph) -> Coloring:
     """Transport a fixed four-coloring onto the input through an isomorphism."""
+    _validate(g)
     tree, coloring = _special_parts(g)
     _verified_result(g, tree, coloring, BRANCH_SPECIAL)
     return coloring
@@ -627,7 +637,7 @@ def solve(g: Graph) -> SolveResult:
     if low:
         tree, coloring, prefix = _nonregular_parts(g, min(low))
         return _verified_result(g, tree, coloring, BRANCH_NONREGULAR, prefix)
-    cfg = find_geodesic_config(g)
+    cfg = _first_geodesic_config(g)
     if cfg is not None:
         tree, coloring, prefix = _geodesic_parts(g, cfg)
         return _verified_result(g, tree, coloring, BRANCH_GEODESIC, prefix)

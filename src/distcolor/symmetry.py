@@ -24,7 +24,7 @@ from .errors import (
     PropernessError,
     SearchBoundError,
 )
-from .graph import Graph, girth
+from .graph import Graph, has_cycle_shorter_than_five
 from .tree import BfsTree
 
 SEARCH_BOUND = 128
@@ -424,7 +424,7 @@ def fixed_propagation(
         raise PropernessError("coloring is not total")
     if not coloring.is_proper(g):
         raise PropernessError("coloring is not proper")
-    if girth(g) < 5:
+    if has_cycle_shorter_than_five(g):
         raise PreconditionError("girth below five")
     prefix = list(fixed_prefix)
     if not prefix:

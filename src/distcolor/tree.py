@@ -84,15 +84,17 @@ def bfs_tree(
     children: list[list[int]] = [[] for _ in range(g.n)]
     pos_in_order = {root: 0}
 
-    depth = max(level)
+    # Bucket the vertices by level once, each bucket in ascending id, so every
+    # child group below comes out ascending and the whole build is O(n + m).
+    buckets: list[list[int]] = [[] for _ in range(max(level) + 1)]
+    for v in range(g.n):
+        buckets[level[v]].append(v)
     current = [root]
-    for lvl in range(depth):
+    for lvl, below in enumerate(buckets[1:]):
         # Parent of each level-(lvl+1) vertex: directive, else its sigma-first
         # neighbor one level up.
         group: dict[int, list[int]] = {p: [] for p in current}
-        for v in range(g.n):
-            if level[v] != lvl + 1:
-                continue
+        for v in below:
             if v in parents:
                 p = parents[v]
             else:
@@ -103,7 +105,7 @@ def bfs_tree(
             group[p].append(v)
         nxt: list[int] = []
         for p in current:
-            kids = _arrange(p, sorted(group[p]), slots)
+            kids = _arrange(p, group[p], slots)
             children[p] = kids
             for c in kids:
                 parent[c] = p

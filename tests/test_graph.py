@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from distcolor.errors import DimacsError, PreconditionError
@@ -38,6 +38,29 @@ def small_graphs(draw):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
     return Graph(n, edges)
+
+
+@st.composite
+def sparse_graphs(draw):
+    """A random tree on at most 14 vertices plus at most 4 extra edges.
+
+    Sparse enough that girth-5 graphs and triangle-free 4-cycles both turn up
+    often, where small_graphs mostly draws triangles.
+    """
+    n = draw(st.integers(min_value=1, max_value=14))
+    # offsets from v - 1, so that draws and shrinks lean to long paths, not stars
+    edges = [(v - 1 - draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)]
+    tree = set(edges)
+    spare = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in tree]
+    if spare:
+        extra = draw(st.integers(min_value=1, max_value=min(4, len(spare))))
+        edges += draw(st.permutations(spare))[:extra]
+    return Graph(n, edges)
+
+
+K23 = Graph(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)])
+CUBE = Graph(8, [(u, u ^ bit) for u in range(8) for bit in (1, 2, 4) if u < u ^ bit])
+C5_PENDANT = Graph(6, [(i, (i + 1) % 5) for i in range(5)] + [(0, 5)])
 
 
 def test_adjacency_is_sorted_and_symmetric():
@@ -153,8 +176,13 @@ def test_round_trip_is_identity(g):
     assert parse_graph(render_graph(g)) == g
 
 
-@PROPERTY_SETTINGS
-@given(small_graphs())
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_graphs(), sparse_graphs()))
+@example(K23)
+@example(CUBE)
+@example(petersen())
+@example(heawood())
+@example(C5_PENDANT)
 def test_girth_matches_shortcut_predicate(g):
     assert has_cycle_shorter_than_five(g) == (girth(g) < 5)
 

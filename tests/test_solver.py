@@ -1,9 +1,12 @@
 """The full construction: branch dispatch, branch internals, certification."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from distcolor.coloring import Coloring, ListAssignment
 from distcolor.errors import InternalConsistencyError, PreconditionError
 from distcolor.generators import (
     cycle,
@@ -21,7 +24,8 @@ from distcolor.generators import (
     star,
     tutte_coxeter,
 )
-from distcolor.graph import Graph
+from distcolor.graph import Graph, girth
+from distcolor.greedy import color_delta_plus_2, list_color_delta_plus_2
 from distcolor.solver import (
     BRANCH_C6,
     BRANCH_DIAMETER3,
@@ -270,6 +274,45 @@ def test_solve_validates_its_input():
         solve(Graph(4, [(0, 1), (2, 3)]))
     with pytest.raises(PreconditionError):
         solve(cycle(4))
+
+
+def _forbid_girth(monkeypatch):
+    """Make girth() raise wherever a distcolor module binds it."""
+
+    def forbidden(g):
+        raise AssertionError("girth() is O(n*m) and must not run in validation")
+
+    for name, module in list(sys.modules.items()):
+        if name == "distcolor" or name.startswith("distcolor."):
+            for attr, value in list(vars(module).items()):
+                if value is girth:
+                    monkeypatch.setattr(module, attr, forbidden)
+
+
+def test_validation_runs_without_girth(monkeypatch):
+    g = random_girth5(40, max_degree=4, seed=11)
+    inputs = (petersen(), path(40))
+    triangle = Graph(3, [(0, 1), (1, 2), (0, 2)])
+    k23 = Graph(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)])
+    _forbid_girth(monkeypatch)
+
+    for h in inputs:
+        assert solve(h).certified
+    coloring = color_delta_plus_2(g)
+    palette = range(1, g.max_degree() + 3)
+    assert list_color_delta_plus_2(g, ListAssignment.uniform(g.n, palette)).is_proper(g)
+    assert len(fixed_propagation(g, bfs_tree(g, 0), coloring, [0])) == g.n
+
+    # a triangle, and a triangle-free graph whose shortest cycle has length 4
+    for bad, colors in ((triangle, (1, 2, 3)), (k23, (1, 1, 2, 2, 2))):
+        with pytest.raises(PreconditionError):
+            solve(bad)
+        with pytest.raises(PreconditionError):
+            color_delta_plus_2(bad)
+        with pytest.raises(PreconditionError):
+            list_color_delta_plus_2(bad, ListAssignment.uniform(bad.n, range(1, 6)))
+        with pytest.raises(PreconditionError):
+            fixed_propagation(bad, bfs_tree(bad, 0), Coloring(colors, 3), [0])
 
 
 def test_render_result_header():

@@ -22,11 +22,18 @@ def test_levels_match_bfs_distances():
 
 
 def test_order_starts_at_root_and_respects_levels():
-    g = cycle(7)
-    tree = bfs_tree(g, 2)
-    assert tree.order[0] == 2
-    levels = [tree.level[v] for v in tree.order]
-    assert levels == sorted(levels)
+    # below the root each level holds one vertex per branch, two in all (the
+    # 8-cycle ends in one), so the order pins how parents are taken in sigma
+    cases = (
+        (cycle(7), 2, (2, 1, 3, 0, 4, 6, 5)),
+        (cycle(8), 3, (3, 2, 4, 1, 5, 0, 6, 7)),
+        (path(9), 4, (4, 3, 5, 2, 6, 1, 7, 0, 8)),
+    )
+    for g, root, expected in cases:
+        tree = bfs_tree(g, root)
+        assert tree.order == expected
+        levels = [tree.level[v] for v in tree.order]
+        assert levels == sorted(levels)
 
 
 def test_parents_precede_children_in_order():
