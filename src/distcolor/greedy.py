@@ -24,7 +24,7 @@ from .errors import (
     PreconditionError,
 )
 from .graph import Graph, has_cycle_shorter_than_five
-from .symmetry import fixed_propagation, is_distinguishing
+from .symmetry import _propagate, is_distinguishing
 from .tree import BfsTree, bfs_tree
 
 RULE_PREFIX = "prefix"
@@ -204,8 +204,8 @@ def greedy_extend(
 
 def _certify(g: Graph, tree: BfsTree, coloring: Coloring, prefix: list[int]) -> None:
     # fast path: local propagation from the fixed prefix; exact search only
-    # if propagation leaves gaps
-    certified = fixed_propagation(g, tree, coloring, prefix)
+    # if propagation leaves gaps. Both callers have checked the girth.
+    certified = _propagate(g, tree, coloring, prefix)
     if len(certified) == g.n:
         return
     if not is_distinguishing(g, coloring).distinguishing:

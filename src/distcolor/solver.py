@@ -4,9 +4,11 @@
 six-cycle, which needs a fourth color and has its own entry point. The
 dispatcher walks a fixed sequence of structural cases; each case pins a BFS
 tree, precolors a short prefix, overrides a handful of vertices and lets the
-greedy rules do the rest. Every result is certified by the exact symmetry
-search before it is returned, and an uncertifiable coloring is reported as an
-internal bug rather than a user error.
+greedy rules do the rest. Every result is certified before it is returned:
+by fixedness propagation from a prefix that color refinement pins down, or,
+when refinement cannot, by the exact symmetry search under its vertex bound.
+An uncertifiable coloring is reported as an internal bug rather than a user
+error.
 """
 
 from __future__ import annotations
@@ -25,10 +27,11 @@ from .graph import (
 )
 from .greedy import Chooser, greedy_extend
 from .symmetry import (
+    _propagate,
     exists_automorphism_mapping,
     find_isomorphism,
-    fixed_propagation,
     is_distinguishing,
+    prefix_is_fixed,
 )
 from .tree import LAST, BfsTree, bfs_tree
 
@@ -40,6 +43,9 @@ BRANCH_MOORE = "moore_recursive"
 BRANCH_DISSIMILAR = "dissimilar_neighbors"
 BRANCH_SPECIAL = "special"
 BRANCH_C6 = "c6"
+
+CERTIFICATE_PROPAGATION = "propagation"
+CERTIFICATE_SEARCH = "search"
 
 
 @dataclass(frozen=True)
@@ -73,6 +79,10 @@ class SolveResult:
 
     ``prefix`` is a sigma-prefix of ``tree`` from which fixed_propagation
     certifies every vertex; ``certified`` is always True on a returned result.
+    ``certificate`` says what proved the coloring distinguishing:
+    ``"propagation"`` when color refinement isolates every prefix vertex, so
+    the propagation from that prefix is sound, or ``"search"`` when the exact
+    symmetry search had to decide.
     """
 
     coloring: Coloring
@@ -81,6 +91,7 @@ class SolveResult:
     certified: bool
     tree: BfsTree
     prefix: tuple[int, ...]
+    certificate: str
 
 
 def render_result(result: SolveResult) -> str:
@@ -137,7 +148,7 @@ def _minimal_certifying_prefix(
 ) -> tuple[int, ...]:
     for end in range(1, g.n + 1):
         prefix = tree.order[:end]
-        if len(fixed_propagation(g, tree, coloring, prefix)) == g.n:
+        if len(_propagate(g, tree, coloring, prefix)) == g.n:
             return tuple(prefix)
     raise InternalConsistencyError("no prefix certifies the coloring")
 
@@ -149,25 +160,37 @@ def _verified_result(
     branch: str,
     prefix: tuple[int, ...] | None = None,
 ) -> SolveResult:
-    """Certify with the exact search, then pin down the fixed prefix.
+    """Pin down a certifying prefix, then prove that it is fixed.
 
-    With no stated prefix the shortest certifying one is computed; a stated
-    prefix must let propagation certify every vertex.
+    With no stated prefix the shortest one from which propagation certifies
+    every vertex is computed; a stated prefix must let propagation certify
+    every vertex. Propagation alone assumes the prefix is fixed. When color
+    refinement isolates every prefix vertex, every color-preserving
+    automorphism fixes the prefix, and with it the root and so the BFS
+    levels; propagation's rules are then sound and only the identity is
+    left. Otherwise the exact search decides, under its vertex bound. The
+    girth was checked by the caller; size, totality and properness are
+    checked by the propagation.
     """
-    verdict = is_distinguishing(g, coloring)
-    if not verdict.distinguishing:
-        raise InternalConsistencyError(
-            f"{branch} produced a coloring preserved by a non-identity automorphism"
-        )
     if prefix is None:
         prefix = _minimal_certifying_prefix(g, tree, coloring)
     else:
         prefix = tuple(prefix)
-        if len(fixed_propagation(g, tree, coloring, prefix)) != g.n:
+        if len(_propagate(g, tree, coloring, prefix)) != g.n:
             raise InternalConsistencyError(
                 f"{branch}: propagation from the stated prefix left vertices uncertified"
             )
-    return SolveResult(coloring, coloring.num_colors(), branch, True, tree, prefix)
+    if prefix_is_fixed(g, coloring, prefix):
+        certificate = CERTIFICATE_PROPAGATION
+    elif is_distinguishing(g, coloring).distinguishing:
+        certificate = CERTIFICATE_SEARCH
+    else:
+        raise InternalConsistencyError(
+            f"{branch} produced a coloring preserved by a non-identity automorphism"
+        )
+    return SolveResult(
+        coloring, coloring.num_colors(), branch, True, tree, prefix, certificate
+    )
 
 
 def _walk_from(g: Graph, start: int) -> list[int]:

@@ -87,11 +87,15 @@ def _check_bound(g: Graph, max_vertices: int) -> None:
         raise SearchBoundError(f"graph has {g.n} vertices, search bound is {max_vertices}")
 
 
-def _wl_labels(graphs: list[Graph], bases: list[list[object]]) -> list[list[int]]:
+def _wl_rounds(
+    graphs: list[Graph], bases: list[list[object]]
+) -> Iterator[list[list[int]]]:
     """Iterated neighborhood refinement, canonical across all given graphs.
 
-    Vertices with different labels cannot correspond under any isomorphism
-    that preserves the base labels.
+    Yields the labels of every round: first (base label, degree), then each
+    refinement, ending with the first round that splits no class. Vertices
+    with different labels in any round cannot correspond under any
+    isomorphism that preserves the base labels.
     """
     table: dict[object, int] = {}
 
@@ -105,6 +109,7 @@ def _wl_labels(graphs: list[Graph], bases: list[list[object]]) -> list[list[int]
         [canon((base[v], len(g.adj[v]))) for v in range(g.n)]
         for g, base in zip(graphs, bases)
     ]
+    yield labels
     while True:
         before = len({l for ls in labels for l in ls})
         labels = [
@@ -114,9 +119,35 @@ def _wl_labels(graphs: list[Graph], bases: list[list[object]]) -> list[list[int]
             ]
             for g, ls in zip(graphs, labels)
         ]
+        yield labels
         after = len({l for ls in labels for l in ls})
         if after == before:
-            return labels
+            return
+
+
+def _wl_labels(graphs: list[Graph], bases: list[list[object]]) -> list[list[int]]:
+    """The stable round of ``_wl_rounds``."""
+    for labels in _wl_rounds(graphs, bases):
+        pass
+    return labels
+
+
+def prefix_is_fixed(g: Graph, coloring: Coloring, vertices: Iterable[int]) -> bool:
+    """True when refinement seeded by the coloring isolates every given vertex.
+
+    Refinement classes are invariant under color-preserving automorphisms, so
+    a vertex alone in its class is fixed by all of them. Stops at the first
+    round that isolates every vertex. False once refinement is stable
+    without doing so, which proves nothing either way.
+    """
+    if len(coloring) != g.n:
+        raise PreconditionError("coloring length does not match the graph")
+    targets = set(vertices)
+    for (labels,) in _wl_rounds([g], [list(coloring.values)]):
+        sizes = Counter(labels)
+        if all(sizes[labels[v]] == 1 for v in targets):
+            return True
+    return False
 
 
 def _candidate_lists(label_g: list[int], label_h: list[int]) -> list[list[int]]:
@@ -418,14 +449,24 @@ def fixed_propagation(
     the prefix really is fixed and all vertices end up certified, the coloring
     is distinguishing.
     """
+    if has_cycle_shorter_than_five(g):
+        raise PreconditionError("girth below five")
+    return _propagate(g, tree, coloring, fixed_prefix)
+
+
+def _propagate(
+    g: Graph,
+    tree: BfsTree,
+    coloring: Coloring,
+    fixed_prefix: Iterable[int],
+) -> frozenset[int]:
+    """``fixed_propagation`` for callers that have already checked the girth."""
     if len(coloring) != g.n or len(tree.order) != g.n:
         raise PreconditionError("graph, tree and coloring sizes disagree")
     if not coloring.is_total():
         raise PropernessError("coloring is not total")
     if not coloring.is_proper(g):
         raise PropernessError("coloring is not proper")
-    if has_cycle_shorter_than_five(g):
-        raise PreconditionError("girth below five")
     prefix = list(fixed_prefix)
     if not prefix:
         raise PreconditionError("fixed_prefix is empty")

@@ -79,6 +79,19 @@ def test_solve_then_verify_pipe(tmp_path, capsys):
     assert err == ""
 
 
+def test_solve_has_no_vertex_cap_but_verify_does(tmp_path, capsys):
+    graph_file = write_graph(tmp_path, path(200))
+    code, out, _ = run_cli(["solve", graph_file], capsys)
+    assert code == 0
+    assert out.startswith("c branch=path_or_cycle colors=3 certified=1\n")
+    coloring_file = tmp_path / "coloring.txt"
+    coloring_file.write_text(out)
+    code, out, err = run_cli(["verify", graph_file, str(coloring_file)], capsys)
+    assert code == 1
+    assert out == ""
+    assert "search bound is 128" in err
+
+
 def test_verify_breakable_coloring_prints_witness(tmp_path, capsys):
     graph_file = write_graph(tmp_path, path(3))
     coloring_file = tmp_path / "coloring.txt"

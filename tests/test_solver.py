@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distcolor.coloring import Coloring, ListAssignment
-from distcolor.errors import InternalConsistencyError, PreconditionError
+from distcolor.corpus import corpus_graphs
+from distcolor.errors import (
+    InternalConsistencyError,
+    PreconditionError,
+    SearchBoundError,
+)
 from distcolor.generators import (
     cycle,
     desargues,
@@ -35,6 +40,8 @@ from distcolor.solver import (
     BRANCH_NONREGULAR,
     BRANCH_PATH_OR_CYCLE,
     BRANCH_SPECIAL,
+    CERTIFICATE_PROPAGATION,
+    CERTIFICATE_SEARCH,
     DiameterThreeConfig,
     GeodesicConfig,
     color_diameter3,
@@ -51,6 +58,7 @@ from distcolor.solver import (
     solve,
     solve_c6_extension,
     special_colorings,
+    _verified_result,
 )
 from distcolor.symmetry import exact_chi_D, fixed_propagation, is_distinguishing
 from distcolor.tree import bfs_tree
@@ -313,6 +321,54 @@ def test_validation_runs_without_girth(monkeypatch):
             list_color_delta_plus_2(bad, ListAssignment.uniform(bad.n, range(1, 6)))
         with pytest.raises(PreconditionError):
             fixed_propagation(bad, bfs_tree(bad, 0), Coloring(colors, 3), [0])
+
+
+def test_a_moved_prefix_is_not_certified():
+    # propagation from the first two vertices certifies all nine, but the
+    # rotation by three preserves the coloring and moves the prefix
+    g = cycle(9)
+    tree = bfs_tree(g, 0)
+    coloring = Coloring((1, 2, 3) * 3)
+    prefix = tree.order[:2]
+    assert len(fixed_propagation(g, tree, coloring, prefix)) == g.n
+    with pytest.raises(InternalConsistencyError):
+        _verified_result(g, tree, coloring, BRANCH_PATH_OR_CYCLE, prefix)
+
+
+def test_corpus_is_certified_by_propagation():
+    for label, g in corpus_graphs(0, trees=20, randoms=40):
+        r = solve_c6_extension(g) if is_c6(g) else solve(g)
+        assert r.certificate == CERTIFICATE_PROPAGATION, label
+        assert is_distinguishing(g, r.coloring).distinguishing, label
+
+
+def test_search_decides_when_refinement_leaves_the_prefix_unfixed(monkeypatch):
+    expected = solve(petersen()).coloring
+    monkeypatch.setattr("distcolor.solver.prefix_is_fixed", lambda *args: False)
+    r = solve(petersen())
+    assert r.certificate == CERTIFICATE_SEARCH
+    assert r.coloring == expected
+    with pytest.raises(SearchBoundError):
+        solve(path(200))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: path(1000),
+        lambda: cycle(1001),
+        lambda: random_tree(1000, seed=3),
+        lambda: random_girth5(300, max_degree=4, seed=3),
+    ],
+    ids=["path-1000", "cycle-1001", "tree-1000", "girth5-300"],
+)
+def test_large_graphs_solve_past_the_search_bound(build):
+    g = build()
+    r = solve(g)
+    assert r.certified and r.certificate == CERTIFICATE_PROPAGATION
+    assert r.coloring.is_total() and r.coloring.is_proper(g)
+    assert r.coloring.max_color() <= g.max_degree() + 1
+    assert fixed_propagation(g, r.tree, r.coloring, r.prefix) == frozenset(g.vertices())
 
 
 def test_render_result_header():

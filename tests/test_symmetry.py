@@ -1,5 +1,7 @@
 """Automorphism search, distinguishing verdicts, and fixedness propagation."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,6 +35,7 @@ from distcolor.symmetry import (
     fixed_propagation,
     is_distinguishing,
     is_vertex_transitive,
+    prefix_is_fixed,
 )
 from distcolor.tree import bfs_tree
 
@@ -247,3 +250,35 @@ def test_witnesses_are_real_symmetries(seed):
         assert verdict.witness.preserves_adjacency(g)
         assert verdict.witness.preserves_coloring(coloring)
         assert not verdict.witness.is_identity()
+
+
+def test_prefix_is_fixed_on_the_nine_cycle():
+    g = cycle(9)
+    periodic = Coloring((1, 2, 3) * 3)
+    assert not prefix_is_fixed(g, periodic, [0])
+    marked = Coloring((4, 2, 3) + (1, 2, 3) * 2)
+    assert prefix_is_fixed(g, marked, [0])
+    assert prefix_is_fixed(g, marked, range(9))
+    with pytest.raises(PreconditionError):
+        prefix_is_fixed(g, Coloring((1, 2)), [0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_refinement_fixed_vertices_are_fixed_by_every_automorphism(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 9)
+    density = rng.choice((0.2, 0.35, 0.5))
+    g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density])
+    # few colors, so that symmetric colorings are common
+    palette = rng.randint(1, 3)
+    values: list[int] = []
+    for v in range(n):
+        taken = {values[u] for u in g.adj[v] if u < v}
+        free = [c for c in range(1, palette + 1) if c not in taken]
+        values.append(rng.choice(free) if free else max(taken) + 1)
+    coloring = Coloring(tuple(values))
+    autos = enumerate_automorphisms(g, coloring)
+    for v in range(n):
+        if prefix_is_fixed(g, coloring, [v]):
+            assert all(f(v) == v for f in autos)
