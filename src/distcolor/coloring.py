@@ -143,12 +143,17 @@ class ListAssignment:
 
     def without(self, color: int, keep: int) -> "ListAssignment":
         """Delete ``color`` from every list except vertex ``keep``'s."""
-        return ListAssignment(
-            [
-                colors if v == keep else tuple(c for c in colors if c != color)
-                for v, colors in enumerate(self.lists)
-            ]
-        )
+        lists = list(self.lists)
+        for v, colors in enumerate(lists):
+            if v != keep and color in colors:
+                if len(colors) == 1:
+                    raise PreconditionError(f"list of vertex {v} is empty")
+                i = colors.index(color)
+                lists[v] = colors[:i] + colors[i + 1:]
+        # deleting one color keeps every list sorted, distinct and positive
+        result = ListAssignment.__new__(ListAssignment)
+        result.lists = tuple(lists)
+        return result
 
 
 def parse_lists(text: str, n: int) -> ListAssignment:

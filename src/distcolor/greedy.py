@@ -71,7 +71,10 @@ def greedy_extend_traced(
     ``prefix`` must color a nonempty prefix of the tree's vertex order and be
     proper. Palette is 1..k (default max degree plus 2) unless ``lists`` gives
     per-vertex palettes. Raises PaletteExhaustedError when a vertex has no
-    available color.
+    available color. ``tree`` must be a BFS tree of ``g``.
+
+    Each step costs O(deg v + palette size); the input checks and the final
+    properness check add O(n + m).
     """
     n = g.n
     if len(tree.order) != n:
@@ -105,34 +108,44 @@ def greedy_extend_traced(
             raise PreconditionError("prefix coloring is not proper")
 
     delta = g.max_degree()
-    root = tree.root
     steps = [
         GreedyStep(v, RULE_PREFIX, prefix[v], 0, False, False, False)
         for v in tree.order[: len(prefix)]
     ]
 
+    # Every vertex before v in sigma is colored when v's turn comes, its
+    # parent included, so rule i applies exactly when v has a second colored
+    # neighbor, and rule ii blocks the colors of v's parent's child group.
+    adj = g.adj
+    tree_parent = tree.parent
+    tree_children = tree.children
+    near_root = g.neighbor_sets[tree.root]
+    full_palette = range(1, k + 1) if lists is None else None
+    no_ban: frozenset[int] = frozenset()
     for v in tree.order[len(prefix):]:
-        neighbor_colors = [values[u] for u in g.adj[v] if values[u] is not None]
-        stats = (
-            len(neighbor_colors),
-            len(neighbor_colors) == len(g.adj[v]),
-            len(set(neighbor_colors)) == len(neighbor_colors),
-        )
-        palette = lists[v] if lists is not None else range(1, k + 1)
-        banned = forbidden.get(v, frozenset())
-        parent = tree.parent[v]
+        nbrs = adj[v]
+        around = [values[u] for u in nbrs]
+        uncolored = around.count(None)
+        count = len(nbrs) - uncolored
+        seen = set(around)
+        if uncolored:
+            seen.discard(None)
+        all_colored = not uncolored
+        distinct = len(seen) == count
+        palette = full_palette or lists[v]
+        banned = forbidden.get(v, no_ban)
 
         if v in forced:
             c = forced[v]
-            if c in neighbor_colors:
+            if c in seen:
                 raise PreconditionError(f"forced color {c} on vertex {v} breaks properness")
             values[v] = c
-            steps.append(GreedyStep(v, RULE_FORCED, c, *stats, True))
+            steps.append(GreedyStep(v, RULE_FORCED, c, count, all_colored, distinct, True))
             continue
 
         if v in choosers:
             candidates = tuple(
-                c for c in palette if c not in banned and c not in neighbor_colors
+                c for c in palette if c not in banned and c not in seen
             )
             if not candidates:
                 raise PaletteExhaustedError(f"no available color for vertex {v}")
@@ -140,27 +153,28 @@ def greedy_extend_traced(
             if c not in candidates:
                 raise InternalConsistencyError(f"chooser picked unavailable color {c}")
             values[v] = c
-            steps.append(GreedyStep(v, RULE_CHOOSER, c, *stats, True))
+            steps.append(GreedyStep(v, RULE_CHOOSER, c, count, all_colored, distinct, True))
             continue
 
-        if any(values[u] is not None for u in g.adj[v] if u != parent):
+        if count > 1:
             rule = RULE_NEIGHBORS
-            blocked = set(neighbor_colors)
+            blocked = seen
         else:
             rule = RULE_SIBLINGS
-            blocked = {
-                values[u]
-                for u in tree.siblings(v) + (parent,)
-                if values[u] is not None
-            }
-        c = next((c for c in palette if c not in blocked and c not in banned), None)
-        if c is None:
+            parent = tree_parent[v]
+            blocked = {values[parent]}
+            for u in tree_children[parent]:
+                blocked.add(values[u])
+        for c in palette:
+            if c not in blocked and c not in banned:
+                break
+        else:
             raise PaletteExhaustedError(f"no available color for vertex {v}")
         constrained = bool(banned) or lists is not None
-        if not constrained and v != root and not g.has_edge(v, root):
-            _check_color_bounds(v, rule, c, delta, stats)
+        if c > delta and not constrained and v not in near_root:
+            _check_color_bounds(v, rule, c, delta, (count, all_colored, distinct))
         values[v] = c
-        steps.append(GreedyStep(v, rule, c, *stats, constrained))
+        steps.append(GreedyStep(v, rule, c, count, all_colored, distinct, constrained))
 
     coloring = Coloring(values, None if lists is not None else k)
     if not coloring.is_proper(g):

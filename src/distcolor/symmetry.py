@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Iterator
 
 from .coloring import Coloring
@@ -448,6 +449,11 @@ def fixed_propagation(
     Sufficient, not necessary: an empty gain is not a proof of symmetry. If
     the prefix really is fixed and all vertices end up certified, the coloring
     is distinguishing.
+
+    Both rules are monotone (certifying more never disables one), so the
+    result is their least fixpoint whatever the order they fire in. A
+    worklist re-applies them only where a new certification changes their
+    inputs: O(m * max degree) after the O(n + m) input checks.
     """
     if has_cycle_shorter_than_five(g):
         raise PreconditionError("girth below five")
@@ -460,53 +466,63 @@ def _propagate(
     coloring: Coloring,
     fixed_prefix: Iterable[int],
 ) -> frozenset[int]:
-    """``fixed_propagation`` for callers that have already checked the girth."""
+    """``fixed_propagation`` for callers that have already checked the girth.
+
+    A worklist of newly certified vertices; see ``fixed_propagation``.
+    """
     if len(coloring) != g.n or len(tree.order) != g.n:
         raise PreconditionError("graph, tree and coloring sizes disagree")
     if not coloring.is_total():
         raise PropernessError("coloring is not total")
     if not coloring.is_proper(g):
         raise PropernessError("coloring is not proper")
-    prefix = list(fixed_prefix)
+    prefix = set(fixed_prefix)
     if not prefix:
         raise PreconditionError("fixed_prefix is empty")
-    if set(prefix) != set(tree.order[: len(set(prefix))]):
+    if prefix != set(tree.order[: len(prefix)]):
         raise PreconditionError("fixed_prefix is not a sigma-prefix")
 
+    # Popping a newly certified x counts it at its neighbors (rule 1) and
+    # re-examines, for rule 2, x itself and each certified neighbor one level
+    # up, whose uncertified lower neighbors just lost x.
     colors = coloring.values
     level = tree.level
-    certified = set(prefix)
-    changed = True
-    while changed:
-        changed = False
-        for v in tree.order:
-            if v in certified:
-                continue
-            hits = 0
-            for u in g.adj[v]:
-                if u in certified:
-                    hits += 1
-                    if hits == 2:
-                        break
-            if hits >= 2:
-                certified.add(v)
-                changed = True
-        for x in tree.order:
-            if x not in certified:
-                continue
-            below = [
-                u
-                for u in g.adj[x]
-                if u not in certified and level[u] == level[x] + 1
-            ]
+    adj = g.adj
+    certified = [False] * g.n
+    hits = [0] * g.n
+    work = list(prefix)
+    for v in work:
+        certified[v] = True
+    while work:
+        x = work.pop()
+        up = level[x] - 1
+        examine = [x]
+        for u in adj[x]:
+            if certified[u]:
+                if level[u] == up:
+                    examine.append(u)
+            else:
+                hits[u] += 1
+                if hits[u] == 2:
+                    certified[u] = True
+                    work.append(u)
+        for y in examine:
+            down = level[y] + 1
+            below = [u for u in adj[y] if not certified[u] and level[u] == down]
             if not below:
                 continue
-            counts = Counter(colors[u] for u in below)
-            for y in below:
-                if counts[colors[y]] == 1:
-                    certified.add(y)
-                    changed = True
-    return frozenset(certified)
+            if len(below) == 1:
+                unique = below
+            else:
+                counts: dict[int, int] = {}
+                for u in below:
+                    c = colors[u]
+                    counts[c] = counts.get(c, 0) + 1
+                unique = [u for u in below if counts[colors[u]] == 1]
+            for u in unique:
+                certified[u] = True
+                work.append(u)
+    return frozenset(compress(range(g.n), certified))
 
 
 def exact_chi_D(g: Graph, max_vertices: int = EXACT_BOUND) -> int:

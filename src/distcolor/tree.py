@@ -49,6 +49,10 @@ def bfs_tree(
 ) -> BfsTree:
     """Build the BFS tree at ``root`` under the given ordering directives.
 
+    Level by level, the parents claim their children in sigma order, so each
+    vertex without a directive hangs under its sigma-first neighbor one level
+    up. O(n + m) plus the final structural check.
+
     Raises TreeConstraintError for infeasible directives and PreconditionError
     for a disconnected graph or bad root.
     """
@@ -79,48 +83,44 @@ def bfs_tree(
         if s != LAST and (not isinstance(s, int) or s < 0):
             raise TreeConstraintError(f"bad slot {s!r} for vertex {v}")
 
+    # Each level's parents, in sigma order, claim their unclaimed neighbors
+    # one level down; a parent directive has claimed its vertex beforehand.
+    # The sorted adjacency lists make every child group ascending, so only a
+    # group that a slot directive names needs arranging.
     parent: list[int | None] = [None] * g.n
+    for v, p in parents.items():
+        parent[v] = p
     order: list[int] = [root]
-    children: list[list[int]] = [[] for _ in range(g.n)]
-    pos_in_order = {root: 0}
-
-    # Bucket the vertices by level once, each bucket in ascending id, so every
-    # child group below comes out ascending and the whole build is O(n + m).
-    buckets: list[list[int]] = [[] for _ in range(max(level) + 1)]
-    for v in range(g.n):
-        buckets[level[v]].append(v)
+    children: list[tuple[int, ...]] = [()] * g.n
+    adj = g.adj
     current = [root]
-    for lvl, below in enumerate(buckets[1:]):
-        # Parent of each level-(lvl+1) vertex: directive, else its sigma-first
-        # neighbor one level up.
-        group: dict[int, list[int]] = {p: [] for p in current}
-        for v in below:
-            if v in parents:
-                p = parents[v]
-            else:
-                p = min(
-                    (u for u in g.adj[v] if level[u] == lvl),
-                    key=lambda u: pos_in_order[u],
-                )
-            group[p].append(v)
+    below = 1
+    while current:
         nxt: list[int] = []
         for p in current:
-            kids = _arrange(p, group[p], slots)
-            children[p] = kids
-            for c in kids:
-                parent[c] = p
+            kids = []
+            for u in adj[p]:
+                if level[u] == below:
+                    q = parent[u]
+                    if q is None:
+                        parent[u] = p
+                        kids.append(u)
+                    elif q == p:
+                        kids.append(u)
+            if slots and any(u in slots for u in kids):
+                kids = _arrange(p, kids, slots)
+            children[p] = tuple(kids)
             nxt.extend(kids)
-        for i, c in enumerate(nxt):
-            pos_in_order[c] = len(order) + i
         order.extend(nxt)
         current = nxt
+        below += 1
 
     tree = BfsTree(
         root=root,
         parent=tuple(parent),
         level=tuple(level),
         order=tuple(order),
-        children=tuple(tuple(c) for c in children),
+        children=tuple(children),
     )
     _check_tree(g, tree)
     return tree

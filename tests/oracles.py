@@ -1,0 +1,281 @@
+"""Slow reference versions of the construction core, for differential tests.
+
+Each one is the straightforward form that the library's version replaced:
+
+* ``bfs_tree_by_min_parent`` gives every vertex its sigma-first neighbor one
+  level up with a ``min`` and arranges every child group;
+* ``greedy_extend_by_rules`` restates rules i and ii literally per vertex;
+* ``propagate_by_rounds`` rescans the whole order every round until nothing
+  changes.
+
+They must return exactly what the library returns, errors included.
+``girth5_graphs`` and ``random_proper_coloring`` draw their inputs.
+"""
+
+import random
+from collections import Counter
+
+from hypothesis import strategies as st
+
+from distcolor.coloring import Coloring
+from distcolor.errors import (
+    InternalConsistencyError,
+    PaletteExhaustedError,
+    PreconditionError,
+    PropernessError,
+    TreeConstraintError,
+)
+from distcolor.generators import cycle, path, random_girth5, random_tree
+from distcolor.graph import INFINITY, distances
+from distcolor.greedy import (
+    RULE_CHOOSER,
+    RULE_FORCED,
+    RULE_NEIGHBORS,
+    RULE_PREFIX,
+    RULE_SIBLINGS,
+    GreedyStep,
+    _check_color_bounds,
+)
+from distcolor.tree import LAST, BfsTree, _arrange, _check_tree
+
+
+def bfs_tree_by_min_parent(g, root, parents=None, slots=None):
+    if not 0 <= root < g.n:
+        raise PreconditionError(f"root {root} out of range")
+    parents = dict(parents or {})
+    slots = dict(slots or {})
+
+    dist = distances(g, root)
+    if any(d == INFINITY for d in dist):
+        raise PreconditionError("graph is disconnected")
+    level = [int(d) for d in dist]
+
+    for v, p in parents.items():
+        if not 0 <= v < g.n or not 0 <= p < g.n:
+            raise TreeConstraintError(f"parent directive names unknown vertex ({v}, {p})")
+        if v == root:
+            raise TreeConstraintError("the root has no parent")
+        if not g.has_edge(v, p):
+            raise TreeConstraintError(f"{p} is not a neighbor of {v}")
+        if level[p] != level[v] - 1:
+            raise TreeConstraintError(f"{p} is not one level above {v}")
+    for v, s in slots.items():
+        if not 0 <= v < g.n:
+            raise TreeConstraintError(f"slot directive names unknown vertex {v}")
+        if v == root:
+            raise TreeConstraintError("the root occupies no child slot")
+        if s != LAST and (not isinstance(s, int) or s < 0):
+            raise TreeConstraintError(f"bad slot {s!r} for vertex {v}")
+
+    parent = [None] * g.n
+    order = [root]
+    children = [[] for _ in range(g.n)]
+    pos_in_order = {root: 0}
+    buckets = [[] for _ in range(max(level) + 1)]
+    for v in range(g.n):
+        buckets[level[v]].append(v)
+    current = [root]
+    for lvl, below in enumerate(buckets[1:]):
+        group = {p: [] for p in current}
+        for v in below:
+            if v in parents:
+                p = parents[v]
+            else:
+                p = min(
+                    (u for u in g.adj[v] if level[u] == lvl),
+                    key=lambda u: pos_in_order[u],
+                )
+            group[p].append(v)
+        nxt = []
+        for p in current:
+            kids = _arrange(p, group[p], slots)
+            children[p] = kids
+            for c in kids:
+                parent[c] = p
+            nxt.extend(kids)
+        for i, c in enumerate(nxt):
+            pos_in_order[c] = len(order) + i
+        order.extend(nxt)
+        current = nxt
+
+    tree = BfsTree(
+        root=root,
+        parent=tuple(parent),
+        level=tuple(level),
+        order=tuple(order),
+        children=tuple(tuple(c) for c in children),
+    )
+    _check_tree(g, tree)
+    return tree
+
+
+def greedy_extend_by_rules(
+    g, tree, prefix, *, k=None, forced=None, forbidden=None, choosers=None, lists=None
+):
+    n = g.n
+    if len(tree.order) != n:
+        raise PreconditionError("tree does not cover the graph")
+    if lists is not None and len(lists) != n:
+        raise PreconditionError("list assignment length does not match the graph")
+    if not prefix:
+        raise PreconditionError("prefix is empty")
+    if set(prefix) != set(tree.order[: len(prefix)]):
+        raise PreconditionError("prefix does not color a prefix of the vertex order")
+    forced = dict(forced or {})
+    forbidden = {v: frozenset(cs) for v, cs in (forbidden or {}).items()}
+    choosers = dict(choosers or {})
+    for v in list(forced) + list(choosers):
+        if v in prefix:
+            raise PreconditionError(f"vertex {v} is in the prefix and cannot be overridden")
+    if set(forced) & set(choosers):
+        raise PreconditionError("a vertex has both a forced color and a chooser")
+    if lists is None:
+        k = g.max_degree() + 2 if k is None else k
+        if k < 1:
+            raise PreconditionError(f"bad palette bound {k}")
+
+    values = [None] * n
+    for v, c in prefix.items():
+        if not isinstance(c, int) or c < 1:
+            raise PreconditionError(f"prefix colors vertex {v} with {c!r}")
+        values[v] = c
+    for u, v in g.edges():
+        if values[u] is not None and values[u] == values[v]:
+            raise PreconditionError("prefix coloring is not proper")
+
+    delta = g.max_degree()
+    root = tree.root
+    steps = [
+        GreedyStep(v, RULE_PREFIX, prefix[v], 0, False, False, False)
+        for v in tree.order[: len(prefix)]
+    ]
+    for v in tree.order[len(prefix):]:
+        neighbor_colors = [values[u] for u in g.adj[v] if values[u] is not None]
+        stats = (
+            len(neighbor_colors),
+            len(neighbor_colors) == len(g.adj[v]),
+            len(set(neighbor_colors)) == len(neighbor_colors),
+        )
+        palette = lists[v] if lists is not None else range(1, k + 1)
+        banned = forbidden.get(v, frozenset())
+        parent = tree.parent[v]
+
+        if v in forced:
+            c = forced[v]
+            if c in neighbor_colors:
+                raise PreconditionError(f"forced color {c} on vertex {v} breaks properness")
+            values[v] = c
+            steps.append(GreedyStep(v, RULE_FORCED, c, *stats, True))
+            continue
+
+        if v in choosers:
+            candidates = tuple(
+                c for c in palette if c not in banned and c not in neighbor_colors
+            )
+            if not candidates:
+                raise PaletteExhaustedError(f"no available color for vertex {v}")
+            c = choosers[v](v, candidates, tuple(values))
+            if c not in candidates:
+                raise InternalConsistencyError(f"chooser picked unavailable color {c}")
+            values[v] = c
+            steps.append(GreedyStep(v, RULE_CHOOSER, c, *stats, True))
+            continue
+
+        if any(values[u] is not None for u in g.adj[v] if u != parent):
+            rule = RULE_NEIGHBORS
+            blocked = set(neighbor_colors)
+        else:
+            rule = RULE_SIBLINGS
+            blocked = {
+                values[u]
+                for u in tree.siblings(v) + (parent,)
+                if values[u] is not None
+            }
+        c = next((c for c in palette if c not in blocked and c not in banned), None)
+        if c is None:
+            raise PaletteExhaustedError(f"no available color for vertex {v}")
+        constrained = bool(banned) or lists is not None
+        if not constrained and v != root and not g.has_edge(v, root):
+            _check_color_bounds(v, rule, c, delta, stats)
+        values[v] = c
+        steps.append(GreedyStep(v, rule, c, *stats, constrained))
+
+    coloring = Coloring(values, None if lists is not None else k)
+    if not coloring.is_proper(g):
+        raise InternalConsistencyError("greedy coloring came out improper")
+    return coloring, tuple(steps)
+
+
+def propagate_by_rounds(g, tree, coloring, fixed_prefix):
+    if len(coloring) != g.n or len(tree.order) != g.n:
+        raise PreconditionError("graph, tree and coloring sizes disagree")
+    if not coloring.is_total():
+        raise PropernessError("coloring is not total")
+    if not coloring.is_proper(g):
+        raise PropernessError("coloring is not proper")
+    prefix = list(fixed_prefix)
+    if not prefix:
+        raise PreconditionError("fixed_prefix is empty")
+    if set(prefix) != set(tree.order[: len(set(prefix))]):
+        raise PreconditionError("fixed_prefix is not a sigma-prefix")
+
+    colors = coloring.values
+    level = tree.level
+    certified = set(prefix)
+    changed = True
+    while changed:
+        changed = False
+        for v in tree.order:
+            if v in certified:
+                continue
+            if sum(u in certified for u in g.adj[v]) >= 2:
+                certified.add(v)
+                changed = True
+        for x in tree.order:
+            if x not in certified:
+                continue
+            below = [
+                u
+                for u in g.adj[x]
+                if u not in certified and level[u] == level[x] + 1
+            ]
+            counts = Counter(colors[u] for u in below)
+            for y in below:
+                if counts[colors[y]] == 1:
+                    certified.add(y)
+                    changed = True
+    return frozenset(certified)
+
+
+def outcome(fn, *args, **kwargs):
+    """The result of a call, or the type and message of what it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - the comparison is the point
+        return type(exc), str(exc)
+
+
+@st.composite
+def girth5_graphs(draw, max_n=30):
+    """Random trees, paths, cycles and random girth-5 graphs, all connected."""
+    family = draw(st.sampled_from(("tree", "path", "cycle", "girth5")))
+    n = draw(st.integers(min_value=5, max_value=max_n))
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    if family == "tree":
+        return random_tree(n, seed=seed)
+    if family == "path":
+        return path(n)
+    if family == "cycle":
+        return cycle(n)
+    return random_girth5(n, max_degree=draw(st.integers(min_value=3, max_value=5)), seed=seed)
+
+
+def random_proper_coloring(g, rng: random.Random, k: int) -> Coloring:
+    """A total proper coloring from 1..k (k above the max degree), vertices in random order."""
+    values = [None] * g.n
+    order = list(range(g.n))
+    rng.shuffle(order)
+    for v in order:
+        taken = {values[u] for u in g.adj[v]}
+        values[v] = rng.choice([c for c in range(1, k + 1) if c not in taken])
+    return Coloring(values)

@@ -1,11 +1,14 @@
 """Command-line behavior: formats, exit codes, pipes, determinism."""
 
 import io
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import distcolor
 from distcolor.cli import main
 from distcolor.coloring import parse_coloring
 from distcolor.generators import cycle, path, petersen
@@ -228,10 +231,16 @@ def test_corpus_small_count(capsys):
 
 def test_module_entry_point(tmp_path):
     graph_file = write_graph(tmp_path, cycle(5))
+    # the child imports the same distcolor as this test, installed or not
+    source = str(Path(distcolor.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (source, os.environ.get("PYTHONPATH")) if p
+    )}
     result = subprocess.run(
         [sys.executable, "-m", "distcolor", "exact", graph_file],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert result.stdout == "3\n"

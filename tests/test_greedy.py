@@ -1,9 +1,12 @@
 """Greedy color extension rules and the two extra-color constructions."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from distcolor import greedy
 from distcolor.coloring import Coloring, ListAssignment
 from distcolor.errors import (
     InternalConsistencyError,
@@ -29,8 +32,9 @@ from distcolor.greedy import (
     greedy_extend_traced,
     list_color_delta_plus_2,
 )
-from distcolor.symmetry import is_distinguishing
+from distcolor.symmetry import _propagate, is_distinguishing
 from distcolor.tree import bfs_tree
+from oracles import girth5_graphs, greedy_extend_by_rules, outcome
 
 PROPERTY_SETTINGS = settings(max_examples=50, deadline=None)
 
@@ -234,3 +238,64 @@ def test_two_extra_colors_certified_everywhere(seed):
     assert coloring.max_color() <= delta + 2
     assert sum(1 for v in g.vertices() if coloring[v] == delta + 2) == 1
     assert is_distinguishing(g, coloring).distinguishing
+
+
+def pick_last(v, candidates, values):
+    return candidates[-1]
+
+
+@PROPERTY_SETTINGS
+@given(girth5_graphs(), st.integers(min_value=0, max_value=10_000))
+def test_greedy_matches_the_rule_oracle(g, seed):
+    rng = random.Random(seed)
+    tree = bfs_tree(g, rng.randrange(g.n))
+    k = g.max_degree() + rng.randint(1, 3)
+    cut = rng.randint(1, 3)
+    prefix = {}
+    for v in tree.order[:cut]:
+        taken = {prefix.get(u) for u in g.adj[v]}
+        prefix[v] = rng.choice([c for c in range(1, k + 1) if c not in taken])
+    rest = list(tree.order[cut:])
+    picked = rng.sample(rest, min(len(rest), rng.randint(0, 6)))
+    forced = {v: rng.randint(1, k) for v in picked[:1] if rng.random() < 0.5}
+    choosers = {v: pick_last for v in picked[1:2]}
+    forbidden = {v: set(rng.sample(range(1, k + 1), rng.randint(1, 2))) for v in picked[2:]}
+    lists = None
+    if rng.random() < 0.5:
+        lists = ListAssignment(
+            [rng.sample(range(1, 2 * k + 1), k - rng.randint(0, 1)) for _ in range(g.n)]
+        )
+    kwargs = dict(
+        k=None if lists else k, forced=forced, forbidden=forbidden, choosers=choosers, lists=lists
+    )
+    fast = outcome(greedy_extend_traced, g, tree, prefix, **kwargs)
+    assert fast == outcome(greedy_extend_by_rules, g, tree, prefix, **kwargs)
+    if isinstance(fast[0], Coloring):
+        assert fast[0].k == (None if lists else k)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: path(5000), lambda: cycle(5001), lambda: random_tree(5000, seed=3)],
+    ids=["path-5000", "cycle-5001", "random-tree-5000"],
+)
+def test_large_inputs_are_certified_by_propagation_alone(build, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("propagation left a vertex uncertified")
+
+    monkeypatch.setattr(greedy, "is_distinguishing", no_search)
+    g = build()
+    delta = g.max_degree()
+    rng = random.Random(g.n)
+    lists = ListAssignment(
+        [rng.sample(range(1, 2 * (delta + 2) + 1), delta + 2) for _ in range(g.n)]
+    )
+    for w in (0, g.n // 2):
+        tree = bfs_tree(g, w)
+        plain = color_delta_plus_2(g, w)
+        assert plain.is_proper(g) and plain.max_color() <= delta + 2
+        listed = list_color_delta_plus_2(g, lists, w)
+        assert listed.is_proper(g)
+        assert all(listed[v] in lists[v] for v in g.vertices())
+        for coloring in (plain, listed):
+            assert len(_propagate(g, tree, coloring, [w])) == g.n

@@ -38,6 +38,7 @@ from distcolor.symmetry import (
     prefix_is_fixed,
 )
 from distcolor.tree import bfs_tree
+from oracles import girth5_graphs, propagate_by_rounds, random_proper_coloring
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -282,3 +283,31 @@ def test_refinement_fixed_vertices_are_fixed_by_every_automorphism(seed):
     for v in range(n):
         if prefix_is_fixed(g, coloring, [v]):
             assert all(f(v) == v for f in autos)
+
+
+def test_propagation_re_examines_a_parent_whose_child_is_certified_elsewhere():
+    # 8-cycle rooted at 0 with pendants 8 at 3 and 9 at 5, colored like 4:
+    # 3 and 5 each see two lower neighbors of color 3 until 4 is certified by
+    # its two certified neighbors; only then are 8 and 9 unique below them
+    g = Graph(10, [(i, (i + 1) % 8) for i in range(8)] + [(3, 8), (5, 9)])
+    coloring = Coloring([1, 2, 1, 2, 3, 1, 2, 3, 3, 3])
+    tree = bfs_tree(g, 0)
+    assert fixed_propagation(g, tree, coloring, [0]) == frozenset(range(10))
+
+
+@settings(max_examples=150, deadline=None)
+@given(girth5_graphs(), st.integers(min_value=0, max_value=10_000))
+def test_propagation_matches_the_round_robin_oracle(g, seed):
+    rng = random.Random(seed)
+    w = rng.randrange(g.n)
+    tree = bfs_tree(g, w)
+    colorings = (
+        color_delta_plus_2(g, w=w),
+        random_proper_coloring(g, rng, g.max_degree() + rng.randint(1, 3)),
+    )
+    for coloring in colorings:
+        for length in (1, 2, 3):
+            prefix = tree.order[:length]
+            assert fixed_propagation(g, tree, coloring, prefix) == propagate_by_rounds(
+                g, tree, coloring, prefix
+            )

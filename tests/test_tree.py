@@ -1,5 +1,7 @@
 """Breadth-first spanning trees and their ordering directives."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from distcolor.errors import PreconditionError, TreeConstraintError
 from distcolor.generators import cycle, path, petersen, random_girth5, star
 from distcolor.graph import Graph, distances
 from distcolor.tree import LAST, bfs_tree
+from oracles import bfs_tree_by_min_parent, girth5_graphs, outcome
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -129,3 +132,39 @@ def test_tree_is_spanning_and_consistent(seed, root_pick):
         if v != root:
             p = tree.parent[v]
             assert p is not None and tree.level[p] == tree.level[v] - 1
+
+
+@PROPERTY_SETTINGS
+@given(girth5_graphs(), st.integers(min_value=0, max_value=10_000))
+def test_bfs_tree_matches_the_min_parent_oracle(g, seed):
+    rng = random.Random(seed)
+    root = rng.randrange(g.n)
+    dist = distances(g, root)
+    parents = {}
+    for v in rng.sample(range(g.n), rng.randint(0, 4)):
+        above = [u for u in g.adj[v] if dist[u] == dist[v] - 1]
+        if above:
+            parents[v] = rng.choice(above)
+    # slots reorder a child group and so can change the parents one level
+    # further down: pick them level by level on the tree they leave
+    expected = bfs_tree_by_min_parent(g, root, parents)
+    slots = {}
+    chosen_parents = rng.sample(range(g.n), min(g.n, rng.randint(0, 6)))
+    for p in sorted(chosen_parents, key=lambda v: dist[v]):
+        kids = expected.children[p]
+        if len(kids) < 2:
+            continue
+        chosen = rng.sample(kids, rng.randint(1, len(kids)))
+        last = rng.random() < 0.5
+        if last:
+            slots[chosen.pop()] = LAST
+        # pinned slots stay clear of the last one
+        for c, s in zip(chosen, rng.sample(range(len(kids) - last), len(chosen))):
+            slots[c] = s
+        expected = bfs_tree_by_min_parent(g, root, parents, slots)
+    assert bfs_tree(g, root, parents=parents, slots=slots) == expected
+    # one arbitrary extra slot, often infeasible: both raise alike
+    slots[rng.randrange(g.n)] = rng.choice([LAST, 0, 1, 2, 5])
+    assert outcome(bfs_tree, g, root, parents, slots) == outcome(
+        bfs_tree_by_min_parent, g, root, parents, slots
+    )
