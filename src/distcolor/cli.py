@@ -166,7 +166,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "corpus" and args.count < 1:
+        parser.error(f"argument --count: must be at least 1, got {args.count}")
     try:
         return args.func(args)
     except InternalConsistencyError as exc:

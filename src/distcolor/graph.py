@@ -15,6 +15,10 @@ from .errors import DimacsError, PreconditionError
 
 INFINITY = math.inf
 
+# Vertex bound of the exhaustive searches in distcolor.symmetry; parse_graph
+# also uses it to cap the vertex count of a problem line.
+SEARCH_BOUND = 128
+
 
 class Graph:
     """An immutable simple graph with sorted adjacency lists."""
@@ -118,6 +122,15 @@ def parse_graph(text: str) -> Graph:
                 raise DimacsError(f"line {lineno}: malformed problem line: {line!r}") from None
             if n < 0 or expected_m < 0:
                 raise DimacsError(f"line {lineno}: malformed problem line: {line!r}")
+            # more than 2m+1 vertices leave the graph disconnected, which
+            # solve, color2 and listcolor refuse, and more than SEARCH_BOUND
+            # are beyond verify and exact: refuse before allocating them
+            limit = max(2 * expected_m + 1, SEARCH_BOUND)
+            if n > limit:
+                raise DimacsError(
+                    f"line {lineno}: {n} vertices with {expected_m} edges"
+                    f" exceeds the limit of {limit}"
+                )
         elif fields[0] == "e":
             if n is None:
                 raise DimacsError(f"line {lineno}: edge before problem line")

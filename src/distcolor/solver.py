@@ -2,19 +2,23 @@
 
 ``solve`` covers every connected graph of girth at least five except the
 six-cycle, which needs a fourth color and has its own entry point. The
-dispatcher walks a fixed sequence of structural cases; each case pins a BFS
-tree, precolors a short prefix, overrides a handful of vertices and lets the
-greedy rules do the rest. Every result is certified before it is returned:
-by fixedness propagation from a prefix that color refinement pins down, or,
-when refinement cannot, by the exact symmetry search under its vertex bound.
-An uncertifiable coloring is reported as an internal bug rather than a user
-error.
+structural cases of the proof form one ordered table, ``_CASES``, and
+``solve`` runs the first that applies. Each case finds its witness (a vertex
+of deficient degree, a geodesic or diameter-three configuration, a
+dissimilar neighbor pair), pins a BFS tree, precolors a short prefix,
+overrides a handful of vertices and lets the greedy rules do the rest. Every
+result is certified before it is returned: by fixedness propagation from a
+prefix that color refinement pins down, or, when refinement cannot, by the
+exact symmetry search under its vertex bound. An uncertifiable coloring is
+reported as an internal bug rather than a user error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations
+from typing import Callable, Iterator
 
 from .coloring import Coloring, render_coloring
 from .errors import InternalConsistencyError, PreconditionError
@@ -92,6 +96,11 @@ class SolveResult:
     tree: BfsTree
     prefix: tuple[int, ...]
     certificate: str
+
+
+# What a case builds: the BFS tree, the coloring, and the sigma-prefix to
+# certify from (None: the shortest that works).
+Parts = tuple[BfsTree, Coloring, tuple[int, ...] | None]
 
 
 def render_result(result: SolveResult) -> str:
@@ -207,59 +216,37 @@ def _walk_from(g: Graph, start: int) -> list[int]:
     return order
 
 
-def _path_or_cycle_parts(g: Graph) -> tuple[BfsTree, Coloring]:
-    if g.max_degree() > 2:
-        raise PreconditionError("maximum degree exceeds two")
+def _path_or_cycle_case(g: Graph, delta: int, diam: Callable[[], int]) -> Parts | None:
+    """One end 1 then 2,3 alternating; cycles open 1,2,3,1,2 then alternate."""
+    if delta > 2:
+        return None
     values: list[int | None] = [None] * g.n
     ends = [v for v in g.vertices() if g.degree(v) <= 1]
     if ends:
         order = _walk_from(g, min(ends))
-        if len(order) != g.n:
-            raise PreconditionError("graph is not a path")
         for idx, v in enumerate(order):
             values[v] = 1 if idx == 0 else (2 if idx % 2 == 1 else 3)
     else:
-        if is_c6(g):
-            raise PreconditionError(
-                "the six-cycle needs four colors; use solve_c6_extension"
-            )
         order = _walk_from(g, 0)
         head = (1, 2, 3, 1, 2)
         for idx, v in enumerate(order):
             values[v] = head[idx] if idx < 5 else (3 if idx % 2 == 1 else 2)
     coloring = Coloring(values, max(c for c in values if c is not None))
-    return bfs_tree(g, order[0]), coloring
+    return bfs_tree(g, order[0]), coloring, None
 
 
-def color_path_or_cycle(g: Graph) -> Coloring:
-    """One end 1 then 2,3 alternating; cycles open 1,2,3,1,2 then alternate."""
-    _validate(g)
-    tree, coloring = _path_or_cycle_parts(g)
-    _verified_result(g, tree, coloring, BRANCH_PATH_OR_CYCLE)
-    return coloring
-
-
-def _nonregular_parts(g: Graph, w: int) -> tuple[BfsTree, Coloring, tuple[int, ...]]:
-    delta = g.max_degree()
-    if not 0 <= w < g.n:
-        raise PreconditionError(f"vertex {w} out of range")
-    if g.degree(w) >= delta:
-        raise PreconditionError(f"vertex {w} already has the maximum degree {delta}")
-    tree = bfs_tree(g, w)
-    coloring = greedy_extend(g, tree, {w: delta + 1}, k=delta + 1)
-    return tree, coloring, (w,)
-
-
-def color_nonregular(g: Graph, w: int) -> Coloring:
+def _nonregular_case(g: Graph, delta: int, diam: Callable[[], int]) -> Parts | None:
     """Root the tree at a vertex of deficient degree and give it the top color.
 
     No other vertex of degree below the maximum can reach the top color under
     the greedy rules, which pins w; the rest follows from the tree structure.
     """
-    _validate(g)
-    tree, coloring, prefix = _nonregular_parts(g, w)
-    _verified_result(g, tree, coloring, BRANCH_NONREGULAR, prefix)
-    return coloring
+    w = next((v for v in g.vertices() if g.degree(v) < delta), None)
+    if w is None:
+        return None
+    tree = bfs_tree(g, w)
+    coloring = greedy_extend(g, tree, {w: delta + 1}, k=delta + 1)
+    return tree, coloring, (w,)
 
 
 def _neighborhood_split_chooser(
@@ -305,13 +292,9 @@ def _neighborhood_split_chooser(
     return choose
 
 
-def find_geodesic_config(g: Graph) -> GeodesicConfig | None:
-    """First (smallest root, then smallest pair) geodesic configuration, if any."""
-    _validate(g)
-    return _first_geodesic_config(g)
-
-
-def _first_geodesic_config(g: Graph) -> GeodesicConfig | None:
+def _first_geodesic_config(g: Graph) -> tuple[GeodesicConfig, list[int | float]] | None:
+    """First (smallest root, then smallest pair) geodesic configuration, if any,
+    with the distances from its root."""
     for w in g.vertices():
         dist = distances(g, w)
         pairs = [
@@ -326,35 +309,18 @@ def _first_geodesic_config(g: Graph) -> GeodesicConfig | None:
         x3, x = min(pairs)
         x2 = min(u for u in g.adj[x3] if dist[u] == 2)
         x1 = min(u for u in g.adj[x2] if dist[u] == 1)
-        return GeodesicConfig(w, x1, x2, x3, x)
+        return GeodesicConfig(w, x1, x2, x3, x), dist
     return None
 
 
-def _check_geodesic_config(g: Graph, cfg: GeodesicConfig) -> list[int | float]:
-    for u, v in ((cfg.w, cfg.x1), (cfg.x1, cfg.x2), (cfg.x2, cfg.x3), (cfg.x3, cfg.x)):
-        if not g.has_edge(u, v):
-            raise PreconditionError(f"configuration edge {u}-{v} is missing")
-    dist = distances(g, cfg.w)
-    for vertex, want in ((cfg.x1, 1), (cfg.x2, 2), (cfg.x3, 3)):
-        if dist[vertex] != want:
-            raise PreconditionError(
-                f"vertex {vertex} is at distance {dist[vertex]} from {cfg.w}, not {want}"
-            )
-    if dist[cfg.x] < 3:
-        raise PreconditionError(f"vertex {cfg.x} is too close to {cfg.w}")
-    return dist
+def _geodesic_parts(g: Graph, cfg: GeodesicConfig, dist: list[int | float]) -> Parts:
+    """Top color on w and x2, 1 on their first children; x3 splits the pair.
 
-
-def _geodesic_parts(
-    g: Graph, cfg: GeodesicConfig
-) -> tuple[BfsTree, Coloring, tuple[int, ...]]:
-    delta = g.max_degree()
-    if delta < 3:
-        raise PreconditionError("maximum degree must be at least three")
-    dist = _check_geodesic_config(g, cfg)
+    The two top-colored vertices are the only ones that can carry a repeated
+    color in their neighborhood, and x3's chosen color makes those two
+    neighborhood multisets differ.
+    """
     w, x1, x2, x3 = cfg.w, cfg.x1, cfg.x2, cfg.x3
-    if g.degree(w) < 2:
-        raise PreconditionError(f"root {w} needs a second neighbor")
     y1 = min(u for u in g.adj[w] if u != x1)
     # x2 first at level 2 and x3 the last of its children, with every level-3
     # neighbor of x2 pulled into that child group: when x3's turn comes, all
@@ -362,7 +328,7 @@ def _geodesic_parts(
     parents = {u: x2 for u in g.adj[x2] if dist[u] == 3}
     slots: dict[int, int | str] = {x1: 0, y1: 1, x2: 0, x3: LAST}
     tree = bfs_tree(g, w, parents=parents, slots=slots)
-    k = delta + 1
+    k = g.max_degree() + 1
     chooser = _neighborhood_split_chooser(g, tree, hub=x2, anchor=w)
     coloring = greedy_extend(
         g,
@@ -376,21 +342,14 @@ def _geodesic_parts(
     return tree, coloring, prefix
 
 
-def color_geodesic(g: Graph, cfg: GeodesicConfig) -> Coloring:
-    """Top color on w and x2, 1 on their first children; x3 splits the pair.
-
-    The two top-colored vertices are the only ones that can carry a repeated
-    color in their neighborhood, and x3's chosen color makes those two
-    neighborhood multisets differ.
-    """
-    _validate(g)
-    tree, coloring, prefix = _geodesic_parts(g, cfg)
-    _verified_result(g, tree, coloring, BRANCH_GEODESIC, prefix)
-    return coloring
+def _geodesic_case(g: Graph, delta: int, diam: Callable[[], int]) -> Parts | None:
+    found = _first_geodesic_config(g)
+    return None if found is None else _geodesic_parts(g, *found)
 
 
-def _diam3_configs(g: Graph):
-    """Yield admissible diameter-three configurations, most-canonical first."""
+def _diam3_configs(g: Graph) -> Iterator[tuple[DiameterThreeConfig, list[int | float]]]:
+    """Yield admissible diameter-three configurations, most-canonical first,
+    each with the distances from its root."""
     for w in g.vertices():
         dist = distances(g, w)
         for z3 in (v for v in g.vertices() if dist[v] == 3):
@@ -403,49 +362,19 @@ def _diam3_configs(g: Graph):
                 y1 = min(u for u in g.adj[y2] if dist[u] == 1)
                 if len({x1, y1, z1}) != 3:
                     continue
-                yield DiameterThreeConfig(w, x1, x2, y1, y2, z1, z2, z3)
-
-
-def find_diam3_config(g: Graph) -> DiameterThreeConfig | None:
-    _validate(g)
-    if g.max_degree() < 4:
-        raise PreconditionError("maximum degree must be at least four")
-    if diameter(g) != 3:
-        raise PreconditionError("diameter must be exactly three")
-    return next(_diam3_configs(g), None)
-
-
-def _check_diam3_config(g: Graph, cfg: DiameterThreeConfig) -> list[int | float]:
-    w = cfg.w
-    for path in (
-        (w, cfg.x1, cfg.x2, cfg.z3),
-        (w, cfg.y1, cfg.y2, cfg.z3),
-        (w, cfg.z1, cfg.z2, cfg.z3),
-    ):
-        for u, v in zip(path, path[1:]):
-            if not g.has_edge(u, v):
-                raise PreconditionError(f"configuration edge {u}-{v} is missing")
-    middle = (cfg.x1, cfg.x2, cfg.y1, cfg.y2, cfg.z1, cfg.z2)
-    if len(set(middle)) != 6:
-        raise PreconditionError("configuration vertices are not pairwise distinct")
-    dist = distances(g, w)
-    for vertex, want in zip(middle + (cfg.z3,), (1, 2, 1, 2, 1, 2, 3)):
-        if dist[vertex] != want:
-            raise PreconditionError(
-                f"vertex {vertex} is at distance {dist[vertex]} from {w}, not {want}"
-            )
-    if any(dist[u] != 2 for u in g.adj[cfg.z3]):
-        raise PreconditionError("some neighbor of z3 is not at level 2")
-    return dist
+                yield DiameterThreeConfig(w, x1, x2, y1, y2, z1, z2, z3), dist
 
 
 def _diam3_parts(
-    g: Graph, cfg: DiameterThreeConfig
-) -> tuple[BfsTree, Coloring, tuple[int, ...]]:
+    g: Graph, cfg: DiameterThreeConfig, dist: list[int | float]
+) -> Parts:
+    """Two top-colored spine vertices over a shared 1-colored pair.
+
+    z1 ends up the only top-colored vertex with two neighbors colored 1 (w and
+    z2), z3's color separates those two by neighborhood multiset, and the
+    forbidden-1 rules keep every competing child distinct.
+    """
     delta = g.max_degree()
-    if delta < 4:
-        raise PreconditionError("maximum degree must be at least four")
-    dist = _check_diam3_config(g, cfg)
     w, x1, x2, y1, y2, z1, z2, z3 = (
         cfg.w, cfg.x1, cfg.x2, cfg.y1, cfg.y2, cfg.z1, cfg.z2, cfg.z3,
     )
@@ -498,49 +427,43 @@ def _diam3_parts(
     return tree, coloring, prefix
 
 
-def color_diameter3(g: Graph, cfg: DiameterThreeConfig) -> Coloring:
-    """Two top-colored spine vertices over a shared 1-colored pair.
+def _diameter3_case(g: Graph, delta: int, diam: Callable[[], int]) -> Parts | None:
+    """The first configuration whose build and certificate both succeed.
 
-    z1 ends up the only top-colored vertex with two neighbors colored 1 (w and
-    z2), z3's color separates those two by neighborhood multiset, and the
-    forbidden-1 rules keep every competing child distinct.
+    A configuration that fails either is skipped; when all fail, the last
+    failure is reported. The winner is certified again by ``solve``'s loop,
+    a repeat this rare branch can afford.
     """
-    if diameter(g) != 3:
-        raise PreconditionError("diameter must be exactly three")
-    _validate(g)
-    tree, coloring, prefix = _diam3_parts(g, cfg)
-    _verified_result(g, tree, coloring, BRANCH_DIAMETER3, prefix)
-    return coloring
-
-
-def _solve_diameter3(g: Graph) -> SolveResult:
-    failures: list[Exception] = []
-    for cfg in _diam3_configs(g):
+    if delta < 4 or diam() != 3:
+        return None
+    failure: Exception | None = None
+    for cfg, dist in _diam3_configs(g):
         try:
-            tree, coloring, prefix = _diam3_parts(g, cfg)
-            return _verified_result(g, tree, coloring, BRANCH_DIAMETER3, prefix)
+            tree, coloring, prefix = _diam3_parts(g, cfg, dist)
+            _verified_result(g, tree, coloring, BRANCH_DIAMETER3, prefix)
+            return tree, coloring, prefix
         except (PreconditionError, InternalConsistencyError) as err:
-            failures.append(err)
-    detail = f"; last failure: {failures[-1]}" if failures else ""
+            failure = err
+    detail = f"; last failure: {failure}" if failure is not None else ""
     raise InternalConsistencyError(
         "every diameter-three configuration failed" + detail
     )
 
 
-def _moore_parts(g: Graph, w: int) -> tuple[BfsTree, Coloring]:
-    delta = g.max_degree()
-    if delta < 4:
-        raise PreconditionError("maximum degree must be at least four")
-    if any(g.degree(v) != delta for v in g.vertices()):
-        raise PreconditionError("graph must be regular")
-    if diameter(g) != 2:
-        raise PreconditionError("diameter must be two")
-    if not 0 <= w < g.n:
-        raise PreconditionError(f"vertex {w} out of range")
+def _moore_case(g: Graph, delta: int, diam: Callable[[], int]) -> Parts | None:
+    """Solve the graph minus w's closed neighborhood, then paint that collar.
+
+    The collar N(w) takes the top color, which the recursive coloring never
+    uses; w is then the only vertex with two top-colored neighbors, and each
+    collar vertex is the sole common neighbor of any two of its fixed ones.
+    """
+    if delta < 4 or diam() != 2:
+        return None
     if g.n != delta * delta + 1:
         raise InternalConsistencyError(
             "vertex count contradicts regular girth-five diameter-two structure"
         )
+    w = 0
     keep = sorted(set(g.vertices()) - {w} - set(g.adj[w]))
     sub, old_to_new = g.induced_subgraph(keep)
     if not is_connected(sub):
@@ -558,74 +481,7 @@ def _moore_parts(g: Graph, w: int) -> tuple[BfsTree, Coloring]:
     for u in g.adj[w]:
         values[u] = delta + 1
     values[w] = 1
-    return bfs_tree(g, w), Coloring(values, delta + 1)
-
-
-def color_moore_recursive(g: Graph, w: int) -> Coloring:
-    """Solve the graph minus w's closed neighborhood, then paint that collar.
-
-    The collar N(w) takes the top color, which the recursive coloring never
-    uses; w is then the only vertex with two top-colored neighbors, and each
-    collar vertex is the sole common neighbor of any two of its fixed ones.
-    """
-    _validate(g)
-    tree, coloring = _moore_parts(g, w)
-    _verified_result(g, tree, coloring, BRANCH_MOORE)
-    return coloring
-
-
-def _dissimilar_parts(
-    g: Graph, w: int, x1: int, y1: int
-) -> tuple[BfsTree, Coloring, tuple[int, ...]]:
-    if len({w, x1, y1}) != 3:
-        raise PreconditionError("w, x1, y1 must be three distinct vertices")
-    for u in (x1, y1):
-        if not g.has_edge(w, u):
-            raise PreconditionError(f"vertex {u} is not a neighbor of {w}")
-    if exists_automorphism_mapping(g, x1, y1):
-        raise PreconditionError(f"an automorphism maps {x1} to {y1}")
-    delta = g.max_degree()
-    k = delta + 1
-    tree = bfs_tree(g, w, slots={x1: 0, y1: 1})
-    coloring = greedy_extend(g, tree, {w: k}, k=k, forced={x1: 1, y1: 1})
-    return tree, coloring, tuple(tree.order[:3])
-
-
-def color_dissimilar_neighbors(g: Graph, w: int, x1: int, y1: int) -> Coloring:
-    """Give two structurally different neighbors of w the same color 1.
-
-    w is the only top-colored vertex with two 1-colored neighbors, and no
-    automorphism can swap x1 with y1, so all three are fixed outright.
-    """
-    _validate(g)
-    tree, coloring, prefix = _dissimilar_parts(g, w, x1, y1)
-    _verified_result(g, tree, coloring, BRANCH_DISSIMILAR, prefix)
-    return coloring
-
-
-def _special_parts(g: Graph) -> tuple[BfsTree, Coloring]:
-    for edges, colors in (
-        (_PETERSEN_EDGES, _PETERSEN_COLORS),
-        (_HEAWOOD_EDGES, _HEAWOOD_COLORS),
-    ):
-        if g.n != len(colors):
-            continue
-        iso = find_isomorphism(g, Graph(len(colors), edges))
-        if iso is None:
-            continue
-        values = [colors[iso(v)] for v in g.vertices()]
-        return bfs_tree(g, 0), Coloring(values, max(colors))
-    raise PreconditionError(
-        "graph is neither the Petersen graph nor the Heawood graph"
-    )
-
-
-def color_special(g: Graph) -> Coloring:
-    """Transport a fixed four-coloring onto the input through an isomorphism."""
-    _validate(g)
-    tree, coloring = _special_parts(g)
-    _verified_result(g, tree, coloring, BRANCH_SPECIAL)
-    return coloring
+    return bfs_tree(g, w), Coloring(values, delta + 1), None
 
 
 def _find_dissimilar_pair(g: Graph) -> tuple[int, int, int] | None:
@@ -638,14 +494,70 @@ def _find_dissimilar_pair(g: Graph) -> tuple[int, int, int] | None:
     return None
 
 
+def _dissimilar_parts(g: Graph, w: int, x1: int, y1: int) -> Parts:
+    """Give two structurally different neighbors of w the same color 1.
+
+    w is the only top-colored vertex with two 1-colored neighbors, and no
+    automorphism can swap x1 with y1, so all three are fixed outright.
+    """
+    k = g.max_degree() + 1
+    tree = bfs_tree(g, w, slots={x1: 0, y1: 1})
+    coloring = greedy_extend(g, tree, {w: k}, k=k, forced={x1: 1, y1: 1})
+    return tree, coloring, tuple(tree.order[:3])
+
+
+def _dissimilar_case(g: Graph, delta: int, diam: Callable[[], int]) -> Parts | None:
+    if delta != 3:
+        return None
+    if g.n > 14:
+        raise InternalConsistencyError("cubic graph too large for the remaining cases")
+    pair = _find_dissimilar_pair(g)
+    return None if pair is None else _dissimilar_parts(g, *pair)
+
+
+def _special_case(g: Graph, delta: int, diam: Callable[[], int]) -> Parts | None:
+    """Transport a fixed four-coloring onto the input through an isomorphism."""
+    if delta != 3:
+        return None
+    for edges, colors in (
+        (_PETERSEN_EDGES, _PETERSEN_COLORS),
+        (_HEAWOOD_EDGES, _HEAWOOD_COLORS),
+    ):
+        if g.n != len(colors):
+            continue
+        iso = find_isomorphism(g, Graph(len(colors), edges))
+        if iso is None:
+            continue
+        values = [colors[iso(v)] for v in g.vertices()]
+        return bfs_tree(g, 0), Coloring(values, max(colors)), None
+    raise PreconditionError(
+        "graph is neither the Petersen graph nor the Heawood graph"
+    )
+
+
+# The paper's cases in the order solve tries them. Each takes the graph, its
+# maximum degree and its diameter (a memo, computed on first use) and returns
+# (tree, coloring, prefix), or None when its case does not apply; a None
+# prefix asks certification for the shortest one.
+_CASES = (
+    (BRANCH_PATH_OR_CYCLE, _path_or_cycle_case),
+    (BRANCH_NONREGULAR, _nonregular_case),
+    (BRANCH_GEODESIC, _geodesic_case),
+    (BRANCH_DIAMETER3, _diameter3_case),
+    (BRANCH_MOORE, _moore_case),
+    (BRANCH_DISSIMILAR, _dissimilar_case),
+    (BRANCH_SPECIAL, _special_case),
+)
+
+
 def solve(g: Graph) -> SolveResult:
     """Certified proper distinguishing coloring with at most Δ+1 colors.
 
-    Cases, tried in order: paths and cycles; a vertex of deficient degree;
-    a geodesic configuration; regular of diameter 3 (Δ ≥ 4); regular of
-    diameter 2 (Δ ≥ 4, handled recursively); and the cubic leftovers, where
-    either some neighbor pair is dissimilar or the graph is one of the two
-    with a canned coloring.
+    The first case of ``_CASES`` that applies builds the coloring: paths and
+    cycles (Δ ≤ 2); a vertex of deficient degree; a geodesic configuration;
+    diameter 3 (Δ ≥ 4); diameter 2 (Δ ≥ 4, a Moore graph, handled
+    recursively); and the cubic leftovers, where either some neighbor pair is
+    dissimilar or the graph is one of the two with a stored coloring.
     """
     _validate(g)
     if is_c6(g):
@@ -653,40 +565,18 @@ def solve(g: Graph) -> SolveResult:
             "the six-cycle needs four colors; use solve_c6_extension"
         )
     delta = g.max_degree()
-    if delta <= 2:
-        tree, coloring = _path_or_cycle_parts(g)
-        return _verified_result(g, tree, coloring, BRANCH_PATH_OR_CYCLE)
-    low = [v for v in g.vertices() if g.degree(v) < delta]
-    if low:
-        tree, coloring, prefix = _nonregular_parts(g, min(low))
-        return _verified_result(g, tree, coloring, BRANCH_NONREGULAR, prefix)
-    cfg = _first_geodesic_config(g)
-    if cfg is not None:
-        tree, coloring, prefix = _geodesic_parts(g, cfg)
-        return _verified_result(g, tree, coloring, BRANCH_GEODESIC, prefix)
-    diam = diameter(g)
-    if delta >= 4 and diam == 3:
-        return _solve_diameter3(g)
-    if delta >= 4 and diam == 2:
-        tree, coloring = _moore_parts(g, 0)
-        return _verified_result(g, tree, coloring, BRANCH_MOORE)
-    if delta == 3:
-        if g.n > 14:
-            raise InternalConsistencyError(
-                "cubic graph too large for the remaining cases"
-            )
-        pair = _find_dissimilar_pair(g)
-        if pair is not None:
-            tree, coloring, prefix = _dissimilar_parts(g, *pair)
-            return _verified_result(g, tree, coloring, BRANCH_DISSIMILAR, prefix)
-        tree, coloring = _special_parts(g)
-        return _verified_result(g, tree, coloring, BRANCH_SPECIAL)
+    diam = cache(lambda: diameter(g))
+    for branch, case in _CASES:
+        parts = case(g, delta, diam)
+        if parts is not None:
+            tree, coloring, prefix = parts
+            return _verified_result(g, tree, coloring, branch, prefix)
     raise InternalConsistencyError("dispatcher found no applicable case")
 
 
 def solve_c6_extension(g: Graph) -> SolveResult:
     """Four colors for the six-cycle: 1,2,3,1,2,4 around the cycle."""
-    if g.n != 6 or not is_connected(g) or not is_c6(g):
+    if not is_c6(g):
         raise PreconditionError("input is not a six-cycle")
     order = _walk_from(g, 0)
     pattern = (1, 2, 3, 1, 2, 4)

@@ -25,10 +25,9 @@ from .errors import (
     PropernessError,
     SearchBoundError,
 )
-from .graph import Graph, has_cycle_shorter_than_five
+from .graph import SEARCH_BOUND, Graph, has_cycle_shorter_than_five
 from .tree import BfsTree
 
-SEARCH_BOUND = 128
 EXACT_BOUND = 10
 
 
@@ -46,16 +45,6 @@ class Permutation:
 
     def is_identity(self) -> bool:
         return all(u == v for v, u in enumerate(self.image))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.image)
-        for v, u in enumerate(self.image):
-            inv[u] = v
-        return Permutation(tuple(inv))
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: v -> self(other(v))."""
-        return Permutation(tuple(self.image[u] for u in other.image))
 
     def preserves_adjacency(self, g: Graph, h: Graph | None = None) -> bool:
         h = h if h is not None else g
@@ -301,25 +290,6 @@ def _orbit(point: int, gens: list[Permutation]) -> set[int]:
     return orbit
 
 
-def enumerate_automorphisms(
-    g: Graph,
-    coloring: Coloring | None = None,
-    max_vertices: int = SEARCH_BOUND,
-) -> list[Permutation]:
-    """Every (color-preserving) automorphism, in lexicographic order.
-
-    Exponential in the group size; meant as a test oracle on small graphs.
-    """
-    _check_bound(g, max_vertices)
-    cand = _auto_candidates(g, coloring)
-    out = []
-    for image in _search(g, g, list(range(g.n)), cand):
-        f = Permutation(image)
-        _assert_automorphism(g, f, coloring)
-        out.append(f)
-    return out
-
-
 def is_distinguishing(
     g: Graph,
     coloring: Coloring,
@@ -371,32 +341,6 @@ def exists_automorphism_mapping(
         return False
     _assert_automorphism(g, Permutation(found), None)
     return True
-
-
-def is_vertex_transitive(g: Graph, max_vertices: int = SEARCH_BOUND) -> bool:
-    """True iff the orbit of vertex 0 under the automorphism group is V(g)."""
-    _check_bound(g, max_vertices)
-    if g.n <= 1:
-        return True
-    degs = {len(ns) for ns in g.adj}
-    if len(degs) > 1:
-        return False
-    cand = _auto_candidates(g, None)
-    orbit = {0}
-    gens: list[Permutation] = []
-    for u in range(1, g.n):
-        if u in orbit:
-            continue
-        if u not in cand[0]:
-            return False
-        found = next(iter(_search(g, g, _connected_order(g, [0]), cand, {0: u})), None)
-        if found is None:
-            return False
-        f = Permutation(found)
-        _assert_automorphism(g, f, None)
-        gens.append(f)
-        orbit = _orbit(0, gens)
-    return len(orbit) == g.n
 
 
 def find_isomorphism(

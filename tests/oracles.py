@@ -9,7 +9,9 @@ Each one is the straightforward form that the library's version replaced:
   changes.
 
 They must return exactly what the library returns, errors included.
-``girth5_graphs`` and ``random_proper_coloring`` draw their inputs.
+``enumerate_automorphisms`` lists a whole automorphism group, the reference
+for properties of the library's searches. ``girth5_graphs`` and
+``random_proper_coloring`` draw their inputs.
 """
 
 import random
@@ -26,7 +28,7 @@ from distcolor.errors import (
     TreeConstraintError,
 )
 from distcolor.generators import cycle, path, random_girth5, random_tree
-from distcolor.graph import INFINITY, distances
+from distcolor.graph import INFINITY, SEARCH_BOUND, distances
 from distcolor.greedy import (
     RULE_CHOOSER,
     RULE_FORCED,
@@ -35,6 +37,13 @@ from distcolor.greedy import (
     RULE_SIBLINGS,
     GreedyStep,
     _check_color_bounds,
+)
+from distcolor.symmetry import (
+    Permutation,
+    _assert_automorphism,
+    _auto_candidates,
+    _check_bound,
+    _search,
 )
 from distcolor.tree import LAST, BfsTree, _arrange, _check_tree
 
@@ -245,6 +254,21 @@ def propagate_by_rounds(g, tree, coloring, fixed_prefix):
                     certified.add(y)
                     changed = True
     return frozenset(certified)
+
+
+def enumerate_automorphisms(g, coloring=None, max_vertices=SEARCH_BOUND):
+    """Every (color-preserving) automorphism, in lexicographic order.
+
+    Exponential in the group size; for small graphs only.
+    """
+    _check_bound(g, max_vertices)
+    cand = _auto_candidates(g, coloring)
+    out = []
+    for image in _search(g, g, list(range(g.n)), cand):
+        f = Permutation(image)
+        _assert_automorphism(g, f, coloring)
+        out.append(f)
+    return out
 
 
 def outcome(fn, *args, **kwargs):

@@ -229,6 +229,27 @@ def test_corpus_small_count(capsys):
         assert "PASS" in line
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_corpus_rejects_a_count_below_one(capsys, count):
+    # a non-positive count would run nothing and still print seven PASS rows
+    code, out, err = run_cli(["corpus", "--count", count], capsys)
+    assert code == 1
+    assert out == ""
+    assert "--count: must be at least 1" in err
+
+
+def test_hostile_problem_line_exits_one(capsys, monkeypatch):
+    def refuse_huge(n, edges):
+        raise AssertionError(f"a graph of {n} vertices was allocated")
+
+    monkeypatch.setattr("distcolor.graph.Graph", refuse_huge)
+    text = "p edge 1000000000 0\n"
+    code, out, err = run_cli(["solve", "-"], capsys, monkeypatch, stdin_text=text)
+    assert code == 1
+    assert out == ""
+    assert "exceeds the limit of 128" in err
+
+
 def test_module_entry_point(tmp_path):
     graph_file = write_graph(tmp_path, cycle(5))
     # the child imports the same distcolor as this test, installed or not

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import distcolor.graph as graph_module
 from distcolor.errors import DimacsError, PreconditionError
 from distcolor.generators import (
     cycle,
@@ -19,6 +20,7 @@ from distcolor.generators import (
 )
 from distcolor.graph import (
     INFINITY,
+    SEARCH_BOUND,
     Graph,
     diameter,
     distances,
@@ -168,6 +170,26 @@ def test_parse_skips_comments_and_blanks():
 def test_parse_rejects_malformed_input(text):
     with pytest.raises(DimacsError):
         parse_graph(text)
+
+
+def test_parse_refuses_more_vertices_than_edges_or_searches_use(monkeypatch):
+    # the header alone must not allocate: a stub stands in for huge graphs
+    real = graph_module.Graph
+
+    def small_only(n, edges):
+        if n > 1000:
+            raise AssertionError(f"a graph of {n} vertices was allocated")
+        return real(n, edges)
+
+    monkeypatch.setattr(graph_module, "Graph", small_only)
+    for text in ("p edge 1000000000 0\n", "p edge 129 0\n", "p edge 200 3\ne 1 2\n"):
+        with pytest.raises(DimacsError, match="exceeds the limit"):
+            parse_graph(text)
+    # up to max(2m+1, SEARCH_BOUND) vertices are still read
+    assert parse_graph("p edge 128 0\n").n == SEARCH_BOUND
+    assert parse_graph("p edge 131 65\n" + "".join(
+        f"e {2 * i + 1} {2 * i + 2}\n" for i in range(65)
+    )).n == 131
 
 
 @PROPERTY_SETTINGS

@@ -1,0 +1,40 @@
+"""Package-wide guards on the library's shape."""
+
+import ast
+from pathlib import Path
+
+import distcolor
+
+SOURCES = Path(distcolor.__file__).parent
+
+
+def _used_names(node: ast.AST) -> set[str]:
+    names: set[str] = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name)
+    return names
+
+
+def test_every_public_function_is_used_or_exported():
+    # a public function that nothing in the library calls and the package
+    # does not export exists only for the tests; it belongs in tests/
+    defined: list[tuple[str, str, ast.AST]] = []
+    statements: list[ast.AST] = []
+    for source in sorted(SOURCES.glob("*.py")):
+        module = ast.parse(source.read_text(encoding="utf-8"))
+        for node in module.body:
+            statements.append(node)
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                defined.append((source.stem, node.name, node))
+    unused = []
+    for module_name, name, definition in defined:
+        if name in distcolor.__all__:
+            continue
+        if not any(name in _used_names(node) for node in statements if node is not definition):
+            unused.append(f"{module_name}.{name}")
+    assert unused == []

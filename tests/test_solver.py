@@ -1,5 +1,6 @@
 """The full construction: branch dispatch, branch internals, certification."""
 
+import hashlib
 import sys
 
 import pytest
@@ -29,7 +30,7 @@ from distcolor.generators import (
     star,
     tutte_coxeter,
 )
-from distcolor.graph import Graph, girth
+from distcolor.graph import Graph, diameter, girth
 from distcolor.greedy import color_delta_plus_2, list_color_delta_plus_2
 from distcolor.solver import (
     BRANCH_C6,
@@ -44,21 +45,22 @@ from distcolor.solver import (
     CERTIFICATE_SEARCH,
     DiameterThreeConfig,
     GeodesicConfig,
-    color_diameter3,
-    color_dissimilar_neighbors,
-    color_geodesic,
-    color_moore_recursive,
-    color_nonregular,
-    color_path_or_cycle,
-    color_special,
-    find_diam3_config,
-    find_geodesic_config,
+    _diam3_configs,
+    _diam3_parts,
+    _diameter3_case,
+    _dissimilar_parts,
+    _find_dissimilar_pair,
+    _first_geodesic_config,
+    _geodesic_parts,
+    _moore_case,
+    _nonregular_case,
+    _special_case,
+    _verified_result,
     is_c6,
     render_result,
     solve,
     solve_c6_extension,
     special_colorings,
-    _verified_result,
 )
 from distcolor.symmetry import exact_chi_D, fixed_propagation, is_distinguishing
 from distcolor.tree import bfs_tree
@@ -89,6 +91,11 @@ def check(g, result, bound):
     assert fixed == frozenset(g.vertices())
 
 
+def run_case(case, g):
+    """One entry of solve's case table on g: its parts, or None."""
+    return case(g, g.max_degree(), lambda: diameter(g))
+
+
 def test_single_vertex_and_edge():
     r = solve(Graph(1, []))
     assert r.coloring.values == (1,) and r.branch == BRANCH_PATH_OR_CYCLE
@@ -115,8 +122,6 @@ def test_six_cycle_is_refused_and_rerouted():
     assert is_c6(g)
     with pytest.raises(PreconditionError):
         solve(g)
-    with pytest.raises(PreconditionError):
-        color_path_or_cycle(g)
     r = solve_c6_extension(g)
     assert r.branch == BRANCH_C6
     assert r.coloring.values == (1, 2, 3, 1, 2, 4)
@@ -152,8 +157,7 @@ def test_trees_use_the_nonregular_branch():
 
 
 def test_nonregular_requires_a_deficient_vertex():
-    with pytest.raises(PreconditionError):
-        color_nonregular(cycle(5), 0)
+    assert run_case(_nonregular_case, petersen()) is None
 
 
 @pytest.mark.parametrize(
@@ -186,31 +190,29 @@ def test_solve_is_deterministic():
 
 def test_geodesic_configuration_on_the_dodecahedron():
     g = dodecahedron()
-    cfg = find_geodesic_config(g)
+    cfg, dist = _first_geodesic_config(g)
     assert cfg == GeodesicConfig(w=0, x1=1, x2=2, x3=3, x=4)
-    coloring = color_geodesic(g, cfg)
+    tree, coloring, prefix = _geodesic_parts(g, cfg, dist)
+    _verified_result(g, tree, coloring, BRANCH_GEODESIC, prefix)
     assert coloring.is_proper(g)
     assert coloring.max_color() <= 4
     assert is_distinguishing(g, coloring).distinguishing
 
 
 def test_no_geodesic_configuration_at_diameter_two():
-    assert find_geodesic_config(petersen()) is None
-
-
-def test_geodesic_rejects_fabricated_configurations():
-    g = dodecahedron()
-    with pytest.raises(PreconditionError):
-        color_geodesic(g, GeodesicConfig(w=0, x1=1, x2=2, x3=3, x=17))
+    assert _first_geodesic_config(petersen()) is None
 
 
 def test_diameter_three_on_the_robertson_graph():
+    # solve takes the geodesic case here, and no corpus graph reaches the
+    # diameter-three case, so its exact output is pinned on this config
     g = robertson()
-    cfg = find_diam3_config(g)
+    cfg, dist = next(_diam3_configs(g))
     assert cfg == DiameterThreeConfig(
         w=0, x1=1, x2=9, y1=18, y2=11, z1=7, z2=6, z3=10
     )
-    coloring = color_diameter3(g, cfg)
+    tree, coloring, prefix = _diam3_parts(g, cfg, dist)
+    _verified_result(g, tree, coloring, BRANCH_DIAMETER3, prefix)
     assert coloring.values == (
         1, 5, 2, 1, 3, 2, 1, 5, 2, 3, 2, 3, 4, 3, 1, 4, 2, 1, 2,
     )
@@ -218,15 +220,15 @@ def test_diameter_three_on_the_robertson_graph():
 
 
 def test_diameter_three_preconditions():
-    with pytest.raises(PreconditionError):
-        find_diam3_config(petersen())
-    with pytest.raises(PreconditionError):
-        find_diam3_config(hoffman_singleton())
+    assert run_case(_diameter3_case, petersen()) is None
+    assert run_case(_diameter3_case, hoffman_singleton()) is None
 
 
 def test_moore_branch_solves_hoffman_singleton():
     g = hoffman_singleton()
-    coloring = color_moore_recursive(g, 0)
+    r = solve(g)
+    assert r.branch == BRANCH_MOORE
+    coloring = r.coloring
     assert coloring.is_proper(g)
     assert coloring.max_color() <= 8
     assert coloring[0] == 1
@@ -234,29 +236,30 @@ def test_moore_branch_solves_hoffman_singleton():
 
 
 def test_moore_branch_preconditions():
-    with pytest.raises(PreconditionError):
-        color_moore_recursive(petersen(), 0)
-    with pytest.raises(PreconditionError):
-        color_moore_recursive(robertson(), 0)
+    assert run_case(_moore_case, petersen()) is None
+    assert run_case(_moore_case, robertson()) is None
 
 
 def test_dissimilar_neighbors_on_a_path():
-    coloring = color_dissimilar_neighbors(path(4), 1, 0, 2)
+    g = path(4)
+    tree, coloring, prefix = _dissimilar_parts(g, 1, 0, 2)
+    _verified_result(g, tree, coloring, BRANCH_DISSIMILAR, prefix)
     assert coloring.values == (1, 3, 1, 2)
 
 
 def test_dissimilar_neighbors_reject_similar_pairs():
-    g = dodecahedron()
-    x1, y1 = g.adj[0][:2]
-    with pytest.raises(PreconditionError):
-        color_dissimilar_neighbors(g, 0, x1, y1)
+    # every neighbor pair of the dodecahedron is swapped by an automorphism
+    assert _find_dissimilar_pair(dodecahedron()) is None
+    assert _find_dissimilar_pair(path(4)) == (1, 0, 2)
 
 
 def test_special_branch_transports_through_isomorphisms():
     g = petersen()
     relabel = [(v * 7 + 2) % 10 for v in range(10)]
     h = Graph(10, [(relabel[u], relabel[v]) for u, v in g.edges()])
-    coloring = color_special(h)
+    r = solve(h)
+    assert r.branch == BRANCH_SPECIAL
+    coloring = r.coloring
     assert coloring.is_proper(h)
     assert coloring.num_colors() == 4
     assert is_distinguishing(h, coloring).distinguishing
@@ -264,7 +267,7 @@ def test_special_branch_transports_through_isomorphisms():
 
 def test_special_branch_rejects_other_cubic_graphs():
     with pytest.raises(PreconditionError):
-        color_special(mcgee())
+        run_case(_special_case, mcgee())
 
 
 def test_stored_colorings_expose_both_graphs():
@@ -340,6 +343,25 @@ def test_corpus_is_certified_by_propagation():
         r = solve_c6_extension(g) if is_c6(g) else solve(g)
         assert r.certificate == CERTIFICATE_PROPAGATION, label
         assert is_distinguishing(g, r.coloring).distinguishing, label
+
+
+# sha256 over the full seed-0 corpus, recorded before the dispatch table
+# replaced the hand-written branches; any change to a branch's output shows
+CORPUS_GOLDEN = "5ee9cbfaebac805c2c98de5a263856b5e43179697ea1f81779ce8fb4cc9bc038"
+
+
+def test_corpus_output_is_unchanged():
+    digest = hashlib.sha256()
+    count = 0
+    for label, g in corpus_graphs(0):
+        r = solve_c6_extension(g) if is_c6(g) else solve(g)
+        digest.update(
+            f"{label}\n{render_result(r)}c certificate={r.certificate}\n"
+            f"c prefix={' '.join(map(str, r.prefix))}\n".encode()
+        )
+        count += 1
+    assert count == 370
+    assert digest.hexdigest() == CORPUS_GOLDEN
 
 
 def test_search_decides_when_refinement_leaves_the_prefix_unfixed(monkeypatch):
