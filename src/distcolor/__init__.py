@@ -6,8 +6,7 @@ than the maximum degree (the six-cycle alone needs ``solve_c6_extension``),
 ``color_delta_plus_2`` and ``list_color_delta_plus_2`` trade one extra color
 for a much simpler construction, and every returned coloring is certified
 before it reaches the caller: by fixedness propagation from a prefix that
-color refinement (or, for the Δ+2 constructions, a unique color) pins down,
-or else by an exact automorphism search.
+color refinement pins down, or else by an exact automorphism search.
 """
 
 from .coloring import Coloring, ListAssignment, parse_coloring, render_coloring

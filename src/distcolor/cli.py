@@ -166,10 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "corpus" and args.count < 1:
-        parser.error(f"argument --count: must be at least 1, got {args.count}")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InternalConsistencyError as exc:

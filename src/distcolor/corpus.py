@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Callable, Iterator
 
 from .coloring import ListAssignment
-from .errors import DistcolorError
+from .errors import DistcolorError, PreconditionError
 from .generators import (
     cycle,
     desargues,
@@ -416,8 +416,11 @@ def run_all(seed: int = 0, count: int = PROPERTY_RUNS) -> list[CriterionResult]:
 
     The defaults reproduce the full acceptance suite.  A smaller count shrinks
     the random corpus and the property-test runs proportionally for a quicker
-    (non-authoritative) pass.
+    (non-authoritative) pass.  A count below 1 would run nothing and still
+    report seven passes, so it raises PreconditionError.
     """
+    if count < 1:
+        raise PreconditionError(f"count must be at least 1, got {count}")
     factor = count / PROPERTY_RUNS
     trees = max(1, round(TREE_COUNT * factor))
     randoms = max(1, round(RANDOM_COUNT * factor))

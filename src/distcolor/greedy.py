@@ -24,7 +24,7 @@ from .errors import (
     PreconditionError,
 )
 from .graph import Graph, has_cycle_shorter_than_five
-from .symmetry import _propagate, is_distinguishing
+from .symmetry import certify
 from .tree import BfsTree, bfs_tree
 
 RULE_PREFIX = "prefix"
@@ -71,10 +71,10 @@ def greedy_extend_traced(
     ``prefix`` must color a nonempty prefix of the tree's vertex order and be
     proper. Palette is 1..k (default max degree plus 2) unless ``lists`` gives
     per-vertex palettes. Raises PaletteExhaustedError when a vertex has no
-    available color. ``tree`` must be a BFS tree of ``g``.
+    available color. ``tree`` must be a BFS tree of ``g``. Every rule avoids
+    the colors of the vertex's colored neighbors, so the result is proper.
 
-    Each step costs O(deg v + palette size); the input checks and the final
-    properness check add O(n + m).
+    Each step costs O(deg v + palette size); the input checks add O(n + m).
     """
     n = g.n
     if len(tree.order) != n:
@@ -176,10 +176,7 @@ def greedy_extend_traced(
         values[v] = c
         steps.append(GreedyStep(v, rule, c, count, all_colored, distinct, constrained))
 
-    coloring = Coloring(values, None if lists is not None else k)
-    if not coloring.is_proper(g):
-        raise InternalConsistencyError("greedy coloring came out improper")
-    return coloring, tuple(steps)
+    return Coloring(values, None if lists is not None else k), tuple(steps)
 
 
 def _check_color_bounds(v, rule, c, delta, stats):
@@ -216,21 +213,12 @@ def greedy_extend(
     return coloring
 
 
-def _certify(g: Graph, tree: BfsTree, coloring: Coloring, prefix: list[int]) -> None:
-    # fast path: local propagation from the fixed prefix; exact search only
-    # if propagation leaves gaps. Both callers have checked the girth.
-    certified = _propagate(g, tree, coloring, prefix)
-    if len(certified) == g.n:
-        return
-    if not is_distinguishing(g, coloring).distinguishing:
-        raise InternalConsistencyError("construction produced a breakable coloring")
-
-
 def color_delta_plus_2(g: Graph, w: int = 0) -> Coloring:
     """Distinguishing proper coloring with at most max degree + 2 colors.
 
-    The root w takes the top color; nobody else can reach it, so w is fixed
-    and the greedy rules pin everything else down level by level.
+    The root w takes the top color; nobody else can reach it, so color
+    refinement isolates w in one round and propagation from w certifies
+    everything else level by level.
     """
     if has_cycle_shorter_than_five(g):
         raise PreconditionError("girth below five")
@@ -239,7 +227,7 @@ def color_delta_plus_2(g: Graph, w: int = 0) -> Coloring:
     coloring = greedy_extend(g, tree, {w: k}, k=k)
     if any(coloring[v] == k for v in range(g.n) if v != w):
         raise InternalConsistencyError("top color leaked past the root")
-    _certify(g, tree, coloring, [w])
+    certify(g, tree, coloring, (w,))
     return coloring
 
 
@@ -272,5 +260,5 @@ def list_color_delta_plus_2(g: Graph, lists: ListAssignment, w: int = 0) -> Colo
     for v in range(g.n):
         if coloring[v] not in lists[v]:
             raise InternalConsistencyError(f"vertex {v} was colored outside its list")
-    _certify(g, tree, coloring, [w])
+    certify(g, tree, coloring, (w,))
     return coloring

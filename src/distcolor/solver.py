@@ -7,10 +7,11 @@ structural cases of the proof form one ordered table, ``_CASES``, and
 of deficient degree, a geodesic or diameter-three configuration, a
 dissimilar neighbor pair), pins a BFS tree, precolors a short prefix,
 overrides a handful of vertices and lets the greedy rules do the rest. Every
-result is certified before it is returned: by fixedness propagation from a
-prefix that color refinement pins down, or, when refinement cannot, by the
-exact symmetry search under its vertex bound. An uncertifiable coloring is
-reported as an internal bug rather than a user error.
+result is certified before it is returned by ``symmetry.certify``, the path
+the Δ+2 and list constructions share: fixedness propagation from a prefix
+that color refinement pins down, or, when refinement cannot, the exact
+symmetry search under its vertex bound. An improper or uncertifiable
+coloring is reported as an internal bug rather than a user error.
 """
 
 from __future__ import annotations
@@ -30,13 +31,7 @@ from .graph import (
     is_connected,
 )
 from .greedy import Chooser, greedy_extend
-from .symmetry import (
-    _propagate,
-    exists_automorphism_mapping,
-    find_isomorphism,
-    is_distinguishing,
-    prefix_is_fixed,
-)
+from .symmetry import certify, exists_automorphism_mapping, find_isomorphism
 from .tree import LAST, BfsTree, bfs_tree
 
 BRANCH_PATH_OR_CYCLE = "path_or_cycle"
@@ -47,10 +42,6 @@ BRANCH_MOORE = "moore_recursive"
 BRANCH_DISSIMILAR = "dissimilar_neighbors"
 BRANCH_SPECIAL = "special"
 BRANCH_C6 = "c6"
-
-CERTIFICATE_PROPAGATION = "propagation"
-CERTIFICATE_SEARCH = "search"
-
 
 @dataclass(frozen=True)
 class GeodesicConfig:
@@ -152,16 +143,6 @@ def is_c6(g: Graph) -> bool:
     )
 
 
-def _minimal_certifying_prefix(
-    g: Graph, tree: BfsTree, coloring: Coloring
-) -> tuple[int, ...]:
-    for end in range(1, g.n + 1):
-        prefix = tree.order[:end]
-        if len(_propagate(g, tree, coloring, prefix)) == g.n:
-            return tuple(prefix)
-    raise InternalConsistencyError("no prefix certifies the coloring")
-
-
 def _verified_result(
     g: Graph,
     tree: BfsTree,
@@ -169,34 +150,11 @@ def _verified_result(
     branch: str,
     prefix: tuple[int, ...] | None = None,
 ) -> SolveResult:
-    """Pin down a certifying prefix, then prove that it is fixed.
-
-    With no stated prefix the shortest one from which propagation certifies
-    every vertex is computed; a stated prefix must let propagation certify
-    every vertex. Propagation alone assumes the prefix is fixed. When color
-    refinement isolates every prefix vertex, every color-preserving
-    automorphism fixes the prefix, and with it the root and so the BFS
-    levels; propagation's rules are then sound and only the identity is
-    left. Otherwise the exact search decides, under its vertex bound. The
-    girth was checked by the caller; size, totality and properness are
-    checked by the propagation.
-    """
-    if prefix is None:
-        prefix = _minimal_certifying_prefix(g, tree, coloring)
-    else:
-        prefix = tuple(prefix)
-        if len(_propagate(g, tree, coloring, prefix)) != g.n:
-            raise InternalConsistencyError(
-                f"{branch}: propagation from the stated prefix left vertices uncertified"
-            )
-    if prefix_is_fixed(g, coloring, prefix):
-        certificate = CERTIFICATE_PROPAGATION
-    elif is_distinguishing(g, coloring).distinguishing:
-        certificate = CERTIFICATE_SEARCH
-    else:
-        raise InternalConsistencyError(
-            f"{branch} produced a coloring preserved by a non-identity automorphism"
-        )
+    """Certify a case's coloring with ``symmetry.certify``; failures name the branch."""
+    try:
+        prefix, certificate = certify(g, tree, coloring, prefix)
+    except InternalConsistencyError as err:
+        raise InternalConsistencyError(f"{branch}: {err}") from err
     return SolveResult(
         coloring, coloring.num_colors(), branch, True, tree, prefix, certificate
     )
@@ -427,12 +385,14 @@ def _diam3_parts(
     return tree, coloring, prefix
 
 
-def _diameter3_case(g: Graph, delta: int, diam: Callable[[], int]) -> Parts | None:
+def _diameter3_case(
+    g: Graph, delta: int, diam: Callable[[], int]
+) -> SolveResult | None:
     """The first configuration whose build and certificate both succeed.
 
     A configuration that fails either is skipped; when all fail, the last
-    failure is reported. The winner is certified again by ``solve``'s loop,
-    a repeat this rare branch can afford.
+    failure is reported. Choosing needs the certificate, so this case hands
+    ``solve`` a certified result rather than parts.
     """
     if delta < 4 or diam() != 3:
         return None
@@ -440,8 +400,7 @@ def _diameter3_case(g: Graph, delta: int, diam: Callable[[], int]) -> Parts | No
     for cfg, dist in _diam3_configs(g):
         try:
             tree, coloring, prefix = _diam3_parts(g, cfg, dist)
-            _verified_result(g, tree, coloring, BRANCH_DIAMETER3, prefix)
-            return tree, coloring, prefix
+            return _verified_result(g, tree, coloring, BRANCH_DIAMETER3, prefix)
         except (PreconditionError, InternalConsistencyError) as err:
             failure = err
     detail = f"; last failure: {failure}" if failure is not None else ""
@@ -538,7 +497,8 @@ def _special_case(g: Graph, delta: int, diam: Callable[[], int]) -> Parts | None
 # The paper's cases in the order solve tries them. Each takes the graph, its
 # maximum degree and its diameter (a memo, computed on first use) and returns
 # (tree, coloring, prefix), or None when its case does not apply; a None
-# prefix asks certification for the shortest one.
+# prefix asks certification for the shortest one. The diameter-three case
+# returns its result already certified.
 _CASES = (
     (BRANCH_PATH_OR_CYCLE, _path_or_cycle_case),
     (BRANCH_NONREGULAR, _nonregular_case),
@@ -568,6 +528,8 @@ def solve(g: Graph) -> SolveResult:
     diam = cache(lambda: diameter(g))
     for branch, case in _CASES:
         parts = case(g, delta, diam)
+        if isinstance(parts, SolveResult):
+            return parts
         if parts is not None:
             tree, coloring, prefix = parts
             return _verified_result(g, tree, coloring, branch, prefix)

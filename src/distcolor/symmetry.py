@@ -7,6 +7,11 @@ isomorphism searches, and the brute-force oracle for the exact distinguishing
 chromatic number. Fixedness propagation replays the local certification rules
 that the greedy constructions are built around.
 
+``certify`` is the one certification path of every construction (``solve``,
+Δ+2 and list): it checks the coloring once, lets propagation certify every
+vertex from a sigma-prefix, and proves that prefix fixed by color refinement,
+or failing that by the exact search.
+
 All searches are deterministic: vertices and candidate images are always
 scanned in ascending order.
 """
@@ -29,6 +34,9 @@ from .graph import SEARCH_BOUND, Graph, has_cycle_shorter_than_five
 from .tree import BfsTree
 
 EXACT_BOUND = 10
+
+CERTIFICATE_PROPAGATION = "propagation"
+CERTIFICATE_SEARCH = "search"
 
 
 @dataclass(frozen=True)
@@ -72,9 +80,9 @@ class SymmetryVerdict:
             raise InternalConsistencyError("verdict and witness disagree")
 
 
-def _check_bound(g: Graph, max_vertices: int) -> None:
-    if g.n > max_vertices:
-        raise SearchBoundError(f"graph has {g.n} vertices, search bound is {max_vertices}")
+def _check_bound(g: Graph) -> None:
+    if g.n > SEARCH_BOUND:
+        raise SearchBoundError(f"graph has {g.n} vertices, search bound is {SEARCH_BOUND}")
 
 
 def _wl_rounds(
@@ -240,9 +248,7 @@ def _assert_automorphism(g: Graph, f: Permutation, coloring: Coloring | None) ->
 
 
 def automorphisms(
-    g: Graph,
-    coloring: Coloring | None = None,
-    max_vertices: int = SEARCH_BOUND,
+    g: Graph, coloring: Coloring | None = None
 ) -> tuple[list[Permutation], int]:
     """Generators and exact order of the (color-preserving) automorphism group.
 
@@ -251,7 +257,7 @@ def automorphisms(
     found by pinned searches, and the group order is the product of orbit
     sizes. The returned generators are the witnesses those searches found.
     """
-    _check_bound(g, max_vertices)
+    _check_bound(g)
     if coloring is not None and len(coloring) != g.n:
         raise PreconditionError("coloring length does not match the graph")
     cand = _auto_candidates(g, coloring)
@@ -290,17 +296,13 @@ def _orbit(point: int, gens: list[Permutation]) -> set[int]:
     return orbit
 
 
-def is_distinguishing(
-    g: Graph,
-    coloring: Coloring,
-    max_vertices: int = SEARCH_BOUND,
-) -> SymmetryVerdict:
+def is_distinguishing(g: Graph, coloring: Coloring) -> SymmetryVerdict:
     """Decide whether only the identity automorphism preserves the coloring.
 
     The witness on failure is the lexicographically least non-identity
     color-preserving automorphism, for reproducible failure messages.
     """
-    _check_bound(g, max_vertices)
+    _check_bound(g)
     if len(coloring) != g.n:
         raise PreconditionError("coloring length does not match the graph")
     if not coloring.is_total():
@@ -320,14 +322,9 @@ def is_distinguishing(
     return SymmetryVerdict(True, None)
 
 
-def exists_automorphism_mapping(
-    g: Graph,
-    u: int,
-    v: int,
-    max_vertices: int = SEARCH_BOUND,
-) -> bool:
+def exists_automorphism_mapping(g: Graph, u: int, v: int) -> bool:
     """True iff some automorphism of g maps u to v."""
-    _check_bound(g, max_vertices)
+    _check_bound(g)
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise PreconditionError("vertex out of range")
     if u == v:
@@ -343,17 +340,13 @@ def exists_automorphism_mapping(
     return True
 
 
-def find_isomorphism(
-    g: Graph,
-    h: Graph,
-    max_vertices: int = SEARCH_BOUND,
-) -> Permutation | None:
+def find_isomorphism(g: Graph, h: Graph) -> Permutation | None:
     """A vertex bijection g -> h preserving adjacency, or None.
 
     Short-circuits on vertex count and degree sequence before searching.
     """
-    _check_bound(g, max_vertices)
-    _check_bound(h, max_vertices)
+    _check_bound(g)
+    _check_bound(h)
     if g.n != h.n or g.m != h.m:
         return None
     if sorted(len(ns) for ns in g.adj) != sorted(len(ns) for ns in h.adj):
@@ -401,19 +394,6 @@ def fixed_propagation(
     """
     if has_cycle_shorter_than_five(g):
         raise PreconditionError("girth below five")
-    return _propagate(g, tree, coloring, fixed_prefix)
-
-
-def _propagate(
-    g: Graph,
-    tree: BfsTree,
-    coloring: Coloring,
-    fixed_prefix: Iterable[int],
-) -> frozenset[int]:
-    """``fixed_propagation`` for callers that have already checked the girth.
-
-    A worklist of newly certified vertices; see ``fixed_propagation``.
-    """
     if len(coloring) != g.n or len(tree.order) != g.n:
         raise PreconditionError("graph, tree and coloring sizes disagree")
     if not coloring.is_total():
@@ -425,7 +405,72 @@ def _propagate(
         raise PreconditionError("fixed_prefix is empty")
     if prefix != set(tree.order[: len(prefix)]):
         raise PreconditionError("fixed_prefix is not a sigma-prefix")
+    return _propagate(g, tree, coloring, prefix)
 
+
+def certify(
+    g: Graph,
+    tree: BfsTree,
+    coloring: Coloring,
+    prefix: Iterable[int] | None = None,
+) -> tuple[tuple[int, ...], str]:
+    """Prove a constructed coloring distinguishing: the prefix and certificate kind.
+
+    The coloring must be total and proper. Propagation must then certify
+    every vertex from ``prefix``, a sigma-prefix of ``tree``; with no prefix
+    given, the shortest one that does is used. Propagation assumes the prefix
+    is fixed. When color refinement isolates every prefix vertex, every
+    color-preserving automorphism fixes the prefix, and with it the root and
+    so the BFS levels; propagation's rules are then sound and only the
+    identity is left (``"propagation"``). Otherwise the exact search decides,
+    under its vertex bound (``"search"``). The caller has checked the girth.
+    The inputs come from the library's own constructions, so a failed check
+    is an InternalConsistencyError; only the search's bound raises
+    SearchBoundError.
+    """
+    if len(coloring) != g.n or len(tree.order) != g.n:
+        raise InternalConsistencyError("graph, tree and coloring sizes disagree")
+    if not coloring.is_total():
+        raise InternalConsistencyError("coloring is not total")
+    if not coloring.is_proper(g):
+        raise InternalConsistencyError("coloring is not proper")
+    if prefix is None:
+        for end in range(1, g.n + 1):
+            if len(_propagate(g, tree, coloring, tree.order[:end])) == g.n:
+                prefix = tree.order[:end]
+                break
+        else:
+            raise InternalConsistencyError("no prefix certifies the coloring")
+    else:
+        prefix = tuple(prefix)
+        if (
+            set(prefix) != set(tree.order[: len(prefix)])
+            or len(_propagate(g, tree, coloring, prefix)) != g.n
+        ):
+            raise InternalConsistencyError(
+                "the stated prefix does not certify every vertex"
+            )
+    if prefix_is_fixed(g, coloring, prefix):
+        return prefix, CERTIFICATE_PROPAGATION
+    if is_distinguishing(g, coloring).distinguishing:
+        return prefix, CERTIFICATE_SEARCH
+    raise InternalConsistencyError(
+        "coloring preserved by a non-identity automorphism"
+    )
+
+
+def _propagate(
+    g: Graph,
+    tree: BfsTree,
+    coloring: Coloring,
+    prefix: Iterable[int],
+) -> frozenset[int]:
+    """``fixed_propagation`` without its checks, for ``certify``.
+
+    ``prefix`` must be a sigma-prefix without repeats, and the coloring total
+    and proper. A worklist of newly certified vertices; see
+    ``fixed_propagation``.
+    """
     # Popping a newly certified x counts it at its neighbors (rule 1) and
     # re-examines, for rule 2, x itself and each certified neighbor one level
     # up, whose uncertified lower neighbors just lost x.
@@ -469,7 +514,7 @@ def _propagate(
     return frozenset(compress(range(g.n), certified))
 
 
-def exact_chi_D(g: Graph, max_vertices: int = EXACT_BOUND) -> int:
+def exact_chi_D(g: Graph) -> int:
     """Exact distinguishing chromatic number by exhaustive search.
 
     Enumerates proper colorings in canonical form (color c appears before
@@ -477,8 +522,8 @@ def exact_chi_D(g: Graph, max_vertices: int = EXACT_BOUND) -> int:
     properness nor the set of color-preserving automorphisms. Exponential;
     intended as a test oracle for graphs with at most ten vertices.
     """
-    if g.n > max_vertices:
-        raise SearchBoundError(f"graph has {g.n} vertices, exact bound is {max_vertices}")
+    if g.n > EXACT_BOUND:
+        raise SearchBoundError(f"graph has {g.n} vertices, exact bound is {EXACT_BOUND}")
     if g.n == 0:
         raise PreconditionError("empty graph")
     values = [0] * g.n

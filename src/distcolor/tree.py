@@ -51,7 +51,7 @@ def bfs_tree(
 
     Level by level, the parents claim their children in sigma order, so each
     vertex without a directive hangs under its sigma-first neighbor one level
-    up. O(n + m) plus the final structural check.
+    up. O(n + m).
 
     Raises TreeConstraintError for infeasible directives and PreconditionError
     for a disconnected graph or bad root.
@@ -115,15 +115,13 @@ def bfs_tree(
         current = nxt
         below += 1
 
-    tree = BfsTree(
+    return BfsTree(
         root=root,
         parent=tuple(parent),
         level=tuple(level),
         order=tuple(order),
         children=tuple(children),
     )
-    _check_tree(g, tree)
-    return tree
 
 
 def _arrange(p: int, kids: list[int], slots: Mapping[int, int | str]) -> list[int]:
@@ -153,25 +151,3 @@ def _arrange(p: int, kids: list[int], slots: Mapping[int, int | str]) -> list[in
     free = iter(v for v in kids if v not in pinned)
     return [v if v is not None else next(free) for v in result]
 
-
-def _check_tree(g: Graph, t: BfsTree) -> None:
-    """Replay the structural invariants; they hold by construction."""
-    assert len(t.order) == g.n and set(t.order) == set(range(g.n))
-    for i in range(1, len(t.order)):
-        assert t.level[t.order[i - 1]] <= t.level[t.order[i]]
-    for v in t.order:
-        p = t.parent[v]
-        if v == t.root:
-            assert p is None and t.level[v] == 0
-        else:
-            assert p is not None and g.has_edge(v, p)
-            assert t.level[v] == t.level[p] + 1
-    # children of one parent are consecutive, parents in sigma order
-    by_level: dict[int, list[int]] = {}
-    for v in t.order:
-        by_level.setdefault(t.level[v], []).append(v)
-    for lvl, vs in by_level.items():
-        if lvl == 0:
-            continue
-        expected = [c for p in by_level[lvl - 1] for c in t.children[p]]
-        assert vs == expected

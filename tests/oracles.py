@@ -9,6 +9,7 @@ Each one is the straightforward form that the library's version replaced:
   changes.
 
 They must return exactly what the library returns, errors included.
+``check_tree`` replays the structural invariants of a BFS tree.
 ``enumerate_automorphisms`` lists a whole automorphism group, the reference
 for properties of the library's searches. ``girth5_graphs`` and
 ``random_proper_coloring`` draw their inputs.
@@ -28,7 +29,7 @@ from distcolor.errors import (
     TreeConstraintError,
 )
 from distcolor.generators import cycle, path, random_girth5, random_tree
-from distcolor.graph import INFINITY, SEARCH_BOUND, distances
+from distcolor.graph import INFINITY, distances
 from distcolor.greedy import (
     RULE_CHOOSER,
     RULE_FORCED,
@@ -45,7 +46,7 @@ from distcolor.symmetry import (
     _check_bound,
     _search,
 )
-from distcolor.tree import LAST, BfsTree, _arrange, _check_tree
+from distcolor.tree import LAST, BfsTree, _arrange
 
 
 def bfs_tree_by_min_parent(g, root, parents=None, slots=None):
@@ -114,8 +115,31 @@ def bfs_tree_by_min_parent(g, root, parents=None, slots=None):
         order=tuple(order),
         children=tuple(tuple(c) for c in children),
     )
-    _check_tree(g, tree)
+    check_tree(g, tree)
     return tree
+
+
+def check_tree(g, t):
+    """Assert the invariants of a BFS tree and its order sigma."""
+    assert len(t.order) == g.n and set(t.order) == set(range(g.n))
+    for i in range(1, len(t.order)):
+        assert t.level[t.order[i - 1]] <= t.level[t.order[i]]
+    for v in t.order:
+        p = t.parent[v]
+        if v == t.root:
+            assert p is None and t.level[v] == 0
+        else:
+            assert p is not None and g.has_edge(v, p)
+            assert t.level[v] == t.level[p] + 1
+    # children of one parent are consecutive, parents in sigma order
+    by_level = {}
+    for v in t.order:
+        by_level.setdefault(t.level[v], []).append(v)
+    for lvl, vs in by_level.items():
+        if lvl == 0:
+            continue
+        expected = [c for p in by_level[lvl - 1] for c in t.children[p]]
+        assert vs == expected
 
 
 def greedy_extend_by_rules(
@@ -256,12 +280,12 @@ def propagate_by_rounds(g, tree, coloring, fixed_prefix):
     return frozenset(certified)
 
 
-def enumerate_automorphisms(g, coloring=None, max_vertices=SEARCH_BOUND):
+def enumerate_automorphisms(g, coloring=None):
     """Every (color-preserving) automorphism, in lexicographic order.
 
     Exponential in the group size; for small graphs only.
     """
-    _check_bound(g, max_vertices)
+    _check_bound(g)
     cand = _auto_candidates(g, coloring)
     out = []
     for image in _search(g, g, list(range(g.n)), cand):

@@ -9,10 +9,12 @@ from pathlib import Path
 import pytest
 
 import distcolor
+from distcolor import solver
 from distcolor.cli import main
-from distcolor.coloring import parse_coloring
+from distcolor.coloring import Coloring, parse_coloring
 from distcolor.generators import cycle, path, petersen
 from distcolor.graph import parse_graph, render_graph
+from distcolor.tree import bfs_tree
 
 
 def run_cli(argv, capsys, monkeypatch=None, stdin_text=None):
@@ -235,7 +237,22 @@ def test_corpus_rejects_a_count_below_one(capsys, count):
     code, out, err = run_cli(["corpus", "--count", count], capsys)
     assert code == 1
     assert out == ""
-    assert "--count: must be at least 1" in err
+    assert f"count must be at least 1, got {count}" in err
+
+
+@pytest.mark.parametrize(
+    "values", [(1, 2, 2, 1, 2), (1, 2, None, 1, 2)], ids=["improper", "not-total"]
+)
+def test_a_broken_construction_exits_two(tmp_path, capsys, monkeypatch, values):
+    # an improper or partial coloring from a case is a bug, not a bad input
+    def broken(g, delta, diam):
+        return bfs_tree(g, 0), Coloring(values), None
+
+    monkeypatch.setattr(solver, "_CASES", ((solver.BRANCH_PATH_OR_CYCLE, broken),))
+    code, out, err = run_cli(["solve", write_graph(tmp_path, path(5))], capsys)
+    assert code == 2
+    assert out == ""
+    assert "internal consistency failure" in err
 
 
 def test_hostile_problem_line_exits_one(capsys, monkeypatch):

@@ -2,6 +2,8 @@
 
 from itertools import combinations
 
+import pytest
+
 from distcolor.corpus import (
     LISTS_PER_GRAPH,
     PROPERTY_RUNS,
@@ -14,6 +16,7 @@ from distcolor.corpus import (
     corpus_graphs,
     run_all,
 )
+from distcolor.errors import PreconditionError
 from distcolor.graph import Graph, girth, is_connected
 from distcolor.symmetry import find_isomorphism
 
@@ -116,3 +119,10 @@ def test_constants_match_full_volumes():
     assert RANDOM_COUNT == 200
     assert LISTS_PER_GRAPH == 100
     assert PROPERTY_RUNS == 10_000
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_run_all_rejects_a_count_below_one(count):
+    # it would run nothing and still report seven passes
+    with pytest.raises(PreconditionError, match="count must be at least 1"):
+        run_all(count=count)

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distcolor import greedy
+from distcolor import greedy, symmetry
 from distcolor.coloring import Coloring, ListAssignment
+from distcolor.corpus import corpus_graphs
 from distcolor.errors import (
     InternalConsistencyError,
     PaletteExhaustedError,
@@ -32,7 +33,7 @@ from distcolor.greedy import (
     greedy_extend_traced,
     list_color_delta_plus_2,
 )
-from distcolor.symmetry import _propagate, is_distinguishing
+from distcolor.symmetry import CERTIFICATE_PROPAGATION, is_distinguishing
 from distcolor.tree import bfs_tree
 from oracles import girth5_graphs, greedy_extend_by_rules, outcome
 
@@ -283,7 +284,7 @@ def test_large_inputs_are_certified_by_propagation_alone(build, monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("propagation left a vertex uncertified")
 
-    monkeypatch.setattr(greedy, "is_distinguishing", no_search)
+    monkeypatch.setattr(symmetry, "is_distinguishing", no_search)
     g = build()
     delta = g.max_degree()
     rng = random.Random(g.n)
@@ -298,4 +299,44 @@ def test_large_inputs_are_certified_by_propagation_alone(build, monkeypatch):
         assert listed.is_proper(g)
         assert all(listed[v] in lists[v] for v in g.vertices())
         for coloring in (plain, listed):
-            assert len(_propagate(g, tree, coloring, [w])) == g.n
+            assert symmetry.certify(g, tree, coloring, (w,)) == (
+                (w,), CERTIFICATE_PROPAGATION
+            )
+
+
+def test_each_construction_checks_properness_once(monkeypatch):
+    calls = []
+    check = Coloring.is_proper
+
+    def counted(self, g):
+        calls.append(g)
+        return check(self, g)
+
+    monkeypatch.setattr(Coloring, "is_proper", counted)
+    g = random_girth5(60, max_degree=4, seed=5)
+    color_delta_plus_2(g)
+    assert len(calls) == 1
+    lists = ListAssignment.uniform(g.n, range(1, g.max_degree() + 3))
+    list_color_delta_plus_2(g, lists)
+    assert len(calls) == 2
+
+
+def test_corpus_is_certified_from_the_root_by_propagation(monkeypatch):
+    # the root's color is unique, so refinement isolates it in one round
+    certificates = []
+
+    def recorded(*args):
+        certificates.append(symmetry.certify(*args))
+        return certificates[-1]
+
+    monkeypatch.setattr(greedy, "certify", recorded)
+    rng = random.Random(0)
+    for label, g in corpus_graphs(0):
+        color_delta_plus_2(g)
+        size = g.max_degree() + 2
+        lists = ListAssignment(
+            [rng.sample(range(1, 2 * size + 1), size) for _ in g.vertices()]
+        )
+        list_color_delta_plus_2(g, lists)
+        assert certificates == [((0,), CERTIFICATE_PROPAGATION)] * 2, label
+        certificates.clear()

@@ -38,3 +38,14 @@ def test_every_public_function_is_used_or_exported():
         if not any(name in _used_names(node) for node in statements if node is not definition):
             unused.append(f"{module_name}.{name}")
     assert unused == []
+
+
+def test_only_symmetry_reaches_the_unchecked_propagation():
+    # _propagate trusts its caller's checks; certify and fixed_propagation
+    # make them, so no other module may call it directly
+    users = [
+        source.stem
+        for source in sorted(SOURCES.glob("*.py"))
+        if "_propagate" in _used_names(ast.parse(source.read_text(encoding="utf-8")))
+    ]
+    assert users == ["symmetry"]

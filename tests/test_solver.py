@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from distcolor import solver
 from distcolor.coloring import Coloring, ListAssignment
 from distcolor.corpus import corpus_graphs
 from distcolor.errors import (
@@ -41,8 +42,6 @@ from distcolor.solver import (
     BRANCH_NONREGULAR,
     BRANCH_PATH_OR_CYCLE,
     BRANCH_SPECIAL,
-    CERTIFICATE_PROPAGATION,
-    CERTIFICATE_SEARCH,
     DiameterThreeConfig,
     GeodesicConfig,
     _diam3_configs,
@@ -62,7 +61,13 @@ from distcolor.solver import (
     solve_c6_extension,
     special_colorings,
 )
-from distcolor.symmetry import exact_chi_D, fixed_propagation, is_distinguishing
+from distcolor.symmetry import (
+    CERTIFICATE_PROPAGATION,
+    CERTIFICATE_SEARCH,
+    exact_chi_D,
+    fixed_propagation,
+    is_distinguishing,
+)
 from distcolor.tree import bfs_tree
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
@@ -338,6 +343,44 @@ def test_a_moved_prefix_is_not_certified():
         _verified_result(g, tree, coloring, BRANCH_PATH_OR_CYCLE, prefix)
 
 
+@pytest.mark.parametrize(
+    "values", [(1, 2, 2, 1, 2), (1, 2, None, 1, 2)], ids=["improper", "not-total"]
+)
+def test_a_broken_case_is_an_internal_failure(values, monkeypatch):
+    def broken(g, delta, diam):
+        return bfs_tree(g, 0), Coloring(values), None
+
+    monkeypatch.setattr(solver, "_CASES", ((BRANCH_PATH_OR_CYCLE, broken),))
+    with pytest.raises(InternalConsistencyError):
+        solve(path(5))
+
+
+def test_solve_checks_properness_once_per_call(monkeypatch):
+    checked = []
+    check = Coloring.is_proper
+
+    def counted_check(self, g):
+        checked.append(g)
+        return check(self, g)
+
+    solved = []
+    run = solver.solve
+
+    def counted_solve(g):
+        solved.append(g)
+        return run(g)
+
+    monkeypatch.setattr(Coloring, "is_proper", counted_check)
+    monkeypatch.setattr(solver, "solve", counted_solve)
+    # the Moore case solves Hoffman-Singleton minus a closed neighborhood
+    for build, calls in ((petersen, 1), (hoffman_singleton, 2)):
+        checked.clear()
+        solved.clear()
+        solver.solve(build())
+        assert len(solved) == calls
+        assert sorted(map(id, checked)) == sorted(map(id, solved))
+
+
 def test_corpus_is_certified_by_propagation():
     for label, g in corpus_graphs(0, trees=20, randoms=40):
         r = solve_c6_extension(g) if is_c6(g) else solve(g)
@@ -366,7 +409,7 @@ def test_corpus_output_is_unchanged():
 
 def test_search_decides_when_refinement_leaves_the_prefix_unfixed(monkeypatch):
     expected = solve(petersen()).coloring
-    monkeypatch.setattr("distcolor.solver.prefix_is_fixed", lambda *args: False)
+    monkeypatch.setattr("distcolor.symmetry.prefix_is_fixed", lambda *args: False)
     r = solve(petersen())
     assert r.certificate == CERTIFICATE_SEARCH
     assert r.coloring == expected

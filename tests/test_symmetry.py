@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from distcolor.coloring import Coloring
 from distcolor.errors import (
+    InternalConsistencyError,
     PreconditionError,
     PropernessError,
     SearchBoundError,
@@ -26,9 +27,11 @@ from distcolor.generators import (
 from distcolor.graph import Graph
 from distcolor.greedy import color_delta_plus_2
 from distcolor.symmetry import (
+    CERTIFICATE_PROPAGATION,
     Permutation,
     _orbit,
     automorphisms,
+    certify,
     exact_chi_D,
     exists_automorphism_mapping,
     find_isomorphism,
@@ -233,6 +236,32 @@ def test_propagation_validates_its_inputs():
         fixed_propagation(
             square, bfs_tree(square, 0), Coloring((1, 2, 1, 2)), (0,)
         )
+
+
+def test_certify_returns_the_prefix_and_what_fixed_it():
+    g = star(4)
+    tree = bfs_tree(g, 0)
+    coloring = Coloring((4, 1, 2, 3))
+    assert certify(g, tree, coloring, (0,)) == ((0,), CERTIFICATE_PROPAGATION)
+    assert certify(g, tree, coloring) == ((0,), CERTIFICATE_PROPAGATION)
+
+
+def test_certify_refuses_what_it_cannot_prove():
+    g = star(4)
+    tree = bfs_tree(g, 0)
+    stalled = Coloring((2, 1, 1, 1))
+    # propagation stalls below the center
+    with pytest.raises(InternalConsistencyError):
+        certify(g, tree, stalled, (0,))
+    # the prefix 0, 1, 2 certifies everything, but the search swaps two leaves
+    with pytest.raises(InternalConsistencyError):
+        certify(g, tree, stalled)
+    # not a sigma-prefix
+    with pytest.raises(InternalConsistencyError):
+        certify(g, tree, Coloring((4, 1, 2, 3)), (1,))
+    for broken in ((4, 1, 2, None), (1, 1, 2, 3), (4, 1, 2)):
+        with pytest.raises(InternalConsistencyError):
+            certify(g, tree, Coloring(broken), (0,))
 
 
 @PROPERTY_SETTINGS

@@ -10,7 +10,7 @@ from distcolor.errors import PreconditionError, TreeConstraintError
 from distcolor.generators import cycle, path, petersen, random_girth5, star
 from distcolor.graph import Graph, distances
 from distcolor.tree import LAST, bfs_tree
-from oracles import bfs_tree_by_min_parent, girth5_graphs, outcome
+from oracles import bfs_tree_by_min_parent, check_tree, girth5_graphs, outcome
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -125,6 +125,7 @@ def test_tree_is_spanning_and_consistent(seed, root_pick):
     g = random_girth5(12 + seed % 9, max_degree=3 + seed % 3, seed=seed)
     root = root_pick % g.n
     tree = bfs_tree(g, root)
+    check_tree(g, tree)
     dist = distances(g, root)
     assert sorted(tree.order) == list(g.vertices())
     assert all(tree.level[v] == dist[v] for v in g.vertices())
