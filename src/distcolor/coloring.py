@@ -72,11 +72,13 @@ class Coloring:
         """No edge joins two vertices of the same color (uncolored ends are fine)."""
         if len(self.values) != g.n:
             raise PreconditionError("coloring length does not match the graph")
-        return all(
-            self.values[u] is None or self.values[u] != self.values[v]
-            for u, v in g.edges()
-            if self.values[v] is not None
-        )
+        values = self.values
+        for c, nbrs in zip(values, g.adj):
+            if c is not None:
+                for u in nbrs:
+                    if values[u] == c:
+                        return False
+        return True
 
     def with_color(self, v: int, c: int) -> "Coloring":
         values = list(self.values)

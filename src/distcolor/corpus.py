@@ -36,6 +36,7 @@ from .greedy import (
     RULE_NEIGHBORS,
     RULE_SIBLINGS,
     color_delta_plus_2,
+    greedy_extend,
     greedy_extend_traced,
     list_color_delta_plus_2,
 )
@@ -266,6 +267,7 @@ def check_two_extra_colors(
     lists_per_graph: int = LISTS_PER_GRAPH,
 ) -> str:
     """Criterion 5: Δ+2 colorings and their list version across the corpus."""
+    _at_least_one("lists_per_graph", lists_per_graph)
     plain = 0
     for label, g in corpus_graphs(seed, trees, randoms):
         coloring = color_delta_plus_2(g)
@@ -332,6 +334,7 @@ def _property_graphs(seed: int, runs: int) -> Iterator[tuple[Graph, int, int]]:
 
 def check_greedy_bounds(seed: int = 0, runs: int = PROPERTY_RUNS) -> str:
     """Criterion 6: rule color bounds hold on every unconstrained step."""
+    _at_least_one("runs", runs)
     checked = 0
     for g, root, i in _property_graphs(seed, runs):
         delta = g.max_degree()
@@ -365,11 +368,12 @@ def check_greedy_bounds(seed: int = 0, runs: int = PROPERTY_RUNS) -> str:
 
 def check_propagation_soundness(seed: int = 0, instances: int = PROPERTY_RUNS) -> str:
     """Criterion 7: whenever propagation certifies everything, it is right."""
+    _at_least_one("instances", instances)
     certified_all = 0
     for g, root, i in _property_graphs(seed, instances):
         delta = g.max_degree()
         tree = bfs_tree(g, root)
-        coloring, _ = greedy_extend_traced(g, tree, {root: delta + 2})
+        coloring = greedy_extend(g, tree, {root: delta + 2})
         fixed = fixed_propagation(g, tree, coloring, tree.order[:1])
         if len(fixed) != g.n:
             continue
@@ -383,6 +387,12 @@ def check_propagation_soundness(seed: int = 0, instances: int = PROPERTY_RUNS) -
         f"only {certified_all} of {instances} instances certified every vertex",
     )
     return f"{certified_all} of {instances} instances certified all vertices, all sound"
+
+
+def _at_least_one(name: str, volume: int) -> None:
+    # a volume below 1 would check nothing and still report a pass
+    if volume < 1:
+        raise PreconditionError(f"{name} must be at least 1, got {volume}")
 
 
 @dataclass(frozen=True)
@@ -419,8 +429,7 @@ def run_all(seed: int = 0, count: int = PROPERTY_RUNS) -> list[CriterionResult]:
     (non-authoritative) pass.  A count below 1 would run nothing and still
     report seven passes, so it raises PreconditionError.
     """
-    if count < 1:
-        raise PreconditionError(f"count must be at least 1, got {count}")
+    _at_least_one("count", count)
     factor = count / PROPERTY_RUNS
     trees = max(1, round(TREE_COUNT * factor))
     randoms = max(1, round(RANDOM_COUNT * factor))

@@ -56,8 +56,12 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
+    @cached_property
+    def _max_degree(self) -> int:
+        return max(map(len, self.adj), default=0)
+
     def max_degree(self) -> int:
-        return max((len(ns) for ns in self.adj), default=0)
+        return self._max_degree
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.neighbor_sets[u]

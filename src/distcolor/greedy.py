@@ -10,6 +10,10 @@ under one of two local rules:
 Callers can override single vertices (forced colors or a chooser picking from
 the available candidates) and forbid colors at specific vertices; the plain
 rules are what the color-count guarantees below are about.
+
+``greedy_extend`` and ``greedy_extend_traced`` run the same loop; only the
+traced call builds a GreedyStep per vertex, so the constructions, which
+discard the trace, never pay for one.
 """
 
 from __future__ import annotations
@@ -55,6 +59,32 @@ class GreedyStep:
     constrained: bool
 
 
+def greedy_extend(
+    g: Graph,
+    tree: BfsTree,
+    prefix: Mapping[int, int],
+    *,
+    k: int | None = None,
+    forced: Mapping[int, int] | None = None,
+    forbidden: Mapping[int, frozenset[int] | set[int]] | None = None,
+    choosers: Mapping[int, Chooser] | None = None,
+    lists: ListAssignment | None = None,
+) -> Coloring:
+    """Color every vertex beyond ``prefix`` along the tree's order.
+
+    ``prefix`` must color a nonempty prefix of the tree's vertex order and be
+    proper. Palette is 1..k (default max degree plus 2) unless ``lists`` gives
+    per-vertex palettes. Raises PaletteExhaustedError when a vertex has no
+    available color. ``tree`` must be a BFS tree of ``g``. Every rule avoids
+    the colors of the vertex's colored neighbors, so the result is proper.
+
+    Each step costs O(deg v + palette size); the input checks add O(n) plus
+    the prefix's degrees. Builds no trace; greedy_extend_traced runs the same
+    loop and records every step.
+    """
+    return _extend(g, tree, prefix, k, forced, forbidden, choosers, lists, None)
+
+
 def greedy_extend_traced(
     g: Graph,
     tree: BfsTree,
@@ -66,16 +96,18 @@ def greedy_extend_traced(
     choosers: Mapping[int, Chooser] | None = None,
     lists: ListAssignment | None = None,
 ) -> tuple[Coloring, tuple[GreedyStep, ...]]:
-    """Color every vertex beyond ``prefix``, returning the coloring and a trace.
+    """greedy_extend, plus one GreedyStep per vertex in the tree's order."""
+    steps: list[GreedyStep] = []
+    coloring = _extend(g, tree, prefix, k, forced, forbidden, choosers, lists, steps)
+    return coloring, tuple(steps)
 
-    ``prefix`` must color a nonempty prefix of the tree's vertex order and be
-    proper. Palette is 1..k (default max degree plus 2) unless ``lists`` gives
-    per-vertex palettes. Raises PaletteExhaustedError when a vertex has no
-    available color. ``tree`` must be a BFS tree of ``g``. Every rule avoids
-    the colors of the vertex's colored neighbors, so the result is proper.
 
-    Each step costs O(deg v + palette size); the input checks add O(n + m).
-    """
+def _extend(g, tree, prefix, k, forced, forbidden, choosers, lists, steps):
+    # The loop of both public functions; ``steps`` is a list to record into,
+    # or None. Unrecorded, a vertex costs its colored-neighbor count and the
+    # blocked set of its rule: the full-and-distinct neighborhood stats are
+    # worked out only for a recorded step or for a color above the max
+    # degree, the only case in which _check_color_bounds can raise.
     n = g.n
     if len(tree.order) != n:
         raise PreconditionError("tree does not cover the graph")
@@ -93,90 +125,99 @@ def greedy_extend_traced(
             raise PreconditionError(f"vertex {v} is in the prefix and cannot be overridden")
     if set(forced) & set(choosers):
         raise PreconditionError("a vertex has both a forced color and a chooser")
+    delta = g.max_degree()
     if lists is None:
-        k = g.max_degree() + 2 if k is None else k
+        k = delta + 2 if k is None else k
         if k < 1:
             raise PreconditionError(f"bad palette bound {k}")
 
+    adj = g.adj
     values: list[int | None] = [None] * n
     for v, c in prefix.items():
         if not isinstance(c, int) or c < 1:
             raise PreconditionError(f"prefix colors vertex {v} with {c!r}")
         values[v] = c
-    for u, v in g.edges():
-        if values[u] is not None and values[u] == values[v]:
-            raise PreconditionError("prefix coloring is not proper")
+    # only prefix vertices are colored, so every monochromatic edge has an
+    # end in the prefix
+    for v, c in prefix.items():
+        for u in adj[v]:
+            if values[u] == c:
+                raise PreconditionError("prefix coloring is not proper")
 
-    delta = g.max_degree()
-    steps = [
-        GreedyStep(v, RULE_PREFIX, prefix[v], 0, False, False, False)
-        for v in tree.order[: len(prefix)]
-    ]
+    if steps is not None:
+        steps.extend(
+            GreedyStep(v, RULE_PREFIX, prefix[v], 0, False, False, False)
+            for v in tree.order[: len(prefix)]
+        )
 
     # Every vertex before v in sigma is colored when v's turn comes, its
     # parent included, so rule i applies exactly when v has a second colored
     # neighbor, and rule ii blocks the colors of v's parent's child group.
-    adj = g.adj
+    color_of = values.__getitem__
     tree_parent = tree.parent
     tree_children = tree.children
     near_root = g.neighbor_sets[tree.root]
     full_palette = range(1, k + 1) if lists is None else None
+    listed = lists is not None
+    overridden = forced.keys() | choosers.keys()
     no_ban: frozenset[int] = frozenset()
     for v in tree.order[len(prefix):]:
-        nbrs = adj[v]
-        around = [values[u] for u in nbrs]
-        uncolored = around.count(None)
-        count = len(nbrs) - uncolored
-        seen = set(around)
-        if uncolored:
-            seen.discard(None)
-        all_colored = not uncolored
-        distinct = len(seen) == count
+        around = list(map(color_of, adj[v]))
+        count = len(around) - around.count(None)
         palette = full_palette or lists[v]
         banned = forbidden.get(v, no_ban)
 
-        if v in forced:
-            c = forced[v]
-            if c in seen:
-                raise PreconditionError(f"forced color {c} on vertex {v} breaks properness")
+        if v in overridden:
+            seen = set(around)
+            seen.discard(None)
+            if v in forced:
+                rule = RULE_FORCED
+                c = forced[v]
+                if c in seen:
+                    raise PreconditionError(f"forced color {c} on vertex {v} breaks properness")
+            else:
+                rule = RULE_CHOOSER
+                candidates = tuple(
+                    c for c in palette if c not in banned and c not in seen
+                )
+                if not candidates:
+                    raise PaletteExhaustedError(f"no available color for vertex {v}")
+                c = choosers[v](v, candidates, tuple(values))
+                if c not in candidates:
+                    raise InternalConsistencyError(f"chooser picked unavailable color {c}")
             values[v] = c
-            steps.append(GreedyStep(v, RULE_FORCED, c, count, all_colored, distinct, True))
-            continue
-
-        if v in choosers:
-            candidates = tuple(
-                c for c in palette if c not in banned and c not in seen
-            )
-            if not candidates:
-                raise PaletteExhaustedError(f"no available color for vertex {v}")
-            c = choosers[v](v, candidates, tuple(values))
-            if c not in candidates:
-                raise InternalConsistencyError(f"chooser picked unavailable color {c}")
-            values[v] = c
-            steps.append(GreedyStep(v, RULE_CHOOSER, c, count, all_colored, distinct, True))
+            if steps is not None:
+                steps.append(GreedyStep(
+                    v, rule, c, count, count == len(around), len(seen) == count, True
+                ))
             continue
 
         if count > 1:
             rule = RULE_NEIGHBORS
-            blocked = seen
+            blocked = set(around)
         else:
             rule = RULE_SIBLINGS
             parent = tree_parent[v]
-            blocked = {values[parent]}
-            for u in tree_children[parent]:
-                blocked.add(values[u])
+            blocked = set(map(color_of, tree_children[parent]))
+            blocked.add(values[parent])
         for c in palette:
             if c not in blocked and c not in banned:
                 break
         else:
             raise PaletteExhaustedError(f"no available color for vertex {v}")
-        constrained = bool(banned) or lists is not None
-        if c > delta and not constrained and v not in near_root:
-            _check_color_bounds(v, rule, c, delta, (count, all_colored, distinct))
+        constrained = listed or bool(banned)
+        bounded = c > delta and not constrained and v not in near_root
+        if bounded or steps is not None:
+            seen = set(around)
+            seen.discard(None)
+            stats = (count, count == len(around), len(seen) == count)
+            if bounded:
+                _check_color_bounds(v, rule, c, delta, stats)
+            if steps is not None:
+                steps.append(GreedyStep(v, rule, c, *stats, constrained))
         values[v] = c
-        steps.append(GreedyStep(v, rule, c, count, all_colored, distinct, constrained))
 
-    return Coloring(values, None if lists is not None else k), tuple(steps)
+    return Coloring(values, None if listed else k)
 
 
 def _check_color_bounds(v, rule, c, delta, stats):
@@ -195,24 +236,6 @@ def _check_color_bounds(v, rule, c, delta, stats):
             )
 
 
-def greedy_extend(
-    g: Graph,
-    tree: BfsTree,
-    prefix: Mapping[int, int],
-    *,
-    k: int | None = None,
-    forced: Mapping[int, int] | None = None,
-    forbidden: Mapping[int, frozenset[int] | set[int]] | None = None,
-    choosers: Mapping[int, Chooser] | None = None,
-    lists: ListAssignment | None = None,
-) -> Coloring:
-    coloring, _ = greedy_extend_traced(
-        g, tree, prefix, k=k, forced=forced, forbidden=forbidden,
-        choosers=choosers, lists=lists,
-    )
-    return coloring
-
-
 def color_delta_plus_2(g: Graph, w: int = 0) -> Coloring:
     """Distinguishing proper coloring with at most max degree + 2 colors.
 
@@ -225,7 +248,8 @@ def color_delta_plus_2(g: Graph, w: int = 0) -> Coloring:
     k = g.max_degree() + 2
     tree = bfs_tree(g, w)
     coloring = greedy_extend(g, tree, {w: k}, k=k)
-    if any(coloring[v] == k for v in range(g.n) if v != w):
+    # the root holds k, so any second k is a leak
+    if coloring.values.count(k) > 1:
         raise InternalConsistencyError("top color leaked past the root")
     certify(g, tree, coloring, (w,))
     return coloring
@@ -246,8 +270,8 @@ def list_color_delta_plus_2(g: Graph, lists: ListAssignment, w: int = 0) -> Colo
     if not (0 <= w < g.n):
         raise PreconditionError(f"vertex {w} out of range")
     need = g.max_degree() + 1
-    for v in range(g.n):
-        if v != w and len(lists[v]) < need:
+    for v, colors in enumerate(lists.lists):
+        if v != w and len(colors) < need:
             raise PreconditionError(f"list for vertex {v} has fewer than {need} colors")
     if not lists[w]:
         raise PreconditionError(f"list for vertex {w} is empty")
@@ -255,10 +279,10 @@ def list_color_delta_plus_2(g: Graph, lists: ListAssignment, w: int = 0) -> Colo
     pruned = lists.without(alpha, keep=w)
     tree = bfs_tree(g, w)
     coloring = greedy_extend(g, tree, {w: alpha}, lists=pruned)
-    if any(coloring[v] == alpha for v in range(g.n) if v != w):
+    if coloring.values.count(alpha) > 1:
         raise InternalConsistencyError("root color leaked into another list")
-    for v in range(g.n):
-        if coloring[v] not in lists[v]:
+    for v, (c, allowed) in enumerate(zip(coloring.values, lists.lists)):
+        if c not in allowed:
             raise InternalConsistencyError(f"vertex {v} was colored outside its list")
     certify(g, tree, coloring, (w,))
     return coloring

@@ -309,6 +309,15 @@ def is_distinguishing(g: Graph, coloring: Coloring) -> SymmetryVerdict:
         raise PropernessError("coloring is not total")
     if not coloring.is_proper(g):
         raise PropernessError("coloring is not proper")
+    return _search_verdict(g, coloring)
+
+
+def _search_verdict(g: Graph, coloring: Coloring) -> SymmetryVerdict:
+    """``is_distinguishing`` without its checks, for ``certify``.
+
+    The caller has checked the bound and that the coloring is total and
+    proper.
+    """
     cand = _auto_candidates(g, coloring)
     if all(c == [v] for v, c in enumerate(cand)):
         return SymmetryVerdict(True, None)
@@ -452,7 +461,8 @@ def certify(
             )
     if prefix_is_fixed(g, coloring, prefix):
         return prefix, CERTIFICATE_PROPAGATION
-    if is_distinguishing(g, coloring).distinguishing:
+    _check_bound(g)
+    if _search_verdict(g, coloring).distinguishing:
         return prefix, CERTIFICATE_SEARCH
     raise InternalConsistencyError(
         "coloring preserved by a non-identity automorphism"

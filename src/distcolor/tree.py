@@ -62,7 +62,7 @@ def bfs_tree(
     slots = dict(slots or {})
 
     dist = distances(g, root)
-    if any(d == INFINITY for d in dist):
+    if INFINITY in dist:
         raise PreconditionError("graph is disconnected")
     level = [int(d) for d in dist]
 

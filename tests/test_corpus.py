@@ -12,6 +12,9 @@ from distcolor.corpus import (
     CriterionFailure,
     CriterionResult,
     _run,
+    check_greedy_bounds,
+    check_propagation_soundness,
+    check_two_extra_colors,
     connected_girth5_graphs,
     corpus_graphs,
     run_all,
@@ -126,3 +129,18 @@ def test_run_all_rejects_a_count_below_one(count):
     # it would run nothing and still report seven passes
     with pytest.raises(PreconditionError, match="count must be at least 1"):
         run_all(count=count)
+
+
+@pytest.mark.parametrize(
+    "runner, volume",
+    [
+        (check_two_extra_colors, "lists_per_graph"),
+        (check_greedy_bounds, "runs"),
+        (check_propagation_soundness, "instances"),
+    ],
+    ids=["criterion-5", "criterion-6", "criterion-7"],
+)
+def test_check_runners_reject_an_empty_volume(runner, volume):
+    # an empty volume checks nothing, so a pass would mean nothing
+    with pytest.raises(PreconditionError, match=f"{volume} must be at least 1, got 0"):
+        runner(**{volume: 0})

@@ -16,6 +16,7 @@ from distcolor.errors import (
 )
 from distcolor.generators import (
     cycle,
+    dodecahedron,
     path,
     petersen,
     random_girth5,
@@ -33,6 +34,7 @@ from distcolor.greedy import (
     greedy_extend_traced,
     list_color_delta_plus_2,
 )
+from distcolor.solver import solve
 from distcolor.symmetry import CERTIFICATE_PROPAGATION, is_distinguishing
 from distcolor.tree import bfs_tree
 from oracles import girth5_graphs, greedy_extend_by_rules, outcome
@@ -131,6 +133,20 @@ def test_prefix_must_be_a_sigma_prefix():
     g = path(4)
     with pytest.raises(PreconditionError):
         greedy_extend(g, bfs_tree(g, 0), {2: 1})
+
+
+@pytest.mark.parametrize(
+    "extend",
+    [greedy_extend, lambda *args: greedy_extend_traced(*args)[0]],
+    ids=["untraced", "traced"],
+)
+def test_prefix_must_be_proper(extend):
+    g = path(4)
+    tree = bfs_tree(g, 0)
+    with pytest.raises(PreconditionError, match="prefix coloring is not proper"):
+        extend(g, tree, {0: 2, 1: 2})
+    # vertex 1 is colored and its neighbor 2 is not yet
+    assert extend(g, tree, {0: 1, 1: 2}).values == (1, 2, 1, 2)
 
 
 def test_lists_replace_the_palette():
@@ -271,6 +287,8 @@ def test_greedy_matches_the_rule_oracle(g, seed):
     )
     fast = outcome(greedy_extend_traced, g, tree, prefix, **kwargs)
     assert fast == outcome(greedy_extend_by_rules, g, tree, prefix, **kwargs)
+    untraced = fast[0] if isinstance(fast[0], Coloring) else fast
+    assert outcome(greedy_extend, g, tree, prefix, **kwargs) == untraced
     if isinstance(fast[0], Coloring):
         assert fast[0].k == (None if lists else k)
 
@@ -284,7 +302,7 @@ def test_large_inputs_are_certified_by_propagation_alone(build, monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("propagation left a vertex uncertified")
 
-    monkeypatch.setattr(symmetry, "is_distinguishing", no_search)
+    monkeypatch.setattr(symmetry, "_search_verdict", no_search)
     g = build()
     delta = g.max_degree()
     rng = random.Random(g.n)
@@ -340,3 +358,31 @@ def test_corpus_is_certified_from_the_root_by_propagation(monkeypatch):
         list_color_delta_plus_2(g, lists)
         assert certificates == [((0,), CERTIFICATE_PROPAGATION)] * 2, label
         certificates.clear()
+
+
+def test_untraced_paths_build_no_trace(monkeypatch):
+    def no_trace(*args, **kwargs):
+        raise AssertionError("a GreedyStep was built on an untraced path")
+
+    graphs = [path(40), random_tree(60, seed=2), random_girth5(50, max_degree=4, seed=7)]
+    listed = []
+    for g in graphs:
+        rng = random.Random(g.n)
+        size = g.max_degree() + 2
+        lists = ListAssignment([rng.sample(range(1, 2 * size + 1), size) for _ in g.vertices()])
+        listed.append((g, lists))
+    # petersen and the dodecahedron are regular; the girth-5 graph is not
+    solved = [petersen(), dodecahedron(), random_girth5(40, max_degree=4, seed=1)]
+    assert len(set(map(len, solved[-1].adj))) > 1
+    expected = (
+        [color_delta_plus_2(g) for g in graphs],
+        [list_color_delta_plus_2(g, lists) for g, lists in listed],
+        [solve(g).coloring for g in solved],
+    )
+
+    monkeypatch.setattr(greedy, "GreedyStep", no_trace)
+    assert (
+        [color_delta_plus_2(g) for g in graphs],
+        [list_color_delta_plus_2(g, lists) for g, lists in listed],
+        [solve(g).coloring for g in solved],
+    ) == expected

@@ -379,6 +379,11 @@ def test_solve_checks_properness_once_per_call(monkeypatch):
         solver.solve(build())
         assert len(solved) == calls
         assert sorted(map(id, checked)) == sorted(map(id, solved))
+    # the search fallback relies on the check that certify has made
+    monkeypatch.setattr("distcolor.symmetry.prefix_is_fixed", lambda *args: False)
+    checked.clear()
+    assert solver.solve(petersen()).certificate == CERTIFICATE_SEARCH
+    assert len(checked) == 1
 
 
 def test_corpus_is_certified_by_propagation():
