@@ -47,7 +47,14 @@ from .solver import (
     solve_c6_extension,
     special_colorings,
 )
-from .symmetry import exact_chi_D, find_isomorphism, fixed_propagation, is_distinguishing
+from .symmetry import (
+    Permutation,
+    automorphisms,
+    exact_chi_D,
+    find_isomorphism,
+    fixed_propagation,
+    is_distinguishing,
+)
 from .tree import bfs_tree
 
 NAMED_GRAPHS = (
@@ -185,26 +192,53 @@ def check_stored_colorings() -> str:
 
 def _girth5_extensions(g: Graph) -> Iterator[Graph]:
     # attach a new vertex to an independent set with pairwise disjoint
-    # neighborhoods; exactly the sets that create no 3- or 4-cycle
+    # neighborhoods, exactly the sets that create no 3- or 4-cycle; one set
+    # per orbit of the parent's automorphism group, and only extensions in
+    # which the new vertex has the least profile
     n = g.n
-    nbr = [set(g.adj[v]) for v in range(n)]
-    edges = list(g.edges())
+    nbr = g.neighbor_sets
+    edges = g.edges()
+    gens, _ = automorphisms(g)
     for size in range(n + 1):
         for chosen in combinations(range(n), size):
             ok = True
             for a, b in combinations(chosen, 2):
-                if b in nbr[a] or nbr[a] & nbr[b]:
+                if b in nbr[a] or not nbr[a].isdisjoint(nbr[b]):
                     ok = False
                     break
-            if ok:
-                yield Graph(n + 1, edges + [(a, n) for a in chosen])
+            if not ok or not _least_in_orbit(chosen, gens):
+                continue
+            h = Graph(n + 1, edges + [(a, n) for a in chosen])
+            profiles = _profiles(h)
+            if profiles[n] == min(profiles):
+                yield h
+
+
+def _least_in_orbit(chosen: tuple[int, ...], gens: list[Permutation]) -> bool:
+    """True when no image of the sorted set under the group sorts before it."""
+    seen = {chosen}
+    queue = [chosen]
+    while queue:
+        current = queue.pop()
+        for f in gens:
+            image = tuple(sorted(f.image[a] for a in current))
+            if image < chosen:
+                return False
+            if image not in seen:
+                seen.add(image)
+                queue.append(image)
+    return True
+
+
+def _profiles(g: Graph) -> list[tuple[int, tuple[int, ...]]]:
+    # (degree, sorted neighbor degrees) of each vertex: an isomorphism invariant
+    return [
+        (len(ns), tuple(sorted(len(g.adj[u]) for u in ns))) for ns in g.adj
+    ]
 
 
 def _iso_key(g: Graph) -> tuple:
-    profiles = sorted(
-        tuple(sorted(g.degree(u) for u in g.adj[v])) for v in g.vertices()
-    )
-    return (g.n, g.m, tuple(profiles))
+    return (g.n, g.m, tuple(sorted(_profiles(g))))
 
 
 def _dedup(graphs: list[Graph]) -> list[Graph]:
@@ -227,7 +261,19 @@ def connected_girth5_graphs(max_n: int) -> list[Graph]:
     extending the short-cycle-free representatives level by level reaches
     every isomorphism class.  Disconnected graphs are kept while growing and
     filtered at the end.
+
+    Two pruning rules keep fewer extensions for the isomorphism dedup, after
+    McKay's isomorph-free generation.  Attachment sets that an automorphism
+    of the parent maps onto each other give isomorphic extensions, so only
+    the least sorted set of each orbit is tried.  And an extension is kept
+    only when its new vertex has the least (degree, sorted neighbor degrees)
+    profile.  Neither loses a class: given H, delete a vertex u of least
+    profile; H - u has girth >= 5, so it is isomorphic to a representative G
+    of the level below, and the least set in the orbit of the image of N(u)
+    rebuilds H from G with the new vertex in u's place, where its profile is
+    u's, the least.
     """
+    _at_least_one("max_n", max_n)
     level = [Graph(1, [])]
     out = [Graph(1, [])]
     for _ in range(2, max_n + 1):

@@ -63,6 +63,16 @@ class Graph:
     def max_degree(self) -> int:
         return self._max_degree
 
+    @cached_property
+    def _has_short_cycle(self) -> bool:
+        # has_cycle_shorter_than_five's walk check, run once per graph
+        adj = self.adj
+        for v, near in enumerate(self.neighbor_sets):
+            reach = [w for u in adj[v] for w in adj[u] if w != v]
+            if len(set(reach)) < len(reach) or not near.isdisjoint(reach):
+                return True
+        return False
+
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.neighbor_sets[u]
 
@@ -241,11 +251,7 @@ def has_cycle_shorter_than_five(g: Graph) -> bool:
     Walks every v-u-w with w != v. A w adjacent to v closes a triangle, and a
     w reached from v through two different neighbors closes a 4-cycle. Every
     such cycle shows up from each of its vertices, so the test is exact. The
-    walks cost sum(deg(u)^2) steps, O(n * Δ²), against O(n * m) for girth().
+    walks cost sum(deg(u)^2) steps, O(n * Δ²), against O(n * m) for girth(),
+    and run once per graph: the verdict is kept on the immutable graph.
     """
-    adj = g.adj
-    for v, near in enumerate(g.neighbor_sets):
-        reach = [w for u in adj[v] for w in adj[u] if w != v]
-        if len(set(reach)) < len(reach) or not near.isdisjoint(reach):
-            return True
-    return False
+    return g._has_short_cycle

@@ -444,12 +444,26 @@ def _moore_case(g: Graph, delta: int, diam: Callable[[], int]) -> Parts | None:
 
 
 def _find_dissimilar_pair(g: Graph) -> tuple[int, int, int] | None:
+    # vertices proved similar are merged: lying in one orbit is transitive,
+    # so a pair already in one class needs no search
+    root = list(g.vertices())
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
     for w in g.vertices():
         nbrs = g.adj[w]
         for i, x1 in enumerate(nbrs):
             for y1 in nbrs[i + 1:]:
+                a, b = find(x1), find(y1)
+                if a == b:
+                    continue
                 if not exists_automorphism_mapping(g, x1, y1):
                     return w, x1, y1
+                root[a] = b
     return None
 
 

@@ -3,8 +3,8 @@
 Backtracking search over vertex images with (color, degree, neighborhood
 signature) pruning drives everything here: automorphism generators and exact
 group order, the distinguishing-coloring verifier, pinned-image and
-isomorphism searches, and the brute-force oracle for the exact distinguishing
-chromatic number. Fixedness propagation replays the local certification rules
+isomorphism searches, and the exhaustive search for the exact distinguishing
+chromatic number, pruned by the automorphism group. Fixedness propagation replays the local certification rules
 that the greedy constructions are built around.
 
 ``certify`` is the one certification path of every construction (``solve``,
@@ -527,32 +527,61 @@ def _propagate(
 def exact_chi_D(g: Graph) -> int:
     """Exact distinguishing chromatic number by exhaustive search.
 
-    Enumerates proper colorings in canonical form (color c appears before
-    color c+1), which is enough because renaming colors changes neither
-    properness nor the set of color-preserving automorphisms. Exponential;
+    Enumerates, for k = 1, 2, ..., the proper colorings with exactly k colors
+    in canonical form (color c appears before color c+1), which is enough
+    because renaming colors changes neither properness nor the set of
+    color-preserving automorphisms. The automorphism group is computed once,
+    and only colorings it does not already rule out reach the exact search:
+
+    * twins (vertices with equal neighbor sets) are swapped by an
+      automorphism that fixes everything else, so the enumeration treats them
+      like edges and never generates a coloring that gives them one color;
+    * a coloring preserved by one of the group's generators, which are never
+      the identity, is rejected;
+    * when the group is trivial, the first proper coloring is distinguishing.
+
+    Each rule rejects only colorings that some non-identity automorphism
+    preserves, so the value is the one plain enumeration gives. Exponential;
     intended as a test oracle for graphs with at most ten vertices.
     """
     if g.n > EXACT_BOUND:
         raise SearchBoundError(f"graph has {g.n} vertices, exact bound is {EXACT_BOUND}")
     if g.n == 0:
         raise PreconditionError("empty graph")
-    values = [0] * g.n
-
-    def rgs(v: int, used: int, k: int) -> Iterator[tuple[int, ...]]:
-        if v == g.n:
-            if used == k:
-                yield tuple(values)
-            return
-        limit = min(used + 1, k)
-        for c in range(1, limit + 1):
-            if any(values[u] == c for u in g.adj[v] if u < v):
-                continue
-            values[v] = c
-            yield from rgs(v + 1, max(used, c), k)
-            values[v] = 0
-
+    gens, order = automorphisms(g)
     for k in range(1, g.n + 1):
-        for assignment in rgs(0, 0, k):
-            if is_distinguishing(g, Coloring(assignment, k)).distinguishing:
+        for values in _unruled_colorings(g, k, gens):
+            if order == 1 or _search_verdict(g, Coloring(values, k)).distinguishing:
                 return k
     raise InternalConsistencyError("no distinguishing coloring found")
+
+
+def _unruled_colorings(
+    g: Graph, k: int, gens: list[Permutation]
+) -> Iterator[tuple[int, ...]]:
+    """Canonical proper colorings with exactly k colors that give twins
+    different colors and that no generator in ``gens`` preserves."""
+    n = g.n
+    nbrs = g.neighbor_sets
+    # earlier neighbors and twins of each vertex: the colors it must avoid
+    apart = [
+        [u for u in range(v) if u in nbrs[v] or nbrs[u] == nbrs[v]]
+        for v in range(n)
+    ]
+    images = [f.image for f in gens]
+    values = [0] * n
+
+    def rgs(v: int, used: int) -> Iterator[tuple[int, ...]]:
+        if v == n:
+            if used == k and not any(
+                all(values[u] == c for u, c in zip(image, values)) for image in images
+            ):
+                yield tuple(values)
+            return
+        for c in range(1, min(used + 1, k) + 1):
+            if any(values[u] == c for u in apart[v]):
+                continue
+            values[v] = c
+            yield from rgs(v + 1, max(used, c))
+
+    yield from rgs(0, 0)

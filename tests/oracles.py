@@ -6,17 +6,23 @@ Each one is the straightforward form that the library's version replaced:
   level up with a ``min`` and arranges every child group;
 * ``greedy_extend_by_rules`` restates rules i and ii literally per vertex;
 * ``propagate_by_rounds`` rescans the whole order every round until nothing
-  changes.
+  changes;
+* ``exact_chi_D_by_enumeration`` sends every canonical proper coloring
+  (``canonical_colorings``) to the full ``is_distinguishing``;
+* ``dissimilar_pair_by_all_pairs`` searches every neighbor pair in turn;
+* ``girth5_extensions_unpruned`` attaches a new vertex to every valid set,
+  with no regard to the parent's symmetry or the new vertex's profile.
 
 They must return exactly what the library returns, errors included.
 ``check_tree`` replays the structural invariants of a BFS tree.
 ``enumerate_automorphisms`` lists a whole automorphism group, the reference
-for properties of the library's searches. ``girth5_graphs`` and
-``random_proper_coloring`` draw their inputs.
+for properties of the library's searches. ``girth5_graphs``,
+``small_graphs`` and ``random_proper_coloring`` draw their inputs.
 """
 
 import random
 from collections import Counter
+from itertools import combinations
 
 from hypothesis import strategies as st
 
@@ -26,10 +32,11 @@ from distcolor.errors import (
     PaletteExhaustedError,
     PreconditionError,
     PropernessError,
+    SearchBoundError,
     TreeConstraintError,
 )
 from distcolor.generators import cycle, path, random_girth5, random_tree
-from distcolor.graph import INFINITY, distances
+from distcolor.graph import INFINITY, Graph, distances
 from distcolor.greedy import (
     RULE_CHOOSER,
     RULE_FORCED,
@@ -40,11 +47,14 @@ from distcolor.greedy import (
     _check_color_bounds,
 )
 from distcolor.symmetry import (
+    EXACT_BOUND,
     Permutation,
     _assert_automorphism,
     _auto_candidates,
     _check_bound,
     _search,
+    exists_automorphism_mapping,
+    is_distinguishing,
 )
 from distcolor.tree import LAST, BfsTree, _arrange
 
@@ -295,6 +305,63 @@ def enumerate_automorphisms(g, coloring=None):
     return out
 
 
+def canonical_colorings(g, k):
+    """Every proper coloring with exactly k colors in which color c appears
+    before color c+1, in lexicographic order."""
+    values = [0] * g.n
+
+    def rgs(v, used):
+        if v == g.n:
+            if used == k:
+                yield tuple(values)
+            return
+        for c in range(1, min(used + 1, k) + 1):
+            if any(values[u] == c for u in g.adj[v] if u < v):
+                continue
+            values[v] = c
+            yield from rgs(v + 1, max(used, c))
+            values[v] = 0
+
+    yield from rgs(0, 0)
+
+
+def exact_chi_D_by_enumeration(g):
+    if g.n > EXACT_BOUND:
+        raise SearchBoundError(f"graph has {g.n} vertices, exact bound is {EXACT_BOUND}")
+    if g.n == 0:
+        raise PreconditionError("empty graph")
+    for k in range(1, g.n + 1):
+        for values in canonical_colorings(g, k):
+            if is_distinguishing(g, Coloring(values, k)).distinguishing:
+                return k
+    raise InternalConsistencyError("no distinguishing coloring found")
+
+
+def dissimilar_pair_by_all_pairs(g):
+    for w in g.vertices():
+        nbrs = g.adj[w]
+        for i, x1 in enumerate(nbrs):
+            for y1 in nbrs[i + 1:]:
+                if not exists_automorphism_mapping(g, x1, y1):
+                    return w, x1, y1
+    return None
+
+
+def girth5_extensions_unpruned(g):
+    # a new vertex on every independent set with pairwise disjoint
+    # neighborhoods: exactly the sets that create no 3- or 4-cycle
+    n = g.n
+    nbr = [set(g.adj[v]) for v in range(n)]
+    edges = list(g.edges())
+    for size in range(n + 1):
+        for chosen in combinations(range(n), size):
+            if all(
+                b not in nbr[a] and not nbr[a] & nbr[b]
+                for a, b in combinations(chosen, 2)
+            ):
+                yield Graph(n + 1, edges + [(a, n) for a in chosen])
+
+
 def outcome(fn, *args, **kwargs):
     """The result of a call, or the type and message of what it raised."""
     try:
@@ -316,6 +383,16 @@ def girth5_graphs(draw, max_n=30):
     if family == "cycle":
         return cycle(n)
     return random_girth5(n, max_degree=draw(st.integers(min_value=3, max_value=5)), seed=seed)
+
+
+@st.composite
+def small_graphs(draw, max_n=8):
+    """Any simple graph on 1..max_n vertices: any girth, possibly
+    disconnected, often with isolated vertices."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, k in zip(pairs, keep) if k])
 
 
 def random_proper_coloring(g, rng: random.Random, k: int) -> Coloring:

@@ -11,6 +11,8 @@ from distcolor.corpus import (
     TREE_COUNT,
     CriterionFailure,
     CriterionResult,
+    _dedup,
+    _girth5_extensions,
     _run,
     check_greedy_bounds,
     check_propagation_soundness,
@@ -22,9 +24,10 @@ from distcolor.corpus import (
 from distcolor.errors import PreconditionError
 from distcolor.graph import Graph, girth, is_connected
 from distcolor.symmetry import find_isomorphism
+from oracles import girth5_extensions_unpruned
 
-# isomorphism classes of connected graphs with girth >= 5 on 1..7 vertices
-CLASS_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 4, 6: 8, 7: 18}
+# isomorphism classes of connected graphs with girth >= 5 on 1..9 vertices
+CLASS_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 4, 6: 8, 7: 18, 8: 47, 9: 137}
 
 
 def brute_force_classes(n):
@@ -43,12 +46,29 @@ def brute_force_classes(n):
 
 
 def test_enumeration_counts_frozen():
-    graphs = connected_girth5_graphs(7)
+    graphs = connected_girth5_graphs(9)
     by_n = {}
     for g in graphs:
         by_n[g.n] = by_n.get(g.n, 0) + 1
     assert by_n == CLASS_COUNTS
-    assert len(graphs) == 35
+    assert len(graphs) == 219
+    assert len(connected_girth5_graphs(7)) == 35
+
+
+def test_pruned_extensions_reach_every_class():
+    # every level, disconnected graphs included, against the extensions of
+    # every valid attachment set
+    pruned = unpruned = [Graph(1, [])]
+    for _ in range(2, 9):
+        pruned = _dedup([h for g in pruned for h in _girth5_extensions(g)])
+        unpruned = _dedup([h for g in unpruned for h in girth5_extensions_unpruned(g)])
+        assert len(pruned) == len(unpruned)
+
+
+@pytest.mark.parametrize("max_n", [0, -2])
+def test_enumeration_rejects_a_size_below_one(max_n):
+    with pytest.raises(PreconditionError, match=f"max_n must be at least 1, got {max_n}"):
+        connected_girth5_graphs(max_n)
 
 
 def test_enumeration_matches_brute_force_small():

@@ -126,6 +126,18 @@ def test_girth_of_named_graphs():
     assert girth(random_tree(20, seed=3)) == INFINITY
 
 
+def test_short_cycle_walk_runs_once_per_graph(monkeypatch):
+    memo = vars(Graph)["_has_short_cycle"]
+    walk = memo.func
+    walked = []
+    monkeypatch.setattr(memo, "func", lambda g: walked.append(g) or walk(g))
+    g = petersen()
+    for _ in range(3):
+        assert not has_cycle_shorter_than_five(g)
+    assert has_cycle_shorter_than_five(cycle(4))
+    assert walked == [g, cycle(4)]
+
+
 def test_short_cycle_detection():
     assert has_cycle_shorter_than_five(Graph(3, [(0, 1), (1, 2), (0, 2)]))
     assert has_cycle_shorter_than_five(cycle(4))

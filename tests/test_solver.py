@@ -65,10 +65,12 @@ from distcolor.symmetry import (
     CERTIFICATE_PROPAGATION,
     CERTIFICATE_SEARCH,
     exact_chi_D,
+    exists_automorphism_mapping,
     fixed_propagation,
     is_distinguishing,
 )
 from distcolor.tree import bfs_tree
+from oracles import dissimilar_pair_by_all_pairs, girth5_graphs
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -256,6 +258,28 @@ def test_dissimilar_neighbors_reject_similar_pairs():
     # every neighbor pair of the dodecahedron is swapped by an automorphism
     assert _find_dissimilar_pair(dodecahedron()) is None
     assert _find_dissimilar_pair(path(4)) == (1, 0, 2)
+
+
+@pytest.mark.parametrize("build", [petersen, heawood, dodecahedron])
+def test_dissimilar_search_runs_once_per_orbit_merge(monkeypatch, build):
+    # every neighbor pair is similar; each search that says so joins two
+    # classes, so fewer than n searches run, not one per pair
+    searches = []
+
+    def counted(g, u, v):
+        searches.append((u, v))
+        return exists_automorphism_mapping(g, u, v)
+
+    monkeypatch.setattr(solver, "exists_automorphism_mapping", counted)
+    g = build()
+    assert _find_dissimilar_pair(g) is None
+    assert len(searches) < g.n
+
+
+@settings(max_examples=40, deadline=None)
+@given(girth5_graphs(max_n=14))
+def test_dissimilar_pair_matches_the_all_pairs_oracle(g):
+    assert _find_dissimilar_pair(g) == dissimilar_pair_by_all_pairs(g)
 
 
 def test_special_branch_transports_through_isomorphisms():

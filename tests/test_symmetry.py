@@ -3,10 +3,11 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from distcolor.coloring import Coloring
+from distcolor.corpus import connected_girth5_graphs
 from distcolor.errors import (
     InternalConsistencyError,
     PreconditionError,
@@ -30,6 +31,7 @@ from distcolor.symmetry import (
     CERTIFICATE_PROPAGATION,
     Permutation,
     _orbit,
+    _unruled_colorings,
     automorphisms,
     certify,
     exact_chi_D,
@@ -41,10 +43,13 @@ from distcolor.symmetry import (
 )
 from distcolor.tree import bfs_tree
 from oracles import (
+    canonical_colorings,
     enumerate_automorphisms,
+    exact_chi_D_by_enumeration,
     girth5_graphs,
     propagate_by_rounds,
     random_proper_coloring,
+    small_graphs,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
@@ -188,6 +193,36 @@ def test_search_bound_is_enforced():
 )
 def test_exact_values_on_small_graphs(build, value):
     assert exact_chi_D(build()) == value
+
+
+def test_exact_values_match_the_enumeration_oracle_on_every_class():
+    graphs = connected_girth5_graphs(8)
+    assert len(graphs) == 82
+    for g in graphs:
+        assert exact_chi_D(g) == exact_chi_D_by_enumeration(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs())
+# two disjoint edges: a group of order 8 in which a 2-coloring that no
+# generator preserves is still preserved by a product of two of them
+@example(Graph(4, [(0, 1), (2, 3)]))
+@example(Graph(4, [(0, 1)]))
+def test_exact_values_match_the_enumeration_oracle_on_any_graph(g):
+    assert exact_chi_D(g) == exact_chi_D_by_enumeration(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs(max_n=7))
+def test_every_coloring_the_prefilter_rejects_has_a_symmetry(g):
+    gens, _ = automorphisms(g)
+    for k in range(1, g.n + 1):
+        canonical = set(canonical_colorings(g, k))
+        kept = set(_unruled_colorings(g, k, gens))
+        assert kept <= canonical
+        for values in canonical - kept:
+            preserving = enumerate_automorphisms(g, Coloring(values, k))
+            assert any(not f.is_identity() for f in preserving)
 
 
 def test_propagation_certifies_the_claw_from_its_center():
