@@ -1,18 +1,19 @@
 """Graph families used by the test corpus and the command line.
 
 Fixed graphs are built from frozen combinatorial data (LCF words, incidence
-rules, chord lists) and re-checked structurally on every construction, so a
-typo in the data cannot silently produce the wrong graph. Random families are
-deterministic for a given seed.
+rules, chord lists) and checked structurally, so a typo in the data cannot
+silently produce the wrong graph. A ``Graph`` is immutable, so each named
+graph is built and checked once per process and every later call returns
+that same object. Random families are deterministic for a given seed.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
+from functools import cache
 
 from .errors import InternalConsistencyError, PreconditionError
-from .graph import Graph, distances, girth, is_connected
+from .graph import Graph, girth, is_connected
 
 
 def path(n: int) -> Graph:
@@ -86,6 +87,7 @@ def _check(g: Graph, n: int, m: int, degree: int, want_girth: int) -> Graph:
     return g
 
 
+@cache
 def petersen() -> Graph:
     """Kneser graph of the 2-subsets of a 5-set, adjacency by disjointness."""
     pairs = [(a, b) for a in range(5) for b in range(a + 1, 5)]
@@ -99,14 +101,17 @@ def petersen() -> Graph:
     return _check(Graph(10, edges), 10, 15, 3, 5)
 
 
+@cache
 def heawood() -> Graph:
     return _check(_lcf([5, -5], 7), 14, 21, 3, 6)
 
 
+@cache
 def mcgee() -> Graph:
     return _check(_lcf([12, 7, -7], 8), 24, 36, 3, 7)
 
 
+@cache
 def tutte_coxeter() -> Graph:
     return _check(_lcf([-13, -9, 7, -7, 9, 13], 5), 30, 45, 3, 8)
 
@@ -120,14 +125,17 @@ def _generalized_petersen(n: int, k: int) -> Graph:
     return Graph(2 * n, sorted({(min(u, v), max(u, v)) for u, v in edges}))
 
 
+@cache
 def dodecahedron() -> Graph:
     return _check(_generalized_petersen(10, 2), 20, 30, 3, 5)
 
 
+@cache
 def desargues() -> Graph:
     return _check(_generalized_petersen(10, 3), 20, 30, 3, 6)
 
 
+@cache
 def pappus() -> Graph:
     """Incidence graph of the nine points and nine non-vertical lines of AG(2,3)."""
     edges = []
@@ -147,12 +155,14 @@ _ROBERTSON_CHORDS = [
 ]
 
 
+@cache
 def robertson() -> Graph:
     """The unique 4-regular girth-5 graph on 19 vertices: a 19-cycle plus chords."""
     edges = [(i, (i + 1) % 19) for i in range(19)] + _ROBERTSON_CHORDS
     return _check(Graph(19, sorted({(min(u, v), max(u, v)) for u, v in edges})), 19, 38, 4, 5)
 
 
+@cache
 def hoffman_singleton() -> Graph:
     """Five pentagons and five pentagrams joined by the rule p(h,j) ~ q(i, hi+j mod 5)."""
     edges = []
@@ -176,7 +186,9 @@ def random_girth5(n: int, max_degree: int, seed: int = 0) -> Graph:
     Grows a random spanning tree, then sweeps the non-edges in random order,
     adding each one whose endpoints currently sit at distance at least 4 and
     below the degree cap. New cycles through an added edge have length at
-    least 5, so the girth bound holds throughout.
+    least 5, so the girth bound holds throughout. The tree keeps the graph
+    connected, so a depth-3 neighborhood test decides each distance; the
+    output is the one a full breadth-first search per candidate gave.
     """
     if max_degree < 1:
         raise PreconditionError("degree cap must be positive")
@@ -206,25 +218,23 @@ def random_girth5(n: int, max_degree: int, seed: int = 0) -> Graph:
     for u, v in candidates:
         if len(adj[u]) >= max_degree or len(adj[v]) >= max_degree:
             continue
-        if _bfs_distance(adj, u, v) < 4:
+        if _within_three(adj, u, v):
             continue
         adj[u].add(v)
         adj[v].add(u)
     return Graph(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
 
 
-def _bfs_distance(adj: list[set[int]], s: int, t: int) -> int:
-    seen = {s}
-    queue = deque([(s, 0)])
-    while queue:
-        v, d = queue.popleft()
-        if v == t:
-            return d
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                queue.append((u, d + 1))
-    return len(adj)
+def _within_three(adj: list[set[int]], u: int, v: int) -> bool:
+    """True iff v is at distance at most 3 from u: O(Δ²) set probes.
+
+    v is a neighbor of u, shares a neighbor with u, or is adjacent to a
+    neighbor of a neighbor of u.
+    """
+    near_v = adj[v]
+    return v in adj[u] or any(
+        x in near_v or not near_v.isdisjoint(adj[x]) for x in adj[u]
+    )
 
 
 GENERATORS = {

@@ -46,6 +46,11 @@ class Graph:
     def neighbor_sets(self) -> tuple[frozenset[int], ...]:
         return tuple(frozenset(ns) for ns in self.adj)
 
+    @cached_property
+    def neighbor_masks(self) -> tuple[int, ...]:
+        # bit u of neighbor_masks[v] is set iff u ~ v: the symmetry search's rows
+        return tuple(sum(1 << u for u in ns) for ns in self.adj)
+
     @property
     def m(self) -> int:
         return sum(len(ns) for ns in self.adj) // 2

@@ -117,8 +117,12 @@ _HEAWOOD_EDGES = (
 _HEAWOOD_COLORS = (2, 3, 2, 3, 2, 1, 2, 1, 4, 3, 2, 1, 2, 4)
 
 
+@cache
 def special_colorings() -> tuple[tuple[str, Graph, Coloring], ...]:
-    """The stored four-colorings behind the special branch, with their graphs."""
+    """The stored four-colorings behind the special branch, with their graphs.
+
+    Built once per process; every caller shares the immutable objects.
+    """
     return (
         ("petersen", Graph(10, _PETERSEN_EDGES), Coloring(_PETERSEN_COLORS, 4)),
         ("heawood", Graph(14, _HEAWOOD_EDGES), Coloring(_HEAWOOD_COLORS, 4)),
@@ -492,17 +496,14 @@ def _special_case(g: Graph, delta: int, diam: Callable[[], int]) -> Parts | None
     """Transport a fixed four-coloring onto the input through an isomorphism."""
     if delta != 3:
         return None
-    for edges, colors in (
-        (_PETERSEN_EDGES, _PETERSEN_COLORS),
-        (_HEAWOOD_EDGES, _HEAWOOD_COLORS),
-    ):
-        if g.n != len(colors):
+    for _, h, stored in special_colorings():
+        if g.n != h.n:
             continue
-        iso = find_isomorphism(g, Graph(len(colors), edges))
+        iso = find_isomorphism(g, h)
         if iso is None:
             continue
-        values = [colors[iso(v)] for v in g.vertices()]
-        return bfs_tree(g, 0), Coloring(values, max(colors)), None
+        values = [stored[iso(v)] for v in g.vertices()]
+        return bfs_tree(g, 0), Coloring(values, stored.k), None
     raise PreconditionError(
         "graph is neither the Petersen graph nor the Heawood graph"
     )

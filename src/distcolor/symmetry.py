@@ -155,10 +155,6 @@ def _candidate_lists(label_g: list[int], label_h: list[int]) -> list[list[int]]:
     return [list(by_label.get(l, ())) for l in label_g]
 
 
-def _bitmasks(g: Graph) -> list[int]:
-    return [sum(1 << u for u in ns) for ns in g.adj]
-
-
 def _search(
     g: Graph,
     h: Graph,
@@ -176,7 +172,7 @@ def _search(
         cand = list(cand)
         for v, u in pins.items():
             cand[v] = [u] if u in cand[v] else []
-    hbits = _bitmasks(h)
+    hbits = h.neighbor_masks
     f = [-1] * n
     req = [0] * n
     used = 0

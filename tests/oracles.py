@@ -12,6 +12,8 @@ Each one is the straightforward form that the library's version replaced:
 * ``dissimilar_pair_by_all_pairs`` searches every neighbor pair in turn;
 * ``girth5_extensions_unpruned`` attaches a new vertex to every valid set,
   with no regard to the parent's symmetry or the new vertex's profile.
+* ``random_girth5_by_bfs`` decides each candidate edge of ``random_girth5``
+  with a full breadth-first search instead of the depth-3 test.
 
 They must return exactly what the library returns, errors included.
 ``check_tree`` replays the structural invariants of a BFS tree.
@@ -21,7 +23,7 @@ for properties of the library's searches. ``girth5_graphs``,
 """
 
 import random
-from collections import Counter
+from collections import Counter, deque
 from itertools import combinations
 
 from hypothesis import strategies as st
@@ -360,6 +362,55 @@ def girth5_extensions_unpruned(g):
                 for a, b in combinations(chosen, 2)
             ):
                 yield Graph(n + 1, edges + [(a, n) for a in chosen])
+
+
+def random_girth5_by_bfs(n, max_degree, seed=0):
+    if max_degree < 1:
+        raise PreconditionError("degree cap must be positive")
+    base = random_tree(n, seed)
+    if base.max_degree() > max_degree:
+        rng = random.Random(seed)
+        order = list(range(n))
+        rng.shuffle(order)
+        edges = []
+        degree = [0] * n
+        for i in range(1, n):
+            spots = [v for v in order[:i] if degree[v] < max_degree]
+            if not spots:
+                raise PreconditionError("degree cap too small for a tree")
+            parent = rng.choice(spots)
+            edges.append((parent, order[i]))
+            degree[parent] += 1
+            degree[order[i]] += 1
+        base = Graph(n, edges)
+    rng = random.Random(seed + 1)
+    adj = [set(ns) for ns in base.adj]
+    candidates = [
+        (u, v) for u in range(n) for v in range(u + 1, n) if v not in adj[u]
+    ]
+    rng.shuffle(candidates)
+    for u, v in candidates:
+        if len(adj[u]) >= max_degree or len(adj[v]) >= max_degree:
+            continue
+        if _bfs_distance(adj, u, v) < 4:
+            continue
+        adj[u].add(v)
+        adj[v].add(u)
+    return Graph(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
+
+
+def _bfs_distance(adj, s, t):
+    seen = {s}
+    queue = deque([(s, 0)])
+    while queue:
+        v, d = queue.popleft()
+        if v == t:
+            return d
+        for u in adj[v]:
+            if u not in seen:
+                seen.add(u)
+                queue.append((u, d + 1))
+    return len(adj)
 
 
 def outcome(fn, *args, **kwargs):

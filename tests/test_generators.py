@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import distcolor.generators as generators_module
 from distcolor.errors import PreconditionError
 from distcolor.generators import (
+    GENERATORS,
     cycle,
     desargues,
     dodecahedron,
@@ -23,6 +25,7 @@ from distcolor.generators import (
     tutte_coxeter,
 )
 from distcolor.graph import INFINITY, diameter, girth, is_connected
+from oracles import outcome, random_girth5_by_bfs
 
 PROPERTY_SETTINGS = settings(max_examples=50, deadline=None)
 
@@ -49,6 +52,22 @@ def test_named_graphs_have_their_parameters(build, n, m, degree, expected_girth)
     assert all(g.degree(v) == degree for v in g.vertices())
     assert girth(g) == expected_girth
     assert is_connected(g)
+
+
+def test_named_graphs_are_built_and_checked_once(monkeypatch):
+    named = [build for build, params in GENERATORS.values() if not params]
+    assert len(named) == 9
+    checked = []
+    monkeypatch.setattr(
+        generators_module, "girth", lambda g: checked.append(g) or girth(g)
+    )
+    for build in named:
+        build.cache_clear()
+    first = [build() for build in named]
+    second = [build() for build in named]
+    assert all(a is b for a, b in zip(first, second))
+    assert len(checked) == len(named)
+    assert all(g is built for g, built in zip(checked, first))
 
 
 def test_moore_graphs_have_diameter_two():
@@ -136,6 +155,26 @@ def test_random_girth5_always_valid(n, d, seed):
     assert is_connected(g)
     assert girth(g) >= 5
     assert g.max_degree() <= d
+
+
+def test_random_girth5_matches_the_bfs_oracle_on_a_grid():
+    # graphs or errors, including degree caps too small for a tree
+    for n in range(1, 61):
+        for d in range(1, 8):
+            for seed in (0, 1, 1234):
+                assert outcome(random_girth5, n, d, seed) == outcome(
+                    random_girth5_by_bfs, n, d, seed
+                ), (n, d, seed)
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.integers(min_value=1, max_value=90),
+    st.integers(min_value=1, max_value=9),
+    st.integers(min_value=0, max_value=2**31),
+)
+def test_random_girth5_matches_the_bfs_oracle(n, d, seed):
+    assert outcome(random_girth5, n, d, seed) == outcome(random_girth5_by_bfs, n, d, seed)
 
 
 @PROPERTY_SETTINGS

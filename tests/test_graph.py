@@ -131,7 +131,8 @@ def test_short_cycle_walk_runs_once_per_graph(monkeypatch):
     walk = memo.func
     walked = []
     monkeypatch.setattr(memo, "func", lambda g: walked.append(g) or walk(g))
-    g = petersen()
+    # a fresh object: the memoized petersen() may already hold its verdict
+    g = Graph(10, petersen().edges())
     for _ in range(3):
         assert not has_cycle_shorter_than_five(g)
     assert has_cycle_shorter_than_five(cycle(4))

@@ -49,3 +49,31 @@ def test_only_symmetry_reaches_the_unchecked_propagation():
         if "_propagate" in _used_names(ast.parse(source.read_text(encoding="utf-8")))
     ]
     assert users == ["symmetry"]
+
+
+def _is_result_cache(decorator: ast.expr) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+    return name in ("cache", "lru_cache")
+
+
+def test_caches_hold_only_fixed_inputs():
+    # a cache keyed by caller input would let repeated calls in one process
+    # skip work that a single command-line call cannot; only module-level
+    # builders without parameters (the named graphs, the stored colorings)
+    # may keep their result
+    offenders = []
+    for source in sorted(SOURCES.glob("*.py")):
+        module = ast.parse(source.read_text(encoding="utf-8"))
+        for node in ast.walk(module):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if not any(_is_result_cache(d) for d in node.decorator_list):
+                continue
+            args = node.args
+            takes_input = (
+                args.posonlyargs or args.args or args.kwonlyargs or args.vararg or args.kwarg
+            )
+            if node not in module.body or takes_input:
+                offenders.append(f"{source.stem}.{node.name}")
+    assert offenders == []
