@@ -312,9 +312,16 @@ def check_two_extra_colors(
     randoms: int = RANDOM_COUNT,
     lists_per_graph: int = LISTS_PER_GRAPH,
 ) -> str:
-    """Criterion 5: Δ+2 colorings and their list version across the corpus."""
+    """Criterion 5: Δ+2 colorings and their list version across the corpus.
+
+    One walk over the corpus: every graph gets its Δ+2 coloring, and every
+    graph of at most 20 vertices its list trials.
+    """
     _at_least_one("lists_per_graph", lists_per_graph)
+    rng = random.Random(1009 * seed + 7)
     plain = 0
+    small = 0
+    assignments = 0
     for label, g in corpus_graphs(seed, trees, randoms):
         coloring = color_delta_plus_2(g)
         bound = g.max_degree() + 2
@@ -328,10 +335,6 @@ def check_two_extra_colors(
             f"{label}: Δ+2 coloring is not distinguishing",
         )
         plain += 1
-    rng = random.Random(1009 * seed + 7)
-    small = 0
-    assignments = 0
-    for label, g in corpus_graphs(seed, trees, randoms):
         if g.n > 20:
             continue
         small += 1

@@ -30,7 +30,7 @@ from .errors import (
     PropernessError,
     SearchBoundError,
 )
-from .graph import SEARCH_BOUND, Graph, has_cycle_shorter_than_five
+from .graph import SEARCH_BOUND, Graph, distances, has_cycle_shorter_than_five
 from .tree import BfsTree
 
 EXACT_BOUND = 10
@@ -94,6 +94,16 @@ def _wl_rounds(
     refinement, ending with the first round that splits no class. Vertices
     with different labels in any round cannot correspond under any
     isomorphism that preserves the base labels.
+
+    The first refinement round also carries distances. In each graph where
+    some round-0 label is held by one vertex alone, the vertex with the least
+    such label is fixed by every label-preserving map, so its BFS distances
+    are invariant; they are folded into that graph's labels before the round.
+    The stable partition already refines them, so it is the one plain
+    refinement reaches, in fewer rounds: at most three on a path or cycle
+    with a unique color, against about half its length. In joint
+    refinement, isomorphic graphs pick the same label's vertex, and graphs
+    whose round-0 label counts differ keep differing.
     """
     table: dict[object, int] = {}
 
@@ -103,13 +113,26 @@ def _wl_rounds(
             val = table[key] = len(table)
         return val
 
+    def fold(g: Graph, ls: list[int]) -> list[int]:
+        # every round-0 label is an id below len(table)
+        sizes = [0] * len(table)
+        for l in ls:
+            sizes[l] += 1
+        if 1 not in sizes:
+            return ls
+        dist = distances(g, ls.index(sizes.index(1)))
+        # triples never meet a round-0 pair in the table, so a folded graph
+        # shares no label with an unfolded one
+        return [canon((l, d, None)) for l, d in zip(ls, dist)]
+
     labels = [
         [canon((base[v], len(g.adj[v]))) for v in range(g.n)]
         for g, base in zip(graphs, bases)
     ]
     yield labels
+    labels = [fold(g, ls) for g, ls in zip(graphs, labels)]
+    classes = len({l for ls in labels for l in ls})
     while True:
-        before = len({l for ls in labels for l in ls})
         labels = [
             [
                 canon((ls[v], tuple(sorted(ls[u] for u in g.adj[v]))))
@@ -118,8 +141,8 @@ def _wl_rounds(
             for g, ls in zip(graphs, labels)
         ]
         yield labels
-        after = len({l for ls in labels for l in ls})
-        if after == before:
+        before, classes = classes, len({l for ls in labels for l in ls})
+        if classes == before:
             return
 
 
@@ -135,8 +158,13 @@ def prefix_is_fixed(g: Graph, coloring: Coloring, vertices: Iterable[int]) -> bo
 
     Refinement classes are invariant under color-preserving automorphisms, so
     a vertex alone in its class is fixed by all of them. Stops at the first
-    round that isolates every vertex. False once refinement is stable
-    without doing so, which proves nothing either way.
+    round that isolates every vertex, so when round 0 does (a Δ+2 or list
+    root has a color of its own) no distances are computed. Otherwise a
+    color held by one vertex brings in distances from it with the first
+    refinement round, and a path or cycle with such a color is settled in
+    at most three rounds instead of about half its length. False once
+    refinement is stable without isolating every vertex, which proves
+    nothing either way.
     """
     if len(coloring) != g.n:
         raise PreconditionError("coloring length does not match the graph")

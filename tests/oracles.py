@@ -13,7 +13,10 @@ Each one is the straightforward form that the library's version replaced:
 * ``girth5_extensions_unpruned`` attaches a new vertex to every valid set,
   with no regard to the parent's symmetry or the new vertex's profile.
 * ``random_girth5_by_bfs`` decides each candidate edge of ``random_girth5``
-  with a full breadth-first search instead of the depth-3 test.
+  with a full breadth-first search instead of the depth-3 test;
+* ``wl_labels_plain`` refines round by round from (base label, degree)
+  alone, with no distances folded in, and ``prefix_is_fixed_plain`` reads
+  its rounds.
 
 They must return exactly what the library returns, errors included.
 ``check_tree`` replays the structural invariants of a BFS tree.
@@ -411,6 +414,44 @@ def _bfs_distance(adj, s, t):
                 seen.add(u)
                 queue.append((u, d + 1))
     return len(adj)
+
+
+def wl_rounds_plain(graphs, bases):
+    table = {}
+
+    def canon(key):
+        if key not in table:
+            table[key] = len(table)
+        return table[key]
+
+    labels = [
+        [canon((base[v], len(g.adj[v]))) for v in range(g.n)]
+        for g, base in zip(graphs, bases)
+    ]
+    yield labels
+    while True:
+        before = len({l for ls in labels for l in ls})
+        labels = [
+            [canon((ls[v], tuple(sorted(ls[u] for u in g.adj[v])))) for v in range(g.n)]
+            for g, ls in zip(graphs, labels)
+        ]
+        yield labels
+        if len({l for ls in labels for l in ls}) == before:
+            return
+
+
+def wl_labels_plain(graphs, bases):
+    for labels in wl_rounds_plain(graphs, bases):
+        pass
+    return labels
+
+
+def prefix_is_fixed_plain(g, coloring, vertices):
+    if len(coloring) != g.n:
+        raise PreconditionError("coloring length does not match the graph")
+    (labels,) = wl_labels_plain([g], [list(coloring.values)])
+    sizes = Counter(labels)
+    return all(sizes[labels[v]] == 1 for v in set(vertices))
 
 
 def outcome(fn, *args, **kwargs):

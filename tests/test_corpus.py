@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from distcolor import corpus
 from distcolor.corpus import (
     LISTS_PER_GRAPH,
     PROPERTY_RUNS,
@@ -107,6 +108,21 @@ def test_corpus_scaling_arguments():
     labels = [label for label, _ in corpus_graphs(trees=3, randoms=5)]
     assert sum(1 for label in labels if label.startswith("tree-")) == 3
     assert sum(1 for label in labels if label.startswith("girth5-")) == 5
+
+
+def test_two_extra_colors_walks_the_corpus_once(monkeypatch):
+    walks = []
+
+    def counted(*args):
+        walks.append(args)
+        return corpus_graphs(*args)
+
+    monkeypatch.setattr(corpus, "corpus_graphs", counted)
+    detail = check_two_extra_colors(0, 3, 5, 2)
+    assert walks == [(0, 3, 5)]
+    assert detail == (
+        "78 Δ+2 colorings verified; 102 list assignments over 51 small graphs respected"
+    )
 
 
 def test_run_all_small_count_passes():

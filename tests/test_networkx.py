@@ -4,6 +4,7 @@ networkx is an optional, test-only oracle: these tests are skipped without it.
 """
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -69,10 +70,11 @@ def test_group_order_of_named_graphs_matches_networkx(build):
     assert automorphisms(g)[1] == nx_group_order(g)
 
 
-@PROPERTY_SETTINGS
-@given(small_girth5_graphs(), st.integers(min_value=0, max_value=10_000))
-def test_random_graphs_match_networkx(g, seed):
-    assert girth(g) == nx.girth(to_nx(g))
+def has_unique_degree(g):
+    return 1 in Counter(len(ns) for ns in g.adj).values()
+
+
+def assert_group_and_isomorphisms_match(g, seed):
     assert automorphisms(g)[1] == nx_group_order(g)
     rng = random.Random(seed)
     image = list(range(g.n))
@@ -87,3 +89,19 @@ def test_random_graphs_match_networkx(g, seed):
         else random_girth5(g.n, max_degree=g.max_degree(), seed=seed)
     )
     assert (find_isomorphism(g, other) is not None) == nx.is_isomorphic(to_nx(g), to_nx(other))
+
+
+@PROPERTY_SETTINGS
+@given(small_girth5_graphs(), st.integers(min_value=0, max_value=10_000))
+def test_random_graphs_match_networkx(g, seed):
+    assert girth(g) == nx.girth(to_nx(g))
+    assert_group_and_isomorphisms_match(g, seed)
+
+
+@PROPERTY_SETTINGS
+@given(small_girth5_graphs().filter(has_unique_degree), st.integers(min_value=0, max_value=10_000))
+def test_graphs_with_a_unique_degree_match_networkx(g, seed):
+    # a vertex of unique degree is alone in its round-0 class, so refinement
+    # with no coloring folds in its distances, in the group order and in
+    # both graphs of every isomorphism test
+    assert_group_and_isomorphisms_match(g, seed)

@@ -27,11 +27,14 @@ from distcolor.generators import (
 )
 from distcolor.graph import Graph
 from distcolor.greedy import color_delta_plus_2
+from distcolor.solver import solve
 from distcolor.symmetry import (
     CERTIFICATE_PROPAGATION,
     Permutation,
     _orbit,
     _unruled_colorings,
+    _wl_labels,
+    _wl_rounds,
     automorphisms,
     certify,
     exact_chi_D,
@@ -47,9 +50,11 @@ from oracles import (
     enumerate_automorphisms,
     exact_chi_D_by_enumeration,
     girth5_graphs,
+    prefix_is_fixed_plain,
     propagate_by_rounds,
     random_proper_coloring,
     small_graphs,
+    wl_labels_plain,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
@@ -384,3 +389,81 @@ def test_propagation_matches_the_round_robin_oracle(g, seed):
             assert fixed_propagation(g, tree, coloring, prefix) == propagate_by_rounds(
                 g, tree, coloring, prefix
             )
+
+
+def _partition(labels):
+    """Each vertex's class as the first position holding its label: equal
+    lists mean equal partitions, whatever the label ids."""
+    first = {}
+    return [first.setdefault(l, i) for i, l in enumerate(labels)]
+
+
+@st.composite
+def _colored_small_graphs(draw):
+    # any base labels, proper or not; half the time one vertex gets a color
+    # of its own, so that refinement folds in its distances
+    g = draw(small_graphs())
+    k = draw(st.integers(min_value=1, max_value=3))
+    values = draw(st.lists(st.integers(min_value=1, max_value=k), min_size=g.n, max_size=g.n))
+    if draw(st.booleans()):
+        values[draw(st.integers(min_value=0, max_value=g.n - 1))] = k + 1
+    return g, values
+
+
+@settings(max_examples=300, deadline=None)
+@given(_colored_small_graphs(), st.data())
+def test_refinement_reaches_the_plain_stable_partition(colored, data):
+    g, values = colored
+    (labels,) = _wl_labels([g], [values])
+    (plain,) = wl_labels_plain([g], [values])
+    assert _partition(labels) == _partition(plain)
+    targets = data.draw(st.sets(st.integers(min_value=0, max_value=g.n - 1)))
+    coloring = Coloring(values)
+    assert prefix_is_fixed(g, coloring, targets) == prefix_is_fixed_plain(g, coloring, targets)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_colored_small_graphs(), st.data())
+def test_joint_refinement_of_a_relabelled_copy_matches_the_plain_one(colored, data):
+    g, values = colored
+    image = data.draw(st.permutations(range(g.n)))
+    h = g.relabel(image)
+    moved = [None] * g.n
+    for v, u in enumerate(image):
+        moved[u] = values[v]
+    labels = _wl_labels([g, h], [values, moved])
+    plain = wl_labels_plain([g, h], [values, moved])
+    assert _partition(labels[0] + labels[1]) == _partition(plain[0] + plain[1])
+    assert sorted(labels[0]) == sorted(labels[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_colored_small_graphs(), _colored_small_graphs())
+def test_joint_refinement_of_unrelated_graphs_keeps_the_plain_verdict(first, second):
+    # Across graphs that are not isomorphic the distances may come from
+    # vertices that do not correspond, so the joint partition is only
+    # pinned where find_isomorphism reads it: when the label counts agree.
+    (g, base_g), (h, base_h) = first, second
+    labels = _wl_labels([g, h], [base_g, base_h])
+    plain = wl_labels_plain([g, h], [base_g, base_h])
+    for ours, theirs in zip(labels, plain):
+        assert _partition(ours) == _partition(theirs)
+    agree = sorted(plain[0]) == sorted(plain[1])
+    assert (sorted(labels[0]) == sorted(labels[1])) == agree
+    if agree:
+        assert _partition(labels[0] + labels[1]) == _partition(plain[0] + plain[1])
+
+
+@pytest.mark.parametrize(
+    "g, coloring",
+    [
+        (path(128), solve(path(128)).coloring),
+        (path(30), color_delta_plus_2(path(30))),
+        (cycle(31), color_delta_plus_2(cycle(31))),
+    ],
+    ids=["solve-path-128", "delta-plus-2-path-30", "delta-plus-2-cycle-31"],
+)
+def test_refinement_with_a_unique_color_ends_within_three_rounds(g, coloring):
+    # the plain round loop needs about half the diameter: 64, 15 and 16 rounds
+    rounds = sum(1 for _ in _wl_rounds([g], [list(coloring.values)]))
+    assert rounds <= 3
