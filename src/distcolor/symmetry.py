@@ -157,19 +157,24 @@ def prefix_is_fixed(g: Graph, coloring: Coloring, vertices: Iterable[int]) -> bo
     """True when refinement seeded by the coloring isolates every given vertex.
 
     Refinement classes are invariant under color-preserving automorphisms, so
-    a vertex alone in its class is fixed by all of them. Stops at the first
-    round that isolates every vertex, so when round 0 does (a Δ+2 or list
-    root has a color of its own) no distances are computed. Otherwise a
-    color held by one vertex brings in distances from it with the first
-    refinement round, and a path or cycle with such a color is settled in
-    at most three rounds instead of about half its length. False once
-    refinement is stable without isolating every vertex, which proves
-    nothing either way.
+    a vertex alone in its class is fixed by all of them. When no other vertex
+    holds the color of any given vertex (a Δ+2 or list root), round 0's
+    (color, degree) labels would already isolate them all, so the answer is
+    True with no labels built. Otherwise refinement stops at the first round
+    that isolates every vertex. A color held by one vertex brings in
+    distances from it with the first refinement round, and a path or cycle
+    with such a color is settled in at most three rounds instead of about
+    half its length. False once refinement is stable without isolating every
+    vertex, which proves nothing either way.
     """
     if len(coloring) != g.n:
         raise PreconditionError("coloring length does not match the graph")
     targets = set(vertices)
-    for (labels,) in _wl_rounds([g], [list(coloring.values)]):
+    values = coloring.values
+    sizes = Counter(values)
+    if all(sizes[values[v]] == 1 for v in targets):
+        return True
+    for (labels,) in _wl_rounds([g], [list(values)]):
         sizes = Counter(labels)
         if all(sizes[labels[v]] == 1 for v in targets):
             return True
@@ -423,7 +428,10 @@ def fixed_propagation(
     Both rules are monotone (certifying more never disables one), so the
     result is their least fixpoint whatever the order they fire in. A
     worklist re-applies them only where a new certification changes their
-    inputs: O(m * max degree) after the O(n + m) input checks.
+    inputs: a newly certified x re-examines itself and its certified
+    neighbors one level up, except the one whose second rule certified x,
+    where the loss of x leaves no color unique. O(m * max degree) after the
+    O(n + m) input checks.
     """
     if has_cycle_shorter_than_five(g):
         raise PreconditionError("girth below five")
@@ -502,27 +510,34 @@ def _propagate(
     """``fixed_propagation`` without its checks, for ``certify``.
 
     ``prefix`` must be a sigma-prefix without repeats, and the coloring total
-    and proper. A worklist of newly certified vertices; see
-    ``fixed_propagation``.
+    and proper. A worklist of newly certified vertices, each remembering the
+    vertex whose second rule certified it, if any; see ``fixed_propagation``.
     """
     # Popping a newly certified x counts it at its neighbors (rule 1) and
     # re-examines, for rule 2, x itself and each certified neighbor one level
-    # up, whose uncertified lower neighbors just lost x.
+    # up, whose uncertified lower neighbors just lost x. The one exception is
+    # x's certifier y: the examination of y that certified x took every
+    # uniquely colored vertex out of y's lower set at once, so each color left
+    # there is held at least twice and losing x makes none unique. Any other
+    # vertex that leaves that set has another certifier or none (the prefix
+    # and rule 1 name none), and its own pop re-examines y.
     colors = coloring.values
     level = tree.level
     adj = g.adj
     certified = [False] * g.n
     hits = [0] * g.n
+    certifier = [-1] * g.n
     work = list(prefix)
     for v in work:
         certified[v] = True
     while work:
         x = work.pop()
         up = level[x] - 1
+        skip = certifier[x]
         examine = [x]
         for u in adj[x]:
             if certified[u]:
-                if level[u] == up:
+                if level[u] == up and u != skip:
                     examine.append(u)
             else:
                 hits[u] += 1
@@ -544,6 +559,7 @@ def _propagate(
                 unique = [u for u in below if counts[colors[u]] == 1]
             for u in unique:
                 certified[u] = True
+                certifier[u] = y
                 work.append(u)
     return frozenset(compress(range(g.n), certified))
 

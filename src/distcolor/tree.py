@@ -61,10 +61,10 @@ def bfs_tree(
     parents = dict(parents or {})
     slots = dict(slots or {})
 
-    dist = distances(g, root)
-    if INFINITY in dist:
+    # with no INFINITY left, every distance is an int: the levels
+    level = distances(g, root)
+    if INFINITY in level:
         raise PreconditionError("graph is disconnected")
-    level = [int(d) for d in dist]
 
     for v, p in parents.items():
         if not 0 <= v < g.n or not 0 <= p < g.n:

@@ -360,6 +360,34 @@ def test_corpus_is_certified_from_the_root_by_propagation(monkeypatch):
         certificates.clear()
 
 
+def test_root_certificates_build_no_refinement_labels(monkeypatch):
+    # the root's color is held by no other vertex, so prefix_is_fixed answers
+    # without refining
+    def no_refinement(*args, **kwargs):
+        raise AssertionError("refinement labels were built")
+
+    graphs = [path(41), cycle(40), random_tree(60, seed=4), random_girth5(50, max_degree=4, seed=8)]
+    cases = []
+    for g in graphs:
+        rng = random.Random(g.n)
+        size = g.max_degree() + 2
+        lists = ListAssignment([rng.sample(range(1, 2 * size + 1), size) for _ in g.vertices()])
+        for w in (0, g.n // 2):
+            cases.append((g, lists, w))
+    expected = [
+        (color_delta_plus_2(g, w), list_color_delta_plus_2(g, lists, w))
+        for g, lists, w in cases
+    ]
+
+    monkeypatch.setattr(symmetry, "_wl_rounds", no_refinement)
+    for (g, lists, w), colorings in zip(cases, expected):
+        assert (color_delta_plus_2(g, w), list_color_delta_plus_2(g, lists, w)) == colorings
+        tree = bfs_tree(g, w)
+        for coloring in colorings:
+            assert symmetry.certify(g, tree, coloring) == ((w,), CERTIFICATE_PROPAGATION)
+            assert symmetry.certify(g, tree, coloring, (w,)) == ((w,), CERTIFICATE_PROPAGATION)
+
+
 def test_untraced_paths_build_no_trace(monkeypatch):
     def no_trace(*args, **kwargs):
         raise AssertionError("a GreedyStep was built on an untraced path")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from distcolor.coloring import Coloring
+from distcolor.coloring import Coloring, ListAssignment
 from distcolor.corpus import connected_girth5_graphs
 from distcolor.errors import (
     InternalConsistencyError,
@@ -26,7 +26,7 @@ from distcolor.generators import (
     star,
 )
 from distcolor.graph import Graph
-from distcolor.greedy import color_delta_plus_2
+from distcolor.greedy import color_delta_plus_2, list_color_delta_plus_2
 from distcolor.solver import solve
 from distcolor.symmetry import (
     CERTIFICATE_PROPAGATION,
@@ -379,8 +379,13 @@ def test_propagation_matches_the_round_robin_oracle(g, seed):
     rng = random.Random(seed)
     w = rng.randrange(g.n)
     tree = bfs_tree(g, w)
+    size = g.max_degree() + 2
+    lists = ListAssignment(
+        [rng.sample(range(1, 2 * size + 1), size) for _ in range(g.n)]
+    )
     colorings = (
         color_delta_plus_2(g, w=w),
+        list_color_delta_plus_2(g, lists, w=w),
         random_proper_coloring(g, rng, g.max_degree() + rng.randint(1, 3)),
     )
     for coloring in colorings:
