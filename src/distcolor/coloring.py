@@ -87,23 +87,30 @@ class Coloring:
 
 
 def parse_coloring(text: str, n: int) -> Coloring:
-    """Parse ``v <vertex> <color>`` lines (1-indexed vertices)."""
+    """Parse ``v <vertex> <color>`` lines (1-indexed vertices).
+
+    Each line is split once, and a vertex colored twice is found in the
+    values being filled. Errors name the line and quote it stripped.
+    """
     values: list[int | None] = [None] * n
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        fields = raw.split()
+        if not fields or fields[0][0] == "c":
             continue
-        fields = line.split()
         if fields[0] != "v" or len(fields) != 3:
-            raise DimacsError(f"line {lineno}: malformed coloring line: {line!r}")
+            raise DimacsError(f"line {lineno}: malformed coloring line: {raw.strip()!r}")
         try:
             v, color = int(fields[1]), int(fields[2])
         except ValueError:
-            raise DimacsError(f"line {lineno}: malformed coloring line: {line!r}") from None
+            raise DimacsError(
+                f"line {lineno}: malformed coloring line: {raw.strip()!r}"
+            ) from None
         if not 1 <= v <= n:
-            raise DimacsError(f"line {lineno}: vertex out of range: {line!r}")
+            raise DimacsError(f"line {lineno}: vertex out of range: {raw.strip()!r}")
         if color < 1:
-            raise DimacsError(f"line {lineno}: colors are positive integers: {line!r}")
+            raise DimacsError(
+                f"line {lineno}: colors are positive integers: {raw.strip()!r}"
+            )
         if values[v - 1] is not None:
             raise DimacsError(f"line {lineno}: vertex {v} colored twice")
         values[v - 1] = color

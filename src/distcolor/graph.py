@@ -21,23 +21,26 @@ SEARCH_BOUND = 128
 
 
 class Graph:
-    """An immutable simple graph with sorted adjacency lists."""
+    """An immutable simple graph with sorted adjacency lists.
+
+    Edges are checked as they are added: both ends in range, no self-loop,
+    and no duplicate in either order. A duplicate is found in the adjacency
+    set being built, so each edge costs one membership test and no key.
+    """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise PreconditionError("vertex count must be nonnegative")
         adj: list[set[int]] = [set() for _ in range(n)]
-        seen: set[tuple[int, int]] = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise PreconditionError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise PreconditionError(f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise PreconditionError(f"duplicate edge ({key[0]}, {key[1]})")
-            seen.add(key)
-            adj[u].add(v)
+            near = adj[u]
+            if v in near:
+                raise PreconditionError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
+            near.add(v)
             adj[v].add(u)
         self.n = n
         self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in adj)
@@ -70,12 +73,18 @@ class Graph:
 
     @cached_property
     def _has_short_cycle(self) -> bool:
-        # has_cycle_shorter_than_five's walk check, run once per graph
+        # has_cycle_shorter_than_five's walk check, run once per graph:
+        # stamp[w] == v marks w as a neighbor of v or as already reached
         adj = self.adj
-        for v, near in enumerate(self.neighbor_sets):
-            reach = [w for u in adj[v] for w in adj[u] if w != v]
-            if len(set(reach)) < len(reach) or not near.isdisjoint(reach):
-                return True
+        stamp = [-1] * self.n
+        for v, near in enumerate(adj):
+            for u in near:
+                stamp[u] = v
+            for u in near:
+                for w in adj[u]:
+                    if stamp[w] == v and w != v:
+                        return True
+                    stamp[w] = v
         return False
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -119,18 +128,42 @@ def parse_graph(text: str) -> Graph:
     """Parse a DIMACS graph: one ``p edge n m`` line, ``e u v`` lines, ``c`` comments.
 
     Vertices are 1-indexed in the text. Malformed lines, out-of-range vertices,
-    duplicate edges and self-loops are each reported as a distinct parse error.
+    duplicate edges and self-loops are each reported as a distinct parse error
+    naming the line. Each line is split once; an edge's duplicate check is one
+    integer key, its ends in ascending order.
     """
     n = None
     expected_m = None
     edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    seen: set[int] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        fields = raw.split()
+        if not fields:
             continue
-        fields = line.split()
-        if fields[0] == "p":
+        tag = fields[0]
+        if tag == "e":
+            if n is None:
+                raise DimacsError(f"line {lineno}: edge before problem line")
+            try:
+                _, a, b = fields
+                u, v = int(a), int(b)
+            except ValueError:
+                raise DimacsError(
+                    f"line {lineno}: malformed edge line: {raw.strip()!r}"
+                ) from None
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise DimacsError(f"line {lineno}: vertex out of range: {raw.strip()!r}")
+            if u == v:
+                raise DimacsError(f"line {lineno}: self-loop: {raw.strip()!r}")
+            key = u * stride + v if u < v else v * stride + u
+            if key in seen:
+                raise DimacsError(f"line {lineno}: duplicate edge: {raw.strip()!r}")
+            seen.add(key)
+            edges.append((u - 1, v - 1))
+        elif tag[0] == "c":
+            continue
+        elif tag == "p":
+            line = raw.strip()
             if n is not None:
                 raise DimacsError(f"line {lineno}: repeated problem line")
             if len(fields) != 4 or fields[1] != "edge":
@@ -150,26 +183,9 @@ def parse_graph(text: str) -> Graph:
                     f"line {lineno}: {n} vertices with {expected_m} edges"
                     f" exceeds the limit of {limit}"
                 )
-        elif fields[0] == "e":
-            if n is None:
-                raise DimacsError(f"line {lineno}: edge before problem line")
-            if len(fields) != 3:
-                raise DimacsError(f"line {lineno}: malformed edge line: {line!r}")
-            try:
-                u, v = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise DimacsError(f"line {lineno}: malformed edge line: {line!r}") from None
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise DimacsError(f"line {lineno}: vertex out of range: {line!r}")
-            if u == v:
-                raise DimacsError(f"line {lineno}: self-loop: {line!r}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise DimacsError(f"line {lineno}: duplicate edge: {line!r}")
-            seen.add(key)
-            edges.append((u - 1, v - 1))
+            stride = n + 1
         else:
-            raise DimacsError(f"line {lineno}: malformed line: {line!r}")
+            raise DimacsError(f"line {lineno}: malformed line: {raw.strip()!r}")
     if n is None:
         raise DimacsError("missing problem line")
     if expected_m is not None and expected_m != len(edges):
@@ -185,18 +201,25 @@ def render_graph(g: Graph) -> str:
 
 
 def distances(g: Graph, source: int) -> list[int | float]:
-    """BFS distances from ``source``; unreachable vertices get infinity."""
+    """BFS distances from ``source``; unreachable vertices get infinity.
+
+    Level by level: the level is a counter, so a newly reached vertex gets it
+    without reading its parent's distance.
+    """
     if not 0 <= source < g.n:
         raise PreconditionError(f"source {source} out of range")
+    adj = g.adj
     dist: list[int | float] = [INFINITY] * g.n
     dist[source] = 0
     frontier = [source]
+    level = 0
     while frontier:
+        level += 1
         nxt = []
         for u in frontier:
-            for v in g.adj[u]:
+            for v in adj[u]:
                 if dist[v] is INFINITY:
-                    dist[v] = dist[u] + 1
+                    dist[v] = level
                     nxt.append(v)
         frontier = nxt
     return dist
@@ -255,8 +278,11 @@ def has_cycle_shorter_than_five(g: Graph) -> bool:
 
     Walks every v-u-w with w != v. A w adjacent to v closes a triangle, and a
     w reached from v through two different neighbors closes a 4-cycle. Every
-    such cycle shows up from each of its vertices, so the test is exact. The
-    walks cost sum(deg(u)^2) steps, O(n * Δ²), against O(n * m) for girth(),
-    and run once per graph: the verdict is kept on the immutable graph.
+    such cycle shows up from each of its vertices, so the test is exact. One
+    stamp array, reused for every v, marks v's neighbors and the w already
+    reached, so a walk step is one read and one write and no per-vertex list
+    or set is built. The walks still cost sum(deg(u)^2) steps, O(n * Δ²),
+    against O(n * m) for girth(), and run once per graph: the verdict is kept
+    on the immutable graph.
     """
     return g._has_short_cycle

@@ -23,13 +23,7 @@ from typing import Callable, Iterator
 
 from .coloring import Coloring, render_coloring
 from .errors import InternalConsistencyError, PreconditionError
-from .graph import (
-    Graph,
-    diameter,
-    distances,
-    has_cycle_shorter_than_five,
-    is_connected,
-)
+from .graph import Graph, distances, has_cycle_shorter_than_five, is_connected
 from .greedy import Chooser, greedy_extend
 from .symmetry import certify, exists_automorphism_mapping, find_isomorphism
 from .tree import LAST, BfsTree, bfs_tree
@@ -92,6 +86,10 @@ class SolveResult:
 # What a case builds: the BFS tree, the coloring, and the sigma-prefix to
 # certify from (None: the shortest that works).
 Parts = tuple[BfsTree, Coloring, tuple[int, ...] | None]
+
+# What the geodesic scan finds: the first configuration with the distances
+# from its root or, in a graph without one, the diameter (at most 3).
+GeodesicScan = tuple[GeodesicConfig, list[int | float]] | int
 
 
 def render_result(result: SolveResult) -> str:
@@ -178,7 +176,9 @@ def _walk_from(g: Graph, start: int) -> list[int]:
     return order
 
 
-def _path_or_cycle_case(g: Graph, delta: int, diam: Callable[[], int]) -> Parts | None:
+def _path_or_cycle_case(
+    g: Graph, delta: int, scan: Callable[[], GeodesicScan]
+) -> Parts | None:
     """One end 1 then 2,3 alternating; cycles open 1,2,3,1,2 then alternate."""
     if delta > 2:
         return None
@@ -197,7 +197,9 @@ def _path_or_cycle_case(g: Graph, delta: int, diam: Callable[[], int]) -> Parts 
     return bfs_tree(g, order[0]), coloring, None
 
 
-def _nonregular_case(g: Graph, delta: int, diam: Callable[[], int]) -> Parts | None:
+def _nonregular_case(
+    g: Graph, delta: int, scan: Callable[[], GeodesicScan]
+) -> Parts | None:
     """Root the tree at a vertex of deficient degree and give it the top color.
 
     No other vertex of degree below the maximum can reach the top color under
@@ -254,9 +256,17 @@ def _neighborhood_split_chooser(
     return choose
 
 
-def _first_geodesic_config(g: Graph) -> tuple[GeodesicConfig, list[int | float]] | None:
+def _first_geodesic_config(g: Graph) -> GeodesicScan:
     """First (smallest root, then smallest pair) geodesic configuration, if any,
-    with the distances from its root."""
+    with the distances from its root; otherwise the diameter of g.
+
+    g must be connected. A graph without a configuration has diameter at most
+    3: were some vertex at distance 4 or more from w, the distance-3 vertex of
+    a shortest path to it would be an x3 with a neighbor x at distance 4. By
+    then the scan has run a BFS from every vertex, so the diameter is the
+    largest eccentricity it saw, and no second all-sources BFS is needed.
+    """
+    diam = 0
     for w in g.vertices():
         dist = distances(g, w)
         pairs = [
@@ -267,12 +277,13 @@ def _first_geodesic_config(g: Graph) -> tuple[GeodesicConfig, list[int | float]]
             if dist[x] >= 3
         ]
         if not pairs:
+            diam = max(diam, max(dist))
             continue
         x3, x = min(pairs)
         x2 = min(u for u in g.adj[x3] if dist[u] == 2)
         x1 = min(u for u in g.adj[x2] if dist[u] == 1)
         return GeodesicConfig(w, x1, x2, x3, x), dist
-    return None
+    return diam
 
 
 def _geodesic_parts(g: Graph, cfg: GeodesicConfig, dist: list[int | float]) -> Parts:
@@ -304,9 +315,11 @@ def _geodesic_parts(g: Graph, cfg: GeodesicConfig, dist: list[int | float]) -> P
     return tree, coloring, prefix
 
 
-def _geodesic_case(g: Graph, delta: int, diam: Callable[[], int]) -> Parts | None:
-    found = _first_geodesic_config(g)
-    return None if found is None else _geodesic_parts(g, *found)
+def _geodesic_case(
+    g: Graph, delta: int, scan: Callable[[], GeodesicScan]
+) -> Parts | None:
+    found = scan()
+    return None if isinstance(found, int) else _geodesic_parts(g, *found)
 
 
 def _diam3_configs(g: Graph) -> Iterator[tuple[DiameterThreeConfig, list[int | float]]]:
@@ -390,7 +403,7 @@ def _diam3_parts(
 
 
 def _diameter3_case(
-    g: Graph, delta: int, diam: Callable[[], int]
+    g: Graph, delta: int, scan: Callable[[], GeodesicScan]
 ) -> SolveResult | None:
     """The first configuration whose build and certificate both succeed.
 
@@ -398,7 +411,7 @@ def _diameter3_case(
     failure is reported. Choosing needs the certificate, so this case hands
     ``solve`` a certified result rather than parts.
     """
-    if delta < 4 or diam() != 3:
+    if delta < 4 or scan() != 3:
         return None
     failure: Exception | None = None
     for cfg, dist in _diam3_configs(g):
@@ -413,14 +426,16 @@ def _diameter3_case(
     )
 
 
-def _moore_case(g: Graph, delta: int, diam: Callable[[], int]) -> Parts | None:
+def _moore_case(
+    g: Graph, delta: int, scan: Callable[[], GeodesicScan]
+) -> Parts | None:
     """Solve the graph minus w's closed neighborhood, then paint that collar.
 
     The collar N(w) takes the top color, which the recursive coloring never
     uses; w is then the only vertex with two top-colored neighbors, and each
     collar vertex is the sole common neighbor of any two of its fixed ones.
     """
-    if delta < 4 or diam() != 2:
+    if delta < 4 or scan() != 2:
         return None
     if g.n != delta * delta + 1:
         raise InternalConsistencyError(
@@ -483,7 +498,9 @@ def _dissimilar_parts(g: Graph, w: int, x1: int, y1: int) -> Parts:
     return tree, coloring, tuple(tree.order[:3])
 
 
-def _dissimilar_case(g: Graph, delta: int, diam: Callable[[], int]) -> Parts | None:
+def _dissimilar_case(
+    g: Graph, delta: int, scan: Callable[[], GeodesicScan]
+) -> Parts | None:
     if delta != 3:
         return None
     if g.n > 14:
@@ -492,7 +509,9 @@ def _dissimilar_case(g: Graph, delta: int, diam: Callable[[], int]) -> Parts | N
     return None if pair is None else _dissimilar_parts(g, *pair)
 
 
-def _special_case(g: Graph, delta: int, diam: Callable[[], int]) -> Parts | None:
+def _special_case(
+    g: Graph, delta: int, scan: Callable[[], GeodesicScan]
+) -> Parts | None:
     """Transport a fixed four-coloring onto the input through an isomorphism."""
     if delta != 3:
         return None
@@ -510,10 +529,11 @@ def _special_case(g: Graph, delta: int, diam: Callable[[], int]) -> Parts | None
 
 
 # The paper's cases in the order solve tries them. Each takes the graph, its
-# maximum degree and its diameter (a memo, computed on first use) and returns
+# maximum degree and the geodesic scan (a memo, run on first use) and returns
 # (tree, coloring, prefix), or None when its case does not apply; a None
 # prefix asks certification for the shortest one. The diameter-three case
-# returns its result already certified.
+# returns its result already certified. The cases after the geodesic one run
+# only when the scan found no configuration, so they read the diameter off it.
 _CASES = (
     (BRANCH_PATH_OR_CYCLE, _path_or_cycle_case),
     (BRANCH_NONREGULAR, _nonregular_case),
@@ -532,7 +552,10 @@ def solve(g: Graph) -> SolveResult:
     cycles (Δ ≤ 2); a vertex of deficient degree; a geodesic configuration;
     diameter 3 (Δ ≥ 4); diameter 2 (Δ ≥ 4, a Moore graph, handled
     recursively); and the cubic leftovers, where either some neighbor pair is
-    dissimilar or the graph is one of the two with a stored coloring.
+    dissimilar or the graph is one of the two with a stored coloring. The
+    geodesic scan runs one BFS per vertex at most once per call, and the two
+    diameter cases read the diameter off it rather than running a second
+    all-sources BFS.
     """
     _validate(g)
     if is_c6(g):
@@ -540,9 +563,9 @@ def solve(g: Graph) -> SolveResult:
             "the six-cycle needs four colors; use solve_c6_extension"
         )
     delta = g.max_degree()
-    diam = cache(lambda: diameter(g))
+    scan = cache(lambda: _first_geodesic_config(g))
     for branch, case in _CASES:
-        parts = case(g, delta, diam)
+        parts = case(g, delta, scan)
         if isinstance(parts, SolveResult):
             return parts
         if parts is not None:

@@ -511,16 +511,20 @@ def _propagate(
 
     ``prefix`` must be a sigma-prefix without repeats, and the coloring total
     and proper. A worklist of newly certified vertices, each remembering the
-    vertex whose second rule certified it, if any; see ``fixed_propagation``.
+    vertex that certified it (none for the prefix); see ``fixed_propagation``.
     """
     # Popping a newly certified x counts it at its neighbors (rule 1) and
     # re-examines, for rule 2, x itself and each certified neighbor one level
     # up, whose uncertified lower neighbors just lost x. The one exception is
-    # x's certifier y: the examination of y that certified x took every
-    # uniquely colored vertex out of y's lower set at once, so each color left
-    # there is held at least twice and losing x makes none unique. Any other
-    # vertex that leaves that set has another certifier or none (the prefix
-    # and rule 1 name none), and its own pop re-examines y.
+    # x's certifier y, whose lower set already went without x when y was last
+    # examined:
+    # - rule 2: the examination of y that certified x took every uniquely
+    #   colored vertex out of y's lower set at once, so each color left there
+    #   is held at least twice and losing x makes none unique;
+    # - rule 1: the pop of y that completed x's count examined y itself after
+    #   its adjacency loop, so that examination saw y's lower set without x.
+    # Any other vertex that leaves that set later has another certifier or
+    # none, and its own pop re-examines y.
     colors = coloring.values
     level = tree.level
     adj = g.adj
@@ -543,6 +547,7 @@ def _propagate(
                 hits[u] += 1
                 if hits[u] == 2:
                     certified[u] = True
+                    certifier[u] = x
                     work.append(u)
         for y in examine:
             down = level[y] + 1

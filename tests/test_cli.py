@@ -245,7 +245,7 @@ def test_corpus_rejects_a_count_below_one(capsys, count):
 )
 def test_a_broken_construction_exits_two(tmp_path, capsys, monkeypatch, values):
     # an improper or partial coloring from a case is a bug, not a bad input
-    def broken(g, delta, diam):
+    def broken(g, delta, scan):
         return bfs_tree(g, 0), Coloring(values), None
 
     monkeypatch.setattr(solver, "_CASES", ((solver.BRANCH_PATH_OR_CYCLE, broken),))

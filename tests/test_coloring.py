@@ -76,13 +76,33 @@ def test_parse_accepts_comments():
 
 
 @pytest.mark.parametrize(
-    "text",
-    ["v 1\n", "v 0 1\n", "v 3 1\n", "v 1 0\n", "v 1 2\nv 1 3\n", "w 1 2\n"],
-    ids=["short-line", "vertex-zero", "vertex-high", "color-zero", "repeat", "bad-tag"],
+    "text, message",
+    [
+        ("v 1\n", "line 1: malformed coloring line: 'v 1'"),
+        ("v 0 1\n", "line 1: vertex out of range: 'v 0 1'"),
+        ("v 3 1\n", "line 1: vertex out of range: 'v 3 1'"),
+        ("v 1 0\n", "line 1: colors are positive integers: 'v 1 0'"),
+        ("v 1 2\nv 1 3\n", "line 2: vertex 1 colored twice"),
+        ("w 1 2\n", "line 1: malformed coloring line: 'w 1 2'"),
+        ("c\n\n  v 1 2 3 \n", "line 3: malformed coloring line: 'v 1 2 3'"),
+        ("v 1 x\n", "line 1: malformed coloring line: 'v 1 x'"),
+    ],
+    ids=[
+        "short-line",
+        "vertex-zero",
+        "vertex-high",
+        "color-zero",
+        "repeat",
+        "bad-tag",
+        "long-line",
+        "non-integer-color",
+    ],
 )
-def test_parse_rejects_malformed_colorings(text):
-    with pytest.raises(DimacsError):
+def test_parse_rejects_malformed_colorings(text, message):
+    # the exact text, line number included, is what the CLI prints on stderr
+    with pytest.raises(DimacsError) as err:
         parse_coloring(text, 2)
+    assert str(err.value) == message
 
 
 def test_rejects_nonpositive_colors():

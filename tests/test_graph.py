@@ -83,12 +83,19 @@ def test_degree_and_vertices():
 
 
 def test_rejects_self_loops_and_duplicates():
-    with pytest.raises(PreconditionError):
-        Graph(3, [(1, 1)])
-    with pytest.raises(PreconditionError):
-        Graph(3, [(0, 1), (1, 0)])
-    with pytest.raises(PreconditionError):
-        Graph(2, [(0, 5)])
+    for n, edges, message in [
+        (3, [(1, 1)], "self-loop at vertex 1"),
+        (3, [(0, 1), (1, 0)], "duplicate edge (0, 1)"),
+        (3, [(1, 0), (0, 1)], "duplicate edge (0, 1)"),
+        (3, [(2, 1), (2, 1)], "duplicate edge (1, 2)"),
+        (2, [(0, 5)], "edge (0, 5) out of range for n=2"),
+        (2, [(-1, 0)], "edge (-1, 0) out of range for n=2"),
+        (2, [(5, 5)], "edge (5, 5) out of range for n=2"),
+        (-1, [], "vertex count must be nonnegative"),
+    ]:
+        with pytest.raises(PreconditionError) as err:
+            Graph(n, edges)
+        assert str(err.value) == message
 
 
 def test_induced_subgraph_relabels_consistently():
@@ -158,16 +165,26 @@ def test_parse_skips_comments_and_blanks():
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, message",
     [
-        "e 1 2\n",
-        "p edge 3 1\np edge 3 1\ne 1 2\n",
-        "p edge 3 2\ne 1 2\n",
-        "p edge 3 1\ne 1 4\n",
-        "p edge 3 2\ne 1 2\ne 2 1\n",
-        "p edge 3 1\ne 1 1\n",
-        "p edge 3 1\nq 1 2\n",
-        "p edge x 1\ne 1 2\n",
+        ("e 1 2\n", "line 1: edge before problem line"),
+        ("p edge 3 1\np edge 3 1\ne 1 2\n", "line 2: repeated problem line"),
+        ("p edge 3 2\ne 1 2\n", "problem line promises 2 edges, found 1"),
+        ("p edge 3 1\ne 1 4\n", "line 2: vertex out of range: 'e 1 4'"),
+        ("p edge 3 2\ne 1 2\ne 2 1\n", "line 3: duplicate edge: 'e 2 1'"),
+        ("p edge 3 1\ne 1 1\n", "line 2: self-loop: 'e 1 1'"),
+        ("p edge 3 1\nq 1 2\n", "line 2: malformed line: 'q 1 2'"),
+        ("p edge x 1\ne 1 2\n", "line 1: malformed problem line: 'p edge x 1'"),
+        ("p edge 3 2\ne 1 2\n  e   1 2  \n", "line 3: duplicate edge: 'e   1 2'"),
+        ("c\n\np edge 3 1\ne 0 2\n", "line 4: vertex out of range: 'e 0 2'"),
+        ("p edge 3 1\n\te 1\n", "line 2: malformed edge line: 'e 1'"),
+        ("p edge 3 1\ne 1 2 3\n", "line 2: malformed edge line: 'e 1 2 3'"),
+        ("p edge 3 1\ne 1 x\n", "line 2: malformed edge line: 'e 1 x'"),
+        ("p edge 3\n", "line 1: malformed problem line: 'p edge 3'"),
+        ("p edge -1 0\n", "line 1: malformed problem line: 'p edge -1 0'"),
+        ("p col 3 1\n", "line 1: malformed problem line: 'p col 3 1'"),
+        ("c only a comment\n", "missing problem line"),
+        ("p edge 3 1\n  edge 1 2 \n", "line 2: malformed line: 'edge 1 2'"),
     ],
     ids=[
         "missing-problem-line",
@@ -178,11 +195,23 @@ def test_parse_skips_comments_and_blanks():
         "self-loop",
         "unknown-line",
         "malformed-problem-line",
+        "duplicate-edge-same-order",
+        "vertex-zero",
+        "short-edge-line",
+        "long-edge-line",
+        "non-integer-vertex",
+        "short-problem-line",
+        "negative-problem-line",
+        "wrong-problem-kind",
+        "comments-only",
+        "unknown-tag",
     ],
 )
-def test_parse_rejects_malformed_input(text):
-    with pytest.raises(DimacsError):
+def test_parse_rejects_malformed_input(text, message):
+    # the exact text, line number included, is what the CLI prints on stderr
+    with pytest.raises(DimacsError) as err:
         parse_graph(text)
+    assert str(err.value) == message
 
 
 def test_parse_refuses_more_vertices_than_edges_or_searches_use(monkeypatch):

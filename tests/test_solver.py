@@ -4,9 +4,10 @@ import hashlib
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from distcolor import graph as graph_module
 from distcolor import solver
 from distcolor.coloring import Coloring, ListAssignment
 from distcolor.corpus import corpus_graphs
@@ -31,7 +32,7 @@ from distcolor.generators import (
     star,
     tutte_coxeter,
 )
-from distcolor.graph import Graph, diameter, girth
+from distcolor.graph import Graph, diameter, distances, girth, is_connected
 from distcolor.greedy import color_delta_plus_2, list_color_delta_plus_2
 from distcolor.solver import (
     BRANCH_C6,
@@ -70,7 +71,7 @@ from distcolor.symmetry import (
     is_distinguishing,
 )
 from distcolor.tree import bfs_tree
-from oracles import dissimilar_pair_by_all_pairs, girth5_graphs
+from oracles import dissimilar_pair_by_all_pairs, girth5_graphs, small_graphs
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -99,8 +100,8 @@ def check(g, result, bound):
 
 
 def run_case(case, g):
-    """One entry of solve's case table on g: its parts, or None."""
-    return case(g, g.max_degree(), lambda: diameter(g))
+    """One entry of solve's case table on g, given the scan solve hands it."""
+    return case(g, g.max_degree(), lambda: _first_geodesic_config(g))
 
 
 def test_single_vertex_and_edge():
@@ -207,7 +208,9 @@ def test_geodesic_configuration_on_the_dodecahedron():
 
 
 def test_no_geodesic_configuration_at_diameter_two():
-    assert _first_geodesic_config(petersen()) is None
+    # without a configuration the scan answers with the diameter
+    assert _first_geodesic_config(petersen()) == 2
+    assert _first_geodesic_config(hoffman_singleton()) == 2
 
 
 def test_diameter_three_on_the_robertson_graph():
@@ -245,6 +248,46 @@ def test_moore_branch_solves_hoffman_singleton():
 def test_moore_branch_preconditions():
     assert run_case(_moore_case, petersen()) is None
     assert run_case(_moore_case, robertson()) is None
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(girth5_graphs(), small_graphs()))
+def test_the_geodesic_scan_answers_with_the_diameter(g):
+    assume(is_connected(g))
+    found = _first_geodesic_config(g)
+    if isinstance(found, int):
+        assert found == diameter(g) <= 3
+    else:
+        cfg, dist = found
+        assert dist == distances(g, cfg.w)
+        assert dist[cfg.x3] == 3 and dist[cfg.x] >= 3
+
+
+def test_solve_takes_the_diameter_from_the_geodesic_scan(monkeypatch):
+    # the Moore case and its recursive diameter-three solve both need the
+    # diameter; the geodesic scan has already run one BFS per vertex
+    g = hoffman_singleton()
+    expected = solve(g)
+
+    def refuse(_):
+        raise AssertionError("solve ran a second all-sources BFS")
+
+    calls = []
+    real = graph_module.distances
+
+    def counted(g, source):
+        calls.append(source)
+        return real(g, source)
+
+    monkeypatch.setattr(graph_module, "diameter", refuse)
+    monkeypatch.setattr(solver, "diameter", refuse, raising=False)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("distcolor") and getattr(module, "distances", None) is real:
+            monkeypatch.setattr(module, "distances", counted)
+    assert solve(g) == expected
+    # 50 + 42 scan roots, 3 connectivity checks, 2 BFS trees and the first
+    # diameter-three root; 190 when diameter() redid the scan
+    assert len(calls) == 98
 
 
 def test_dissimilar_neighbors_on_a_path():
@@ -371,7 +414,7 @@ def test_a_moved_prefix_is_not_certified():
     "values", [(1, 2, 2, 1, 2), (1, 2, None, 1, 2)], ids=["improper", "not-total"]
 )
 def test_a_broken_case_is_an_internal_failure(values, monkeypatch):
-    def broken(g, delta, diam):
+    def broken(g, delta, scan):
         return bfs_tree(g, 0), Coloring(values), None
 
     monkeypatch.setattr(solver, "_CASES", ((BRANCH_PATH_OR_CYCLE, broken),))
