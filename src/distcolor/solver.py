@@ -434,6 +434,9 @@ def _moore_case(
     The collar N(w) takes the top color, which the recursive coloring never
     uses; w is then the only vertex with two top-colored neighbors, and each
     collar vertex is the sole common neighbor of any two of its fixed ones.
+    The reduced graph is an induced subgraph of a girth-five graph and
+    (Δ−1)-regular with Δ ≥ 4, so not the six-cycle: once it is found
+    connected, the case table runs on it without ``solve``'s validation.
     """
     if delta < 4 or scan() != 2:
         return None
@@ -450,7 +453,7 @@ def _moore_case(
         )
     if any(sub.degree(v) != delta - 1 for v in sub.vertices()):
         raise InternalConsistencyError("reduced graph is not regular one degree down")
-    inner = solve(sub)
+    inner = _run_cases(sub)
     if inner.coloring.max_color() > delta:
         raise InternalConsistencyError("recursive coloring exceeded its palette")
     values: list[int | None] = [None] * g.n
@@ -562,6 +565,12 @@ def solve(g: Graph) -> SolveResult:
         raise PreconditionError(
             "the six-cycle needs four colors; use solve_c6_extension"
         )
+    return _run_cases(g)
+
+
+def _run_cases(g: Graph) -> SolveResult:
+    """``solve`` on a graph already known connected, of girth at least five
+    and not the six-cycle: the first case of ``_CASES`` that applies."""
     delta = g.max_degree()
     scan = cache(lambda: _first_geodesic_config(g))
     for branch, case in _CASES:

@@ -85,25 +85,21 @@ def _check_bound(g: Graph) -> None:
         raise SearchBoundError(f"graph has {g.n} vertices, search bound is {SEARCH_BOUND}")
 
 
-def _wl_rounds(
-    graphs: list[Graph], bases: list[list[object]]
-) -> Iterator[list[list[int]]]:
-    """Iterated neighborhood refinement, canonical across all given graphs.
+def _wl_rounds(g: Graph, base: list[object]) -> Iterator[list[int]]:
+    """Iterated neighborhood refinement of one graph's vertex labels.
 
     Yields the labels of every round: first (base label, degree), then each
     refinement, ending with the first round that splits no class. Vertices
     with different labels in any round cannot correspond under any
-    isomorphism that preserves the base labels.
+    automorphism that preserves the base labels.
 
-    The first refinement round also carries distances. In each graph where
-    some round-0 label is held by one vertex alone, the vertex with the least
-    such label is fixed by every label-preserving map, so its BFS distances
-    are invariant; they are folded into that graph's labels before the round.
-    The stable partition already refines them, so it is the one plain
-    refinement reaches, in fewer rounds: at most three on a path or cycle
-    with a unique color, against about half its length. In joint
-    refinement, isomorphic graphs pick the same label's vertex, and graphs
-    whose round-0 label counts differ keep differing.
+    The first refinement round also carries distances. When some round-0
+    label is held by one vertex alone, the vertex with the least such label
+    is fixed by every label-preserving map, so its BFS distances are
+    invariant; they are folded into the labels before the round. The stable
+    partition already refines them, so it is the one plain refinement
+    reaches, in fewer rounds: at most three on a path or cycle with a unique
+    color, against about half its length.
     """
     table: dict[object, int] = {}
 
@@ -113,42 +109,31 @@ def _wl_rounds(
             val = table[key] = len(table)
         return val
 
-    def fold(g: Graph, ls: list[int]) -> list[int]:
-        # every round-0 label is an id below len(table)
-        sizes = [0] * len(table)
-        for l in ls:
-            sizes[l] += 1
-        if 1 not in sizes:
-            return ls
-        dist = distances(g, ls.index(sizes.index(1)))
-        # triples never meet a round-0 pair in the table, so a folded graph
-        # shares no label with an unfolded one
-        return [canon((l, d, None)) for l, d in zip(ls, dist)]
-
-    labels = [
-        [canon((base[v], len(g.adj[v]))) for v in range(g.n)]
-        for g, base in zip(graphs, bases)
-    ]
+    labels = [canon((base[v], len(g.adj[v]))) for v in range(g.n)]
     yield labels
-    labels = [fold(g, ls) for g, ls in zip(graphs, labels)]
-    classes = len({l for ls in labels for l in ls})
+    # every round-0 label is an id below len(table)
+    sizes = [0] * len(table)
+    for l in labels:
+        sizes[l] += 1
+    if 1 in sizes:
+        dist = distances(g, labels.index(sizes.index(1)))
+        labels = [canon((l, d)) for l, d in zip(labels, dist)]
+    classes = len(set(labels))
     while True:
         labels = [
-            [
-                canon((ls[v], tuple(sorted(ls[u] for u in g.adj[v]))))
-                for v in range(g.n)
-            ]
-            for g, ls in zip(graphs, labels)
+            canon((labels[v], tuple(sorted(labels[u] for u in g.adj[v]))))
+            for v in range(g.n)
         ]
         yield labels
-        before, classes = classes, len({l for ls in labels for l in ls})
+        before, classes = classes, len(set(labels))
         if classes == before:
             return
 
 
-def _wl_labels(graphs: list[Graph], bases: list[list[object]]) -> list[list[int]]:
-    """The stable round of ``_wl_rounds``."""
-    for labels in _wl_rounds(graphs, bases):
+def _wl_labels(g: Graph, base: list[object]) -> list[int]:
+    """The stable round of ``_wl_rounds``: labels of the coarsest equitable
+    partition that refines (base label, degree)."""
+    for labels in _wl_rounds(g, base):
         pass
     return labels
 
@@ -174,7 +159,7 @@ def prefix_is_fixed(g: Graph, coloring: Coloring, vertices: Iterable[int]) -> bo
     sizes = Counter(values)
     if all(sizes[values[v]] == 1 for v in targets):
         return True
-    for (labels,) in _wl_rounds([g], [list(values)]):
+    for labels in _wl_rounds(g, list(values)):
         sizes = Counter(labels)
         if all(sizes[labels[v]] == 1 for v in targets):
             return True
@@ -189,22 +174,15 @@ def _candidate_lists(label_g: list[int], label_h: list[int]) -> list[list[int]]:
 
 
 def _search(
-    g: Graph,
-    h: Graph,
-    order: list[int],
-    cand: list[list[int]],
-    pins: dict[int, int] | None = None,
+    g: Graph, h: Graph, order: list[int], cand: list[list[int]]
 ) -> Iterator[tuple[int, ...]]:
     """Yield every label- and adjacency-consistent bijection g -> h.
 
+    ``cand[v]`` lists the images v may take; a pin is a one-element list.
     Vertices are assigned along ``order`` with candidate images ascending, so
     with order = 0..n-1 the image tuples come out in lexicographic order.
     """
     n = g.n
-    if pins:
-        cand = list(cand)
-        for v, u in pins.items():
-            cand[v] = [u] if u in cand[v] else []
     hbits = h.neighbor_masks
     f = [-1] * n
     req = [0] * n
@@ -240,31 +218,33 @@ def _search(
     yield from rec(0)
 
 
-def _connected_order(g: Graph, starts: Iterable[int]) -> list[int]:
-    """BFS order from ``starts`` so each new vertex has an assigned neighbor."""
-    seen: list[int] = []
-    in_seen = [False] * g.n
-    queue: list[int] = []
-    for s in list(starts) + list(range(g.n)):
-        if in_seen[s]:
-            continue
-        in_seen[s] = True
-        queue.append(s)
-        while queue:
-            v = queue.pop(0)
-            seen.append(v)
-            for u in g.adj[v]:
-                if not in_seen[u]:
-                    in_seen[u] = True
-                    queue.append(u)
-    return seen
+def _connected_order(g: Graph, start: int) -> list[int]:
+    """BFS order from ``start``, then from each unreached vertex in ascending
+    order, so each new vertex of a component has an assigned neighbor.
+
+    The order itself is the queue: O(n + m).
+    """
+    order: list[int] = []
+    seen = [False] * g.n
+    head = 0
+    for s in (start, *range(g.n)):
+        if not seen[s]:
+            seen[s] = True
+            order.append(s)
+        while head < len(order):
+            for u in g.adj[order[head]]:
+                if not seen[u]:
+                    seen[u] = True
+                    order.append(u)
+            head += 1
+    return order
 
 
 def _auto_candidates(g: Graph, coloring: Coloring | None) -> list[list[int]]:
     base: list[object] = (
         list(coloring.values) if coloring is not None else [0] * g.n
     )
-    labels = _wl_labels([g], [base])[0]
+    labels = _wl_labels(g, base)
     return _candidate_lists(labels, labels)
 
 
@@ -292,14 +272,14 @@ def automorphisms(
     cand = _auto_candidates(g, coloring)
     gens: list[Permutation] = []
     order = 1
-    pins: dict[int, int] = {}
     for b in range(g.n):
         orbit = {b}
         level_gens: list[Permutation] = []
         for u in cand[b]:
             if u == b or u in orbit:
                 continue
-            found = next(iter(_search(g, g, list(range(g.n)), cand, {**pins, b: u})), None)
+            pinned = [[v] for v in range(b)] + [[u]] + cand[b + 1:]
+            found = next(_search(g, g, list(range(g.n)), pinned), None)
             if found is None:
                 continue
             f = Permutation(found)
@@ -308,7 +288,6 @@ def automorphisms(
             orbit = _orbit(b, level_gens)
         order *= len(orbit)
         gens.extend(level_gens)
-        pins[b] = b
     return gens, order
 
 
@@ -370,8 +349,8 @@ def exists_automorphism_mapping(g: Graph, u: int, v: int) -> bool:
     cand = _auto_candidates(g, None)
     if v not in cand[u]:
         return False
-    order = _connected_order(g, [u])
-    found = next(iter(_search(g, g, order, cand, {u: v})), None)
+    cand[u] = [v]
+    found = next(_search(g, g, _connected_order(g, u), cand), None)
     if found is None:
         return False
     _assert_automorphism(g, Permutation(found), None)
@@ -381,21 +360,27 @@ def exists_automorphism_mapping(g: Graph, u: int, v: int) -> bool:
 def find_isomorphism(g: Graph, h: Graph) -> Permutation | None:
     """A vertex bijection g -> h preserving adjacency, or None.
 
-    Short-circuits on vertex count and degree sequence before searching.
+    Short-circuits on vertex and edge count. Otherwise refines the disjoint
+    union g ⊔ h, with h's vertices shifted by n: a vertex of g may map only
+    to a vertex of h with its stable label, and isomorphic graphs hold every
+    label equally often. Round 0 labels by degree, so differing degree
+    sequences end here too. The search then starts at the vertex of g with
+    the fewest candidates.
     """
     _check_bound(g)
     _check_bound(h)
-    if g.n != h.n or g.m != h.m:
+    n = g.n
+    if n != h.n or g.m != h.m:
         return None
-    if sorted(len(ns) for ns in g.adj) != sorted(len(ns) for ns in h.adj):
-        return None
-    label_g, label_h = _wl_labels([g, h], [[0] * g.n, [0] * h.n])
+    union = Graph(2 * n, g.edges() + [(u + n, v + n) for u, v in h.edges()])
+    labels = _wl_labels(union, [0] * (2 * n))
+    label_g, label_h = labels[:n], labels[n:]
     if sorted(label_g) != sorted(label_h):
         return None
     cand = _candidate_lists(label_g, label_h)
-    rarest = min(range(g.n), key=lambda v: (len(cand[v]), v)) if g.n else 0
-    order = _connected_order(g, [rarest]) if g.n else []
-    found = next(iter(_search(g, h, order, cand)), None)
+    rarest = min(range(n), key=lambda v: (len(cand[v]), v)) if n else 0
+    order = _connected_order(g, rarest) if n else []
+    found = next(_search(g, h, order, cand), None)
     if found is None:
         return None
     f = Permutation(found)

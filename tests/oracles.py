@@ -16,13 +16,17 @@ Each one is the straightforward form that the library's version replaced:
   with a full breadth-first search instead of the depth-3 test;
 * ``wl_labels_plain`` refines round by round from (base label, degree)
   alone, with no distances folded in, and ``prefix_is_fixed_plain`` reads
-  its rounds.
+  its rounds;
+* ``connected_order_by_pop`` pops its BFS queue from the front of a list;
+* ``find_isomorphism_joint`` refines g and h side by side (``wl_labels_plain``
+  of both) instead of their disjoint union, after a degree-sequence check.
 
 They must return exactly what the library returns, errors included.
 ``check_tree`` replays the structural invariants of a BFS tree.
 ``enumerate_automorphisms`` lists a whole automorphism group, the reference
 for properties of the library's searches. ``girth5_graphs``,
-``small_graphs`` and ``random_proper_coloring`` draw their inputs.
+``small_graphs`` and ``random_proper_coloring`` draw their inputs, and
+``cubic_girth5_completions`` lists cubic girth-5 graphs exhaustively.
 """
 
 import random
@@ -56,6 +60,7 @@ from distcolor.symmetry import (
     Permutation,
     _assert_automorphism,
     _auto_candidates,
+    _candidate_lists,
     _check_bound,
     _search,
     exists_automorphism_mapping,
@@ -454,6 +459,42 @@ def prefix_is_fixed_plain(g, coloring, vertices):
     return all(sizes[labels[v]] == 1 for v in set(vertices))
 
 
+def connected_order_by_pop(g, start):
+    seen = []
+    in_seen = [False] * g.n
+    queue = []
+    for s in [start] + list(range(g.n)):
+        if in_seen[s]:
+            continue
+        in_seen[s] = True
+        queue.append(s)
+        while queue:
+            v = queue.pop(0)
+            seen.append(v)
+            for u in g.adj[v]:
+                if not in_seen[u]:
+                    in_seen[u] = True
+                    queue.append(u)
+    return seen
+
+
+def find_isomorphism_joint(g, h):
+    _check_bound(g)
+    _check_bound(h)
+    if g.n != h.n or g.m != h.m:
+        return None
+    if sorted(map(len, g.adj)) != sorted(map(len, h.adj)):
+        return None
+    label_g, label_h = wl_labels_plain([g, h], [[0] * g.n, [0] * h.n])
+    if sorted(label_g) != sorted(label_h):
+        return None
+    cand = _candidate_lists(label_g, label_h)
+    rarest = min(range(g.n), key=lambda v: (len(cand[v]), v)) if g.n else 0
+    order = connected_order_by_pop(g, rarest) if g.n else []
+    found = next(_search(g, h, order, cand), None)
+    return None if found is None else Permutation(found)
+
+
 def outcome(fn, *args, **kwargs):
     """The result of a call, or the type and message of what it raised."""
     try:
@@ -485,6 +526,46 @@ def small_graphs(draw, max_n=8):
     pairs = list(combinations(range(n), 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+def cubic_girth5_completions(n):
+    """Cubic graphs of girth at least five on n vertices, one or more labelled
+    copies of each isomorphism class with at most n - 10 vertices off vertex
+    0's component (all of them when n < 20).
+
+    Around any vertex, girth five makes the radius-2 ball a 10-vertex tree,
+    fixed here as 0-1,2,3; 1-4,5; 2-6,7; 3-8,9. The least vertex of degree
+    below three is then joined, in ascending order, to later vertices at
+    distance at least four; vertices 10.. are interchangeable while
+    isolated, so only the least isolated one is tried.
+    """
+    adj = [set() for _ in range(n)]
+    for u, v in ((0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 6), (2, 7), (3, 8), (3, 9)):
+        adj[u].add(v)
+        adj[v].add(u)
+
+    def far(u, v):
+        reach = {u}
+        for _ in range(3):
+            reach |= {w for x in reach for w in adj[x]}
+        return v not in reach
+
+    def complete():
+        u = next((w for w in range(n) if len(adj[w]) < 3), None)
+        if u is None:
+            yield Graph(n, [(a, b) for a in range(n) for b in adj[a] if a < b])
+            return
+        fresh = next((w for w in range(10, n) if not adj[w]), None)
+        for v in range(max(adj[u], default=u) + 1, n):
+            if len(adj[v]) == 3 or (not adj[v] and v != fresh) or not far(u, v):
+                continue
+            adj[u].add(v)
+            adj[v].add(u)
+            yield from complete()
+            adj[u].remove(v)
+            adj[v].remove(u)
+
+    yield from complete()
 
 
 def random_proper_coloring(g, rng: random.Random, k: int) -> Coloring:

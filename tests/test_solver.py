@@ -67,11 +67,17 @@ from distcolor.symmetry import (
     CERTIFICATE_SEARCH,
     exact_chi_D,
     exists_automorphism_mapping,
+    find_isomorphism,
     fixed_propagation,
     is_distinguishing,
 )
 from distcolor.tree import bfs_tree
-from oracles import dissimilar_pair_by_all_pairs, girth5_graphs, small_graphs
+from oracles import (
+    cubic_girth5_completions,
+    dissimilar_pair_by_all_pairs,
+    girth5_graphs,
+    small_graphs,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -285,9 +291,10 @@ def test_solve_takes_the_diameter_from_the_geodesic_scan(monkeypatch):
         if name.startswith("distcolor") and getattr(module, "distances", None) is real:
             monkeypatch.setattr(module, "distances", counted)
     assert solve(g) == expected
-    # 50 + 42 scan roots, 3 connectivity checks, 2 BFS trees and the first
-    # diameter-three root; 190 when diameter() redid the scan
-    assert len(calls) == 98
+    # 50 + 42 scan roots, 2 connectivity checks (solve's and the Moore
+    # case's on the reduced graph), 2 BFS trees and the first diameter-three
+    # root; 190 when diameter() redid the scan
+    assert len(calls) == 97
 
 
 def test_dissimilar_neighbors_on_a_path():
@@ -301,6 +308,20 @@ def test_dissimilar_neighbors_reject_similar_pairs():
     # every neighbor pair of the dodecahedron is swapped by an automorphism
     assert _find_dissimilar_pair(dodecahedron()) is None
     assert _find_dissimilar_pair(path(4)) == (1, 0, 2)
+
+
+@pytest.mark.parametrize(
+    "n, branches", [(10, [BRANCH_SPECIAL]), (12, [BRANCH_GEODESIC, BRANCH_GEODESIC])]
+)
+def test_every_small_cubic_girth5_graph_takes_geodesic_or_special(n, branches):
+    # every connected cubic girth-5 graph on n vertices, up to isomorphism:
+    # OEIS A014372 counts 1 and 2; none reaches dissimilar_neighbors
+    classes = []
+    for g in cubic_girth5_completions(n):
+        assert is_connected(g)
+        if all(find_isomorphism(g, seen) is None for seen in classes):
+            classes.append(g)
+    assert [solve(g).branch for g in classes] == branches
 
 
 @pytest.mark.parametrize("build", [petersen, heawood, dodecahedron])
@@ -431,14 +452,14 @@ def test_solve_checks_properness_once_per_call(monkeypatch):
         return check(self, g)
 
     solved = []
-    run = solver.solve
+    run = solver._run_cases
 
-    def counted_solve(g):
+    def counted_cases(g):
         solved.append(g)
         return run(g)
 
     monkeypatch.setattr(Coloring, "is_proper", counted_check)
-    monkeypatch.setattr(solver, "solve", counted_solve)
+    monkeypatch.setattr(solver, "_run_cases", counted_cases)
     # the Moore case solves Hoffman-Singleton minus a closed neighborhood
     for build, calls in ((petersen, 1), (hoffman_singleton, 2)):
         checked.clear()

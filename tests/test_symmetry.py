@@ -19,6 +19,8 @@ from distcolor.generators import (
     desargues,
     dodecahedron,
     heawood,
+    mcgee,
+    pappus,
     path,
     petersen,
     random_girth5,
@@ -31,6 +33,7 @@ from distcolor.solver import solve
 from distcolor.symmetry import (
     CERTIFICATE_PROPAGATION,
     Permutation,
+    _connected_order,
     _orbit,
     _unruled_colorings,
     _wl_labels,
@@ -47,8 +50,10 @@ from distcolor.symmetry import (
 from distcolor.tree import bfs_tree
 from oracles import (
     canonical_colorings,
+    connected_order_by_pop,
     enumerate_automorphisms,
     exact_chi_D_by_enumeration,
+    find_isomorphism_joint,
     girth5_graphs,
     prefix_is_fixed_plain,
     propagate_by_rounds,
@@ -158,6 +163,42 @@ def test_isomorphism_found_under_relabeling():
 def test_isomorphism_distinguishes_cubic_twins():
     assert find_isomorphism(desargues(), dodecahedron()) is None
     assert find_isomorphism(path(3), path(4)) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(), small_graphs(), st.data())
+def test_isomorphism_matches_joint_refinement(g, other, data):
+    image = data.draw(st.permutations(range(g.n)))
+    copy = g.relabel(image)
+    # a near miss: the copy with one edge moved keeps n and m
+    edges = copy.edges()
+    missing = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not copy.has_edge(u, v)]
+    pairs = [copy, other]
+    if edges and missing:
+        drop = data.draw(st.sampled_from(edges))
+        add = data.draw(st.sampled_from(missing))
+        pairs.append(Graph(g.n, [e for e in edges if e != drop] + [add]))
+    for h in pairs:
+        assert find_isomorphism(g, h) == find_isomorphism_joint(g, h)
+
+
+def test_isomorphism_of_named_cubic_graphs_matches_joint_refinement():
+    # regular graphs: refinement leaves one class and the search decides
+    named = [petersen(), heawood(), pappus(), dodecahedron(), desargues(), mcgee()]
+    rng = random.Random(13)
+    relabelled = [g.relabel(rng.sample(range(g.n), g.n)) for g in named]
+    for g in named:
+        for h in named + relabelled:
+            found = find_isomorphism(g, h)
+            assert found == find_isomorphism_joint(g, h)
+            assert (found is not None) == (h in (g, relabelled[named.index(g)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(), st.data())
+def test_connected_order_matches_the_popped_queue(g, data):
+    start = data.draw(st.integers(min_value=0, max_value=g.n - 1))
+    assert _connected_order(g, start) == connected_order_by_pop(g, start)
 
 
 def test_vertex_transitivity():
@@ -419,7 +460,7 @@ def _colored_small_graphs(draw):
 @given(_colored_small_graphs(), st.data())
 def test_refinement_reaches_the_plain_stable_partition(colored, data):
     g, values = colored
-    (labels,) = _wl_labels([g], [values])
+    labels = _wl_labels(g, values)
     (plain,) = wl_labels_plain([g], [values])
     assert _partition(labels) == _partition(plain)
     targets = data.draw(st.sets(st.integers(min_value=0, max_value=g.n - 1)))
@@ -427,36 +468,35 @@ def test_refinement_reaches_the_plain_stable_partition(colored, data):
     assert prefix_is_fixed(g, coloring, targets) == prefix_is_fixed_plain(g, coloring, targets)
 
 
+def _union(g, h):
+    """g ⊔ h, with h's vertices shifted by g.n, as find_isomorphism builds it."""
+    return Graph(g.n + h.n, g.edges() + [(u + g.n, v + g.n) for u, v in h.edges()])
+
+
 @settings(max_examples=300, deadline=None)
 @given(_colored_small_graphs(), st.data())
-def test_joint_refinement_of_a_relabelled_copy_matches_the_plain_one(colored, data):
+def test_union_refinement_of_a_relabelled_copy_matches_the_joint_one(colored, data):
     g, values = colored
     image = data.draw(st.permutations(range(g.n)))
     h = g.relabel(image)
     moved = [None] * g.n
     for v, u in enumerate(image):
         moved[u] = values[v]
-    labels = _wl_labels([g, h], [values, moved])
+    labels = _wl_labels(_union(g, h), values + moved)
     plain = wl_labels_plain([g, h], [values, moved])
-    assert _partition(labels[0] + labels[1]) == _partition(plain[0] + plain[1])
-    assert sorted(labels[0]) == sorted(labels[1])
+    assert _partition(labels) == _partition(plain[0] + plain[1])
+    assert sorted(labels[: g.n]) == sorted(labels[g.n :])
 
 
 @settings(max_examples=300, deadline=None)
 @given(_colored_small_graphs(), _colored_small_graphs())
-def test_joint_refinement_of_unrelated_graphs_keeps_the_plain_verdict(first, second):
-    # Across graphs that are not isomorphic the distances may come from
-    # vertices that do not correspond, so the joint partition is only
-    # pinned where find_isomorphism reads it: when the label counts agree.
+def test_union_refinement_of_unrelated_graphs_matches_the_joint_one(first, second):
+    # a color held once in the union folds in distances from one vertex of
+    # one graph; every vertex of the other is at distance infinity
     (g, base_g), (h, base_h) = first, second
-    labels = _wl_labels([g, h], [base_g, base_h])
+    labels = _wl_labels(_union(g, h), base_g + base_h)
     plain = wl_labels_plain([g, h], [base_g, base_h])
-    for ours, theirs in zip(labels, plain):
-        assert _partition(ours) == _partition(theirs)
-    agree = sorted(plain[0]) == sorted(plain[1])
-    assert (sorted(labels[0]) == sorted(labels[1])) == agree
-    if agree:
-        assert _partition(labels[0] + labels[1]) == _partition(plain[0] + plain[1])
+    assert _partition(labels) == _partition(plain[0] + plain[1])
 
 
 @pytest.mark.parametrize(
@@ -470,5 +510,5 @@ def test_joint_refinement_of_unrelated_graphs_keeps_the_plain_verdict(first, sec
 )
 def test_refinement_with_a_unique_color_ends_within_three_rounds(g, coloring):
     # the plain round loop needs about half the diameter: 64, 15 and 16 rounds
-    rounds = sum(1 for _ in _wl_rounds([g], [list(coloring.values)]))
+    rounds = sum(1 for _ in _wl_rounds(g, list(coloring.values)))
     assert rounds <= 3
