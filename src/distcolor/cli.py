@@ -175,7 +175,7 @@ def main(argv: list[str] | None = None) -> int:
     except DistcolorError as exc:
         print(f"distcolor: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"distcolor: {exc}", file=sys.stderr)
         return 1
 

@@ -6,7 +6,7 @@ line per colored vertex, 1-indexed, sorted by vertex; ``c`` lines are comments.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DimacsError, PreconditionError
 from .graph import Graph
@@ -15,28 +15,16 @@ from .graph import Graph
 class Coloring:
     """A partial or total assignment of colors to vertices.
 
-    ``values[v]`` is the color of v, or None while v is uncolored. ``k`` is an
-    optional palette bound recorded by whoever produced the coloring.
+    ``values[v]`` is the color of v, or None while v is uncolored. The
+    values are the whole state: equal values make equal colorings.
     """
 
-    def __init__(self, values: Sequence[int | None], k: int | None = None):
+    def __init__(self, values: Sequence[int | None]):
         vals = tuple(values)
         for v, c in enumerate(vals):
             if c is not None and (not isinstance(c, int) or c < 1):
                 raise PreconditionError(f"vertex {v} has bad color {c!r}")
-        if k is not None and k < 1:
-            raise PreconditionError(f"bad palette bound {k}")
         self.values = vals
-        self.k = k
-
-    @classmethod
-    def from_dict(cls, n: int, assignment: Mapping[int, int], k: int | None = None) -> "Coloring":
-        values: list[int | None] = [None] * n
-        for v, c in assignment.items():
-            if not 0 <= v < n:
-                raise PreconditionError(f"vertex {v} out of range")
-            values[v] = c
-        return cls(values, k)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -55,9 +43,6 @@ class Coloring:
 
     def is_total(self) -> bool:
         return all(c is not None for c in self.values)
-
-    def colored_vertices(self) -> list[int]:
-        return [v for v, c in enumerate(self.values) if c is not None]
 
     def used_colors(self) -> set[int]:
         return {c for c in self.values if c is not None}
@@ -79,11 +64,6 @@ class Coloring:
                     if values[u] == c:
                         return False
         return True
-
-    def with_color(self, v: int, c: int) -> "Coloring":
-        values = list(self.values)
-        values[v] = c
-        return Coloring(values, self.k)
 
 
 def parse_coloring(text: str, n: int) -> Coloring:
@@ -138,11 +118,6 @@ class ListAssignment:
                 raise PreconditionError(f"list of vertex {v} is empty")
             if any(c < 1 for c in colors):
                 raise PreconditionError(f"list of vertex {v} has a non-positive color")
-
-    @classmethod
-    def uniform(cls, n: int, colors: Iterable[int]) -> "ListAssignment":
-        colors = tuple(colors)
-        return cls([colors] * n)
 
     def __len__(self) -> int:
         return len(self.lists)

@@ -58,9 +58,6 @@ class Graph:
     def m(self) -> int:
         return sum(len(ns) for ns in self.adj) // 2
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
@@ -107,12 +104,6 @@ class Graph:
             if u in index and v in index
         ]
         return Graph(len(kept), sub_edges), index
-
-    def relabel(self, image: dict[int, int] | list[int]) -> "Graph":
-        """Graph with vertex v renamed to image[v]; image must be a bijection on V."""
-        if isinstance(image, dict):
-            image = [image[v] for v in range(self.n)]
-        return Graph(self.n, [(image[u], image[v]) for u, v in self.edges()])
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj

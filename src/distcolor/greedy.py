@@ -44,16 +44,15 @@ Chooser = Callable[[int, tuple[int, ...], tuple[int | None, ...]], int]
 class GreedyStep:
     """What happened when one vertex was colored.
 
-    ``colored_neighbors``, ``all_neighbors_colored`` and
-    ``neighbor_colors_distinct`` describe the moment just before the color was
-    assigned; ``constrained`` is True when anything beyond the two plain rules
-    (forbidden colors, lists, a forced color, a chooser) influenced the choice.
+    ``all_neighbors_colored`` and ``neighbor_colors_distinct`` describe the
+    moment just before the color was assigned; ``constrained`` is True when
+    anything beyond the two plain rules (forbidden colors, lists, a forced
+    color, a chooser) influenced the choice.
     """
 
     vertex: int
     rule: str
     color: int
-    colored_neighbors: int
     all_neighbors_colored: bool
     neighbor_colors_distinct: bool
     constrained: bool
@@ -146,7 +145,7 @@ def _extend(g, tree, prefix, k, forced, forbidden, choosers, lists, steps):
 
     if steps is not None:
         steps.extend(
-            GreedyStep(v, RULE_PREFIX, prefix[v], 0, False, False, False)
+            GreedyStep(v, RULE_PREFIX, prefix[v], False, False, False)
             for v in tree.order[: len(prefix)]
         )
 
@@ -188,7 +187,7 @@ def _extend(g, tree, prefix, k, forced, forbidden, choosers, lists, steps):
             values[v] = c
             if steps is not None:
                 steps.append(GreedyStep(
-                    v, rule, c, count, count == len(around), len(seen) == count, True
+                    v, rule, c, count == len(around), len(seen) == count, True
                 ))
             continue
 
@@ -210,21 +209,21 @@ def _extend(g, tree, prefix, k, forced, forbidden, choosers, lists, steps):
         if bounded or steps is not None:
             seen = set(around)
             seen.discard(None)
-            stats = (count, count == len(around), len(seen) == count)
+            stats = (count == len(around), len(seen) == count)
             if bounded:
                 _check_color_bounds(v, rule, c, delta, stats)
             if steps is not None:
                 steps.append(GreedyStep(v, rule, c, *stats, constrained))
         values[v] = c
 
-    return Coloring(values, None if listed else k)
+    return Coloring(values)
 
 
 def _check_color_bounds(v, rule, c, delta, stats):
     # guaranteed bounds for unconstrained rules away from the root's closed
     # neighborhood: rule ii stays below delta+1; rule i reaches delta+1 only
     # when every neighbor is colored, all distinctly
-    count, all_colored, distinct = stats
+    all_colored, distinct = stats
     if rule == RULE_SIBLINGS and c > delta:
         raise InternalConsistencyError(f"sibling rule used color {c} at vertex {v}")
     if rule == RULE_NEIGHBORS:

@@ -4,14 +4,16 @@
 six-cycle, which needs a fourth color and has its own entry point. The
 structural cases of the proof form one ordered table, ``_CASES``, and
 ``solve`` runs the first that applies. Each case finds its witness (a vertex
-of deficient degree, a geodesic or diameter-three configuration, a
-dissimilar neighbor pair), pins a BFS tree, precolors a short prefix,
-overrides a handful of vertices and lets the greedy rules do the rest. Every
-result is certified before it is returned by ``symmetry.certify``, the path
-the Δ+2 and list constructions share: fixedness propagation from a prefix
-that color refinement pins down, or, when refinement cannot, the exact
-symmetry search under its vertex bound. An improper or uncertifiable
-coloring is reported as an internal bug rather than a user error.
+of deficient degree, a geodesic or diameter-three configuration), pins a BFS
+tree, precolors a short prefix, overrides a handful of vertices and lets the
+greedy rules do the rest; the Petersen and Heawood graphs get stored
+colorings instead. The paper's last cubic case, a vertex with two dissimilar
+neighbors, comes after them and no graph reaches it. Every result is
+certified before it is returned by ``symmetry.certify``, the path the Δ+2
+and list constructions share: fixedness propagation from a prefix that color
+refinement pins down, or, when refinement cannot, the exact symmetry search
+under its vertex bound. An improper or uncertifiable coloring is reported as
+an internal bug rather than a user error.
 """
 
 from __future__ import annotations
@@ -66,8 +68,8 @@ class DiameterThreeConfig:
 class SolveResult:
     """A certified coloring plus the construction it came from.
 
-    ``prefix`` is a sigma-prefix of ``tree`` from which fixed_propagation
-    certifies every vertex; ``certified`` is always True on a returned result.
+    Every returned result is certified: ``prefix`` is a sigma-prefix of
+    ``tree`` from which fixed_propagation certifies every vertex, and
     ``certificate`` says what proved the coloring distinguishing:
     ``"propagation"`` when color refinement isolates every prefix vertex, so
     the propagation from that prefix is sound, or ``"search"`` when the exact
@@ -77,7 +79,6 @@ class SolveResult:
     coloring: Coloring
     colors_used: int
     branch: str
-    certified: bool
     tree: BfsTree
     prefix: tuple[int, ...]
     certificate: str
@@ -93,10 +94,7 @@ GeodesicScan = tuple[GeodesicConfig, list[int | float]] | int
 
 
 def render_result(result: SolveResult) -> str:
-    header = (
-        f"c branch={result.branch} colors={result.colors_used}"
-        f" certified={int(result.certified)}"
-    )
+    header = f"c branch={result.branch} colors={result.colors_used} certified=1"
     return header + "\n" + render_coloring(result.coloring)
 
 
@@ -122,8 +120,8 @@ def special_colorings() -> tuple[tuple[str, Graph, Coloring], ...]:
     Built once per process; every caller shares the immutable objects.
     """
     return (
-        ("petersen", Graph(10, _PETERSEN_EDGES), Coloring(_PETERSEN_COLORS, 4)),
-        ("heawood", Graph(14, _HEAWOOD_EDGES), Coloring(_HEAWOOD_COLORS, 4)),
+        ("petersen", Graph(10, _PETERSEN_EDGES), Coloring(_PETERSEN_COLORS)),
+        ("heawood", Graph(14, _HEAWOOD_EDGES), Coloring(_HEAWOOD_COLORS)),
     )
 
 
@@ -158,7 +156,7 @@ def _verified_result(
     except InternalConsistencyError as err:
         raise InternalConsistencyError(f"{branch}: {err}") from err
     return SolveResult(
-        coloring, coloring.num_colors(), branch, True, tree, prefix, certificate
+        coloring, coloring.num_colors(), branch, tree, prefix, certificate
     )
 
 
@@ -193,8 +191,7 @@ def _path_or_cycle_case(
         head = (1, 2, 3, 1, 2)
         for idx, v in enumerate(order):
             values[v] = head[idx] if idx < 5 else (3 if idx % 2 == 1 else 2)
-    coloring = Coloring(values, max(c for c in values if c is not None))
-    return bfs_tree(g, order[0]), coloring, None
+    return bfs_tree(g, order[0]), Coloring(values), None
 
 
 def _nonregular_case(
@@ -462,30 +459,34 @@ def _moore_case(
     for u in g.adj[w]:
         values[u] = delta + 1
     values[w] = 1
-    return bfs_tree(g, w), Coloring(values, delta + 1), None
+    return bfs_tree(g, w), Coloring(values), None
+
+
+def _special_case(
+    g: Graph, delta: int, scan: Callable[[], GeodesicScan]
+) -> Parts | None:
+    """Transport a stored four-coloring onto the Petersen or Heawood graph
+    through an isomorphism; None for any other graph."""
+    if delta != 3:
+        return None
+    for _, h, stored in special_colorings():
+        if g.n != h.n:
+            continue
+        iso = find_isomorphism(g, h)
+        if iso is None:
+            continue
+        values = [stored[iso(v)] for v in g.vertices()]
+        return bfs_tree(g, 0), Coloring(values), None
+    return None
 
 
 def _find_dissimilar_pair(g: Graph) -> tuple[int, int, int] | None:
-    # vertices proved similar are merged: lying in one orbit is transitive,
-    # so a pair already in one class needs no search
-    root = list(g.vertices())
-
-    def find(v: int) -> int:
-        while root[v] != v:
-            root[v] = root[root[v]]
-            v = root[v]
-        return v
-
     for w in g.vertices():
         nbrs = g.adj[w]
         for i, x1 in enumerate(nbrs):
             for y1 in nbrs[i + 1:]:
-                a, b = find(x1), find(y1)
-                if a == b:
-                    continue
                 if not exists_automorphism_mapping(g, x1, y1):
                     return w, x1, y1
-                root[a] = b
     return None
 
 
@@ -504,31 +505,18 @@ def _dissimilar_parts(g: Graph, w: int, x1: int, y1: int) -> Parts:
 def _dissimilar_case(
     g: Graph, delta: int, scan: Callable[[], GeodesicScan]
 ) -> Parts | None:
+    """The paper's last cubic case; no graph reaches it.
+
+    Every cubic graph that gets here is neither Petersen nor Heawood and has
+    no geodesic configuration. An exhaustive check finds none through 14
+    vertices, and above 14 this raises.
+    """
     if delta != 3:
         return None
     if g.n > 14:
         raise InternalConsistencyError("cubic graph too large for the remaining cases")
     pair = _find_dissimilar_pair(g)
     return None if pair is None else _dissimilar_parts(g, *pair)
-
-
-def _special_case(
-    g: Graph, delta: int, scan: Callable[[], GeodesicScan]
-) -> Parts | None:
-    """Transport a fixed four-coloring onto the input through an isomorphism."""
-    if delta != 3:
-        return None
-    for _, h, stored in special_colorings():
-        if g.n != h.n:
-            continue
-        iso = find_isomorphism(g, h)
-        if iso is None:
-            continue
-        values = [stored[iso(v)] for v in g.vertices()]
-        return bfs_tree(g, 0), Coloring(values, stored.k), None
-    raise PreconditionError(
-        "graph is neither the Petersen graph nor the Heawood graph"
-    )
 
 
 # The paper's cases in the order solve tries them. Each takes the graph, its
@@ -543,8 +531,8 @@ _CASES = (
     (BRANCH_GEODESIC, _geodesic_case),
     (BRANCH_DIAMETER3, _diameter3_case),
     (BRANCH_MOORE, _moore_case),
-    (BRANCH_DISSIMILAR, _dissimilar_case),
     (BRANCH_SPECIAL, _special_case),
+    (BRANCH_DISSIMILAR, _dissimilar_case),
 )
 
 
@@ -554,11 +542,11 @@ def solve(g: Graph) -> SolveResult:
     The first case of ``_CASES`` that applies builds the coloring: paths and
     cycles (Δ ≤ 2); a vertex of deficient degree; a geodesic configuration;
     diameter 3 (Δ ≥ 4); diameter 2 (Δ ≥ 4, a Moore graph, handled
-    recursively); and the cubic leftovers, where either some neighbor pair is
-    dissimilar or the graph is one of the two with a stored coloring. The
-    geodesic scan runs one BFS per vertex at most once per call, and the two
-    diameter cases read the diameter off it rather than running a second
-    all-sources BFS.
+    recursively); and the cubic leftovers: the Petersen and Heawood graphs,
+    which get stored colorings, and then a vertex with two dissimilar
+    neighbors, which no graph reaches. The geodesic scan runs one BFS per
+    vertex at most once per call, and the two diameter cases read the
+    diameter off it rather than running a second all-sources BFS.
     """
     _validate(g)
     if is_c6(g):
@@ -592,4 +580,4 @@ def solve_c6_extension(g: Graph) -> SolveResult:
     values: list[int | None] = [None] * 6
     for idx, v in enumerate(order):
         values[v] = pattern[idx]
-    return _verified_result(g, bfs_tree(g, 0), Coloring(values, 4), BRANCH_C6)
+    return _verified_result(g, bfs_tree(g, 0), Coloring(values), BRANCH_C6)

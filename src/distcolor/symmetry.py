@@ -51,9 +51,6 @@ class Permutation:
     def __len__(self) -> int:
         return len(self.image)
 
-    def is_identity(self) -> bool:
-        return all(u == v for v, u in enumerate(self.image))
-
     def preserves_adjacency(self, g: Graph, h: Graph | None = None) -> bool:
         h = h if h is not None else g
         if len(self.image) != g.n or sorted(self.image) != list(range(h.n)):
@@ -581,7 +578,7 @@ def exact_chi_D(g: Graph) -> int:
     gens, order = automorphisms(g)
     for k in range(1, g.n + 1):
         for values in _unruled_colorings(g, k, gens):
-            if order == 1 or _search_verdict(g, Coloring(values, k)).distinguishing:
+            if order == 1 or _search_verdict(g, Coloring(values)).distinguishing:
                 return k
     raise InternalConsistencyError("no distinguishing coloring found")
 

@@ -9,7 +9,6 @@ Each one is the straightforward form that the library's version replaced:
   changes;
 * ``exact_chi_D_by_enumeration`` sends every canonical proper coloring
   (``canonical_colorings``) to the full ``is_distinguishing``;
-* ``dissimilar_pair_by_all_pairs`` searches every neighbor pair in turn;
 * ``girth5_extensions_unpruned`` attaches a new vertex to every valid set,
   with no regard to the parent's symmetry or the new vertex's profile.
 * ``random_girth5_by_bfs`` decides each candidate edge of ``random_girth5``
@@ -27,6 +26,8 @@ They must return exactly what the library returns, errors included.
 for properties of the library's searches. ``girth5_graphs``,
 ``small_graphs`` and ``random_proper_coloring`` draw their inputs, and
 ``cubic_girth5_completions`` lists cubic girth-5 graphs exhaustively.
+``relabel`` renames a graph's vertices, and ``is_identity`` tests a
+permutation.
 """
 
 import random
@@ -63,7 +64,6 @@ from distcolor.symmetry import (
     _candidate_lists,
     _check_bound,
     _search,
-    exists_automorphism_mapping,
     is_distinguishing,
 )
 from distcolor.tree import LAST, BfsTree, _arrange
@@ -199,13 +199,12 @@ def greedy_extend_by_rules(
     delta = g.max_degree()
     root = tree.root
     steps = [
-        GreedyStep(v, RULE_PREFIX, prefix[v], 0, False, False, False)
+        GreedyStep(v, RULE_PREFIX, prefix[v], False, False, False)
         for v in tree.order[: len(prefix)]
     ]
     for v in tree.order[len(prefix):]:
         neighbor_colors = [values[u] for u in g.adj[v] if values[u] is not None]
         stats = (
-            len(neighbor_colors),
             len(neighbor_colors) == len(g.adj[v]),
             len(set(neighbor_colors)) == len(neighbor_colors),
         )
@@ -253,7 +252,7 @@ def greedy_extend_by_rules(
         values[v] = c
         steps.append(GreedyStep(v, rule, c, *stats, constrained))
 
-    coloring = Coloring(values, None if lists is not None else k)
+    coloring = Coloring(values)
     if not coloring.is_proper(g):
         raise InternalConsistencyError("greedy coloring came out improper")
     return coloring, tuple(steps)
@@ -342,19 +341,9 @@ def exact_chi_D_by_enumeration(g):
         raise PreconditionError("empty graph")
     for k in range(1, g.n + 1):
         for values in canonical_colorings(g, k):
-            if is_distinguishing(g, Coloring(values, k)).distinguishing:
+            if is_distinguishing(g, Coloring(values)).distinguishing:
                 return k
     raise InternalConsistencyError("no distinguishing coloring found")
-
-
-def dissimilar_pair_by_all_pairs(g):
-    for w in g.vertices():
-        nbrs = g.adj[w]
-        for i, x1 in enumerate(nbrs):
-            for y1 in nbrs[i + 1:]:
-                if not exists_automorphism_mapping(g, x1, y1):
-                    return w, x1, y1
-    return None
 
 
 def girth5_extensions_unpruned(g):
@@ -577,3 +566,12 @@ def random_proper_coloring(g, rng: random.Random, k: int) -> Coloring:
         taken = {values[u] for u in g.adj[v]}
         values[v] = rng.choice([c for c in range(1, k + 1) if c not in taken])
     return Coloring(values)
+
+
+def relabel(g, image):
+    """g with vertex v renamed to image[v]; image must be a bijection on V."""
+    return Graph(g.n, [(image[u], image[v]) for u, v in g.edges()])
+
+
+def is_identity(p: Permutation) -> bool:
+    return all(u == v for v, u in enumerate(p.image))

@@ -207,6 +207,16 @@ def test_missing_file_exits_one(capsys):
     assert err.startswith("distcolor:")
 
 
+def test_graph_file_that_is_not_utf8_exits_one(tmp_path, capsys):
+    target = tmp_path / "bad.col"
+    target.write_bytes(b"p edge 2 1\ne 1 2\n\xff\xfe\n")
+    code, out, err = run_cli(["solve", str(target)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("distcolor:")
+    assert "Traceback" not in err
+
+
 def test_malformed_graph_exits_one(capsys, monkeypatch):
     text = "p edge 3 3\ne 1 2\ne 2 3\n"
     code, _, err = run_cli(["solve", "-"], capsys, monkeypatch, stdin_text=text)

@@ -18,7 +18,7 @@ PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
 
 def test_total_coloring_basics():
-    c = Coloring((1, 2, 1), 4)
+    c = Coloring((1, 2, 1))
     assert len(c) == 3
     assert c[1] == 2
     assert c.is_total()
@@ -30,16 +30,7 @@ def test_total_coloring_basics():
 def test_partial_coloring_tracks_colored_vertices():
     c = Coloring((1, None, 3))
     assert not c.is_total()
-    assert c.colored_vertices() == [0, 2]
     assert c.used_colors() == {1, 3}
-
-
-def test_from_dict_and_with_color():
-    c = Coloring.from_dict(4, {0: 2, 3: 1})
-    assert c.values == (2, None, None, 1)
-    d = c.with_color(1, 3)
-    assert d.values == (2, 3, None, 1)
-    assert c.values == (2, None, None, 1)
 
 
 def test_equality_and_hashing():
@@ -119,7 +110,7 @@ def test_list_assignment_basics():
 
 
 def test_uniform_and_without():
-    lists = ListAssignment.uniform(3, range(1, 5))
+    lists = ListAssignment([range(1, 5)] * 3)
     assert lists[0] == (1, 2, 3, 4)
     pruned = lists.without(2, keep=0)
     assert pruned[0] == (1, 2, 3, 4)
@@ -163,7 +154,7 @@ def test_round_trip_preserves_partial_colorings(values):
 @PROPERTY_SETTINGS
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=8))
 def test_uniform_lists_have_requested_size(n, k):
-    lists = ListAssignment.uniform(n, range(1, k + 1))
+    lists = ListAssignment([range(1, k + 1)] * n)
     assert all(lists[v] == tuple(range(1, k + 1)) for v in range(n))
 
 

@@ -79,7 +79,7 @@ def test_degree_and_vertices():
     assert g.degree(0) == 4
     assert g.max_degree() == 4
     assert list(g.vertices()) == [0, 1, 2, 3, 4]
-    assert g.neighbors(1) == (0,)
+    assert g.adj[1] == (0,)
 
 
 def test_rejects_self_loops_and_duplicates():

@@ -1,6 +1,8 @@
 """Package-wide guards on the library's shape."""
 
 import ast
+import importlib
+from collections import Counter
 from pathlib import Path
 
 import distcolor
@@ -8,15 +10,16 @@ import distcolor
 SOURCES = Path(distcolor.__file__).parent
 
 
-def _used_names(node: ast.AST) -> set[str]:
-    names: set[str] = set()
+def _used_names(node: ast.AST) -> Counter[str]:
+    # every reference by name, attribute or import, counted
+    names: Counter[str] = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            names.add(sub.id)
+            names[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
-            names.add(sub.attr)
+            names[sub.attr] += 1
         elif isinstance(sub, ast.alias):
-            names.add(sub.name)
+            names[sub.name] += 1
     return names
 
 
@@ -37,6 +40,33 @@ def test_every_public_function_is_used_or_exported():
             continue
         if not any(name in _used_names(node) for node in statements if node is not definition):
             unused.append(f"{module_name}.{name}")
+    assert unused == []
+
+
+def test_every_public_method_is_used_by_the_library():
+    # a public method or property that no other library code references
+    # exists only for the tests; it belongs in tests/ as a function. An
+    # override of a base-class method is called by the base class.
+    modules = {
+        source.stem: ast.parse(source.read_text(encoding="utf-8"))
+        for source in sorted(SOURCES.glob("*.py"))
+    }
+    uses: Counter[str] = Counter()
+    for module in modules.values():
+        uses += _used_names(module)
+    unused = []
+    for stem, module in modules.items():
+        for cls in module.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            runtime = getattr(importlib.import_module(f"distcolor.{stem}"), cls.name)
+            for method in cls.body:
+                if not isinstance(method, ast.FunctionDef) or method.name.startswith("_"):
+                    continue
+                if any(hasattr(base, method.name) for base in runtime.__mro__[1:]):
+                    continue
+                if uses[method.name] == _used_names(method)[method.name]:
+                    unused.append(f"{stem}.{cls.name}.{method.name}")
     assert unused == []
 
 

