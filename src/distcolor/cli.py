@@ -11,7 +11,7 @@ import sys
 
 from .coloring import parse_coloring, parse_lists, render_coloring
 from .corpus import PROPERTY_RUNS, run_all
-from .errors import DistcolorError, InternalConsistencyError
+from .errors import DimacsError, DistcolorError, InternalConsistencyError
 from .generators import GENERATORS, generate
 from .graph import parse_graph, render_graph
 from .greedy import color_delta_plus_2, list_color_delta_plus_2
@@ -28,10 +28,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        name = "standard input" if path == "-" else path
+        raise DimacsError(
+            f"{name}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
+        ) from exc
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -175,7 +181,7 @@ def main(argv: list[str] | None = None) -> int:
     except DistcolorError as exc:
         print(f"distcolor: {exc}", file=sys.stderr)
         return 1
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         print(f"distcolor: {exc}", file=sys.stderr)
         return 1
 

@@ -368,7 +368,7 @@ def check_two_extra_colors(
 
 def _property_graphs(seed: int, runs: int) -> Iterator[tuple[Graph, int, int]]:
     # a fresh graph every few runs, alternating sparse girth-5 graphs and
-    # trees; the root and the prefix color change on every run
+    # trees; the root and its color change on every run
     g = None
     for i in range(runs):
         if i % 5 == 0 or g is None:
@@ -388,8 +388,7 @@ def check_greedy_bounds(seed: int = 0, runs: int = PROPERTY_RUNS) -> str:
     for g, root, i in _property_graphs(seed, runs):
         delta = g.max_degree()
         tree = bfs_tree(g, root)
-        prefix = {root: 1 + i % (delta + 2)}
-        coloring, steps = greedy_extend_traced(g, tree, prefix)
+        coloring, steps = greedy_extend_traced(g, tree, 1 + i % (delta + 2))
         _need(coloring.is_proper(g), f"run {i}: improper greedy output")
         for step in steps:
             if step.constrained or step.rule not in (RULE_NEIGHBORS, RULE_SIBLINGS):
@@ -422,7 +421,7 @@ def check_propagation_soundness(seed: int = 0, instances: int = PROPERTY_RUNS) -
     for g, root, i in _property_graphs(seed, instances):
         delta = g.max_degree()
         tree = bfs_tree(g, root)
-        coloring = greedy_extend(g, tree, {root: delta + 2})
+        coloring = greedy_extend(g, tree, delta + 2)
         fixed = fixed_propagation(g, tree, coloring, tree.order[:1])
         if len(fixed) != g.n:
             continue

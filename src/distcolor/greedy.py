@@ -1,7 +1,7 @@
 """Greedy colorings along a breadth-first order, plus the two-extra-colors constructions.
 
-Each vertex beyond the precolored prefix gets the smallest color available
-under one of two local rules:
+The root of the BFS tree takes a color from the caller; every later vertex
+gets the smallest color available under one of two local rules:
 
 * rule "i", when the vertex has a colored neighbor besides its parent: avoid
   the colors of all colored neighbors;
@@ -61,7 +61,7 @@ class GreedyStep:
 def greedy_extend(
     g: Graph,
     tree: BfsTree,
-    prefix: Mapping[int, int],
+    root_color: int,
     *,
     k: int | None = None,
     forced: Mapping[int, int] | None = None,
@@ -69,25 +69,27 @@ def greedy_extend(
     choosers: Mapping[int, Chooser] | None = None,
     lists: ListAssignment | None = None,
 ) -> Coloring:
-    """Color every vertex beyond ``prefix`` along the tree's order.
+    """Color the tree's root with ``root_color``, then every other vertex along
+    the tree's order.
 
-    ``prefix`` must color a nonempty prefix of the tree's vertex order and be
-    proper. Palette is 1..k (default max degree plus 2) unless ``lists`` gives
-    per-vertex palettes. Raises PaletteExhaustedError when a vertex has no
-    available color. ``tree`` must be a BFS tree of ``g``. Every rule avoids
-    the colors of the vertex's colored neighbors, so the result is proper.
+    ``root_color`` must be a positive integer, and the root can be neither
+    forced nor chosen. Palette is 1..k (default max degree plus 2) unless
+    ``lists`` gives per-vertex palettes. Raises PaletteExhaustedError when a
+    vertex has no available color. ``tree`` must be a BFS tree of ``g``.
+    Every rule avoids the colors of the vertex's colored neighbors, so the
+    result is proper.
 
-    Each step costs O(deg v + palette size); the input checks add O(n) plus
-    the prefix's degrees. Builds no trace; greedy_extend_traced runs the same
-    loop and records every step.
+    Each step costs O(deg v + palette size); the input checks add O(n).
+    Builds no trace; greedy_extend_traced runs the same loop and records
+    every step.
     """
-    return _extend(g, tree, prefix, k, forced, forbidden, choosers, lists, None)
+    return _extend(g, tree, root_color, k, forced, forbidden, choosers, lists, None)
 
 
 def greedy_extend_traced(
     g: Graph,
     tree: BfsTree,
-    prefix: Mapping[int, int],
+    root_color: int,
     *,
     k: int | None = None,
     forced: Mapping[int, int] | None = None,
@@ -97,11 +99,11 @@ def greedy_extend_traced(
 ) -> tuple[Coloring, tuple[GreedyStep, ...]]:
     """greedy_extend, plus one GreedyStep per vertex in the tree's order."""
     steps: list[GreedyStep] = []
-    coloring = _extend(g, tree, prefix, k, forced, forbidden, choosers, lists, steps)
+    coloring = _extend(g, tree, root_color, k, forced, forbidden, choosers, lists, steps)
     return coloring, tuple(steps)
 
 
-def _extend(g, tree, prefix, k, forced, forbidden, choosers, lists, steps):
+def _extend(g, tree, root_color, k, forced, forbidden, choosers, lists, steps):
     # The loop of both public functions; ``steps`` is a list to record into,
     # or None. Unrecorded, a vertex costs its colored-neighbor count and the
     # blocked set of its rule: the full-and-distinct neighborhood stats are
@@ -112,16 +114,14 @@ def _extend(g, tree, prefix, k, forced, forbidden, choosers, lists, steps):
         raise PreconditionError("tree does not cover the graph")
     if lists is not None and len(lists) != n:
         raise PreconditionError("list assignment length does not match the graph")
-    if not prefix:
-        raise PreconditionError("prefix is empty")
-    if set(prefix) != set(tree.order[: len(prefix)]):
-        raise PreconditionError("prefix does not color a prefix of the vertex order")
+    root = tree.root
+    if not isinstance(root_color, int) or root_color < 1:
+        raise PreconditionError(f"root {root} colored with {root_color!r}")
     forced = dict(forced or {})
     forbidden = {v: frozenset(cs) for v, cs in (forbidden or {}).items()}
     choosers = dict(choosers or {})
-    for v in list(forced) + list(choosers):
-        if v in prefix:
-            raise PreconditionError(f"vertex {v} is in the prefix and cannot be overridden")
+    if root in forced or root in choosers:
+        raise PreconditionError(f"the root {root} cannot be forced or chosen")
     if set(forced) & set(choosers):
         raise PreconditionError("a vertex has both a forced color and a chooser")
     delta = g.max_degree()
@@ -132,22 +132,9 @@ def _extend(g, tree, prefix, k, forced, forbidden, choosers, lists, steps):
 
     adj = g.adj
     values: list[int | None] = [None] * n
-    for v, c in prefix.items():
-        if not isinstance(c, int) or c < 1:
-            raise PreconditionError(f"prefix colors vertex {v} with {c!r}")
-        values[v] = c
-    # only prefix vertices are colored, so every monochromatic edge has an
-    # end in the prefix
-    for v, c in prefix.items():
-        for u in adj[v]:
-            if values[u] == c:
-                raise PreconditionError("prefix coloring is not proper")
-
+    values[root] = root_color
     if steps is not None:
-        steps.extend(
-            GreedyStep(v, RULE_PREFIX, prefix[v], False, False, False)
-            for v in tree.order[: len(prefix)]
-        )
+        steps.append(GreedyStep(root, RULE_PREFIX, root_color, False, False, False))
 
     # Every vertex before v in sigma is colored when v's turn comes, its
     # parent included, so rule i applies exactly when v has a second colored
@@ -155,12 +142,12 @@ def _extend(g, tree, prefix, k, forced, forbidden, choosers, lists, steps):
     color_of = values.__getitem__
     tree_parent = tree.parent
     tree_children = tree.children
-    near_root = g.neighbor_sets[tree.root]
+    near_root = g.neighbor_sets[root]
     full_palette = range(1, k + 1) if lists is None else None
     listed = lists is not None
     overridden = forced.keys() | choosers.keys()
     no_ban: frozenset[int] = frozenset()
-    for v in tree.order[len(prefix):]:
+    for v in tree.order[1:]:
         around = list(map(color_of, adj[v]))
         count = len(around) - around.count(None)
         palette = full_palette or lists[v]
@@ -246,7 +233,7 @@ def color_delta_plus_2(g: Graph, w: int = 0) -> Coloring:
         raise PreconditionError("girth below five")
     k = g.max_degree() + 2
     tree = bfs_tree(g, w)
-    coloring = greedy_extend(g, tree, {w: k}, k=k)
+    coloring = greedy_extend(g, tree, k, k=k)
     # the root holds k, so any second k is a leak
     if coloring.values.count(k) > 1:
         raise InternalConsistencyError("top color leaked past the root")
@@ -277,7 +264,7 @@ def list_color_delta_plus_2(g: Graph, lists: ListAssignment, w: int = 0) -> Colo
     alpha = min(lists[w])
     pruned = lists.without(alpha, keep=w)
     tree = bfs_tree(g, w)
-    coloring = greedy_extend(g, tree, {w: alpha}, lists=pruned)
+    coloring = greedy_extend(g, tree, alpha, lists=pruned)
     if coloring.values.count(alpha) > 1:
         raise InternalConsistencyError("root color leaked into another list")
     for v, (c, allowed) in enumerate(zip(coloring.values, lists.lists)):

@@ -5,15 +5,15 @@ six-cycle, which needs a fourth color and has its own entry point. The
 structural cases of the proof form one ordered table, ``_CASES``, and
 ``solve`` runs the first that applies. Each case finds its witness (a vertex
 of deficient degree, a geodesic or diameter-three configuration), pins a BFS
-tree, precolors a short prefix, overrides a handful of vertices and lets the
-greedy rules do the rest; the Petersen and Heawood graphs get stored
-colorings instead. The paper's last cubic case, a vertex with two dissimilar
-neighbors, comes after them and no graph reaches it. Every result is
-certified before it is returned by ``symmetry.certify``, the path the Δ+2
-and list constructions share: fixedness propagation from a prefix that color
-refinement pins down, or, when refinement cannot, the exact symmetry search
-under its vertex bound. An improper or uncertifiable coloring is reported as
-an internal bug rather than a user error.
+tree, colors its root, overrides a handful of vertices and lets the greedy
+rules do the rest; the Petersen and Heawood graphs get stored colorings
+instead. The paper's last cubic case, a vertex with two dissimilar
+neighbors, comes after them and no graph reaches it. Every case returns its
+parts, and ``solve`` certifies them with ``symmetry.certify``, the path the
+Δ+2 and list constructions share: fixedness propagation from a prefix that
+color refinement pins down, or, when refinement cannot, the exact symmetry
+search under its vertex bound. An improper or uncertifiable coloring is
+reported as an internal bug rather than a user error.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from typing import Callable, Iterator
 
 from .coloring import Coloring, render_coloring
 from .errors import InternalConsistencyError, PreconditionError
+from .generators import heawood, petersen
 from .graph import Graph, distances, has_cycle_shorter_than_five, is_connected
 from .greedy import Chooser, greedy_extend
 from .symmetry import certify, exists_automorphism_mapping, find_isomorphism
@@ -98,30 +99,16 @@ def render_result(result: SolveResult) -> str:
     return header + "\n" + render_coloring(result.coloring)
 
 
-# The two cubic graphs that fall through to canned colorings: a 9-cycle with
-# three long chords and a hub on the remaining triple, and a 14-cycle with a
-# chord out of every second vertex.
-_PETERSEN_EDGES = (
-    [(i, (i + 1) % 9) for i in range(9)]
-    + [(0, 4), (3, 7), (6, 1), (9, 2), (9, 5), (9, 8)]
-)
-_PETERSEN_COLORS = (2, 1, 2, 4, 3, 2, 4, 2, 3, 1)
-_HEAWOOD_EDGES = (
-    [(i, (i + 1) % 14) for i in range(14)]
-    + [(i, (i + 5) % 14) for i in range(1, 14, 2)]
-)
-_HEAWOOD_COLORS = (2, 3, 2, 3, 2, 1, 2, 1, 4, 3, 2, 1, 2, 4)
-
-
 @cache
 def special_colorings() -> tuple[tuple[str, Graph, Coloring], ...]:
-    """The stored four-colorings behind the special branch, with their graphs.
+    """The stored four-colorings behind the special branch, on the named
+    graphs of ``generators`` in their numbering.
 
     Built once per process; every caller shares the immutable objects.
     """
     return (
-        ("petersen", Graph(10, _PETERSEN_EDGES), Coloring(_PETERSEN_COLORS)),
-        ("heawood", Graph(14, _HEAWOOD_EDGES), Coloring(_HEAWOOD_COLORS)),
+        ("petersen", petersen(), Coloring((2, 2, 2, 2, 1, 4, 4, 1, 3, 3))),
+        ("heawood", heawood(), Coloring((2, 3, 2, 3, 4, 3, 2, 1, 2, 1, 2, 1, 2, 4))),
     )
 
 
@@ -206,7 +193,7 @@ def _nonregular_case(
     if w is None:
         return None
     tree = bfs_tree(g, w)
-    coloring = greedy_extend(g, tree, {w: delta + 1}, k=delta + 1)
+    coloring = greedy_extend(g, tree, delta + 1, k=delta + 1)
     return tree, coloring, (w,)
 
 
@@ -303,7 +290,7 @@ def _geodesic_parts(g: Graph, cfg: GeodesicConfig, dist: list[int | float]) -> P
     coloring = greedy_extend(
         g,
         tree,
-        {w: k},
+        k,
         k=k,
         forced={x1: 1, y1: 1, x2: k},
         choosers={x3: chooser},
@@ -389,7 +376,7 @@ def _diam3_parts(
     coloring = greedy_extend(
         g,
         tree,
-        {w: 1},
+        1,
         k=delta + 1,
         forced=forced,
         forbidden=forbidden,
@@ -401,26 +388,14 @@ def _diam3_parts(
 
 def _diameter3_case(
     g: Graph, delta: int, scan: Callable[[], GeodesicScan]
-) -> SolveResult | None:
-    """The first configuration whose build and certificate both succeed.
-
-    A configuration that fails either is skipped; when all fail, the last
-    failure is reported. Choosing needs the certificate, so this case hands
-    ``solve`` a certified result rather than parts.
-    """
+) -> Parts | None:
+    """Build on the first diameter-three configuration."""
     if delta < 4 or scan() != 3:
         return None
-    failure: Exception | None = None
-    for cfg, dist in _diam3_configs(g):
-        try:
-            tree, coloring, prefix = _diam3_parts(g, cfg, dist)
-            return _verified_result(g, tree, coloring, BRANCH_DIAMETER3, prefix)
-        except (PreconditionError, InternalConsistencyError) as err:
-            failure = err
-    detail = f"; last failure: {failure}" if failure is not None else ""
-    raise InternalConsistencyError(
-        "every diameter-three configuration failed" + detail
-    )
+    found = next(_diam3_configs(g), None)
+    if found is None:
+        raise InternalConsistencyError("no diameter-three configuration")
+    return _diam3_parts(g, *found)
 
 
 def _moore_case(
@@ -498,7 +473,7 @@ def _dissimilar_parts(g: Graph, w: int, x1: int, y1: int) -> Parts:
     """
     k = g.max_degree() + 1
     tree = bfs_tree(g, w, slots={x1: 0, y1: 1})
-    coloring = greedy_extend(g, tree, {w: k}, k=k, forced={x1: 1, y1: 1})
+    coloring = greedy_extend(g, tree, k, k=k, forced={x1: 1, y1: 1})
     return tree, coloring, tuple(tree.order[:3])
 
 
@@ -522,9 +497,9 @@ def _dissimilar_case(
 # The paper's cases in the order solve tries them. Each takes the graph, its
 # maximum degree and the geodesic scan (a memo, run on first use) and returns
 # (tree, coloring, prefix), or None when its case does not apply; a None
-# prefix asks certification for the shortest one. The diameter-three case
-# returns its result already certified. The cases after the geodesic one run
-# only when the scan found no configuration, so they read the diameter off it.
+# prefix asks certification for the shortest one. The cases after the
+# geodesic one run only when the scan found no configuration, so they read
+# the diameter off it.
 _CASES = (
     (BRANCH_PATH_OR_CYCLE, _path_or_cycle_case),
     (BRANCH_NONREGULAR, _nonregular_case),
@@ -563,8 +538,6 @@ def _run_cases(g: Graph) -> SolveResult:
     scan = cache(lambda: _first_geodesic_config(g))
     for branch, case in _CASES:
         parts = case(g, delta, scan)
-        if isinstance(parts, SolveResult):
-            return parts
         if parts is not None:
             tree, coloring, prefix = parts
             return _verified_result(g, tree, coloring, branch, prefix)

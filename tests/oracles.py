@@ -27,7 +27,9 @@ for properties of the library's searches. ``girth5_graphs``,
 ``small_graphs`` and ``random_proper_coloring`` draw their inputs, and
 ``cubic_girth5_completions`` lists cubic girth-5 graphs exhaustively.
 ``relabel`` renames a graph's vertices, and ``is_identity`` tests a
-permutation.
+permutation. ``STORED_SPECIAL_COLORINGS`` holds the Petersen and Heawood
+graphs as the solver once numbered them, with the four-colorings it stored
+for them.
 """
 
 import random
@@ -575,3 +577,19 @@ def relabel(g, image):
 
 def is_identity(p: Permutation) -> bool:
     return all(u == v for v, u in enumerate(p.image))
+
+
+# A 9-cycle with three long chords and a hub on the remaining triple, and a
+# 14-cycle with a chord out of every second vertex, each with the stored
+# coloring that the special branch transported before it took the named
+# graphs of ``generators``.
+STORED_SPECIAL_COLORINGS = (
+    (
+        [(i, (i + 1) % 9) for i in range(9)] + [(0, 4), (3, 7), (6, 1), (9, 2), (9, 5), (9, 8)],
+        (2, 1, 2, 4, 3, 2, 4, 2, 3, 1),
+    ),
+    (
+        [(i, (i + 1) % 14) for i in range(14)] + [(i, (i + 5) % 14) for i in range(1, 14, 2)],
+        (2, 3, 2, 3, 2, 1, 2, 1, 4, 3, 2, 1, 2, 4),
+    ),
+)

@@ -217,6 +217,17 @@ def test_graph_file_that_is_not_utf8_exits_one(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_a_file_that_is_not_utf8_is_named(tmp_path, capsys):
+    graph = tmp_path / "good.col"
+    graph.write_text("p edge 2 1\ne 1 2\n")
+    solution = tmp_path / "bad.sol"
+    solution.write_bytes(b"v 1 1\n\xff\xfe\n")
+    code, out, err = run_cli(["verify", str(graph), str(solution)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"distcolor: {solution}: not valid UTF-8 (invalid start byte at byte 6)\n"
+
+
 def test_malformed_graph_exits_one(capsys, monkeypatch):
     text = "p edge 3 3\ne 1 2\ne 2 3\n"
     code, _, err = run_cli(["solve", "-"], capsys, monkeypatch, stdin_text=text)

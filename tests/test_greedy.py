@@ -44,19 +44,19 @@ PROPERTY_SETTINGS = settings(max_examples=50, deadline=None)
 
 def test_claw_prefix_forces_leaf_colors():
     g = star(4)
-    coloring = greedy_extend(g, bfs_tree(g, 0), {0: 4})
+    coloring = greedy_extend(g, bfs_tree(g, 0), 4)
     assert coloring.values == (4, 1, 2, 3)
 
 
 def test_path_rolls_out_from_the_end():
     g = path(3)
-    coloring = greedy_extend(g, bfs_tree(g, 0), {0: 3})
+    coloring = greedy_extend(g, bfs_tree(g, 0), 3)
     assert coloring.values == (3, 1, 2)
 
 
 def test_five_cycle_trace_uses_both_rules():
     g = cycle(5)
-    coloring, steps = greedy_extend_traced(g, bfs_tree(g, 0), {0: 3})
+    coloring, steps = greedy_extend_traced(g, bfs_tree(g, 0), 3)
     assert coloring.values == (3, 1, 2, 1, 2)
     assert [s.rule for s in steps] == [
         RULE_PREFIX,
@@ -75,13 +75,13 @@ def test_five_cycle_trace_uses_both_rules():
 def test_forced_colors_are_validated_for_properness():
     g = path(3)
     with pytest.raises(PreconditionError):
-        greedy_extend(g, bfs_tree(g, 0), {0: 1}, forced={1: 1})
+        greedy_extend(g, bfs_tree(g, 0), 1, forced={1: 1})
 
 
 def test_forced_step_is_marked():
     g = path(3)
     coloring, steps = greedy_extend_traced(
-        g, bfs_tree(g, 0), {0: 1}, forced={1: 3}
+        g, bfs_tree(g, 0), 1, forced={1: 3}
     )
     assert coloring.values == (1, 3, 1)
     assert steps[1].rule == RULE_FORCED
@@ -91,13 +91,13 @@ def test_forced_step_is_marked():
 def test_palette_can_run_out():
     g = star(4)
     with pytest.raises(PaletteExhaustedError):
-        greedy_extend(g, bfs_tree(g, 0), {0: 1}, k=2)
+        greedy_extend(g, bfs_tree(g, 0), 1, k=2)
 
 
 def test_forbidden_colors_are_skipped():
     g = path(4)
     coloring, steps = greedy_extend_traced(
-        g, bfs_tree(g, 0), {0: 1}, forbidden={1: {2}}
+        g, bfs_tree(g, 0), 1, forbidden={1: {2}}
     )
     assert coloring.values == (1, 3, 1, 2)
     assert steps[1].constrained
@@ -113,7 +113,7 @@ def test_chooser_picks_among_legal_candidates():
         return max(candidates)
 
     coloring, steps = greedy_extend_traced(
-        g, bfs_tree(g, 0), {0: 3}, choosers={3: pick_largest}
+        g, bfs_tree(g, 0), 3, choosers={3: pick_largest}
     )
     assert seen[3] == (1, 3, 4)
     assert coloring[3] == 4
@@ -126,33 +126,31 @@ def test_chooser_answer_is_checked():
     # an illegal answer is a bug in the caller's chooser, not bad input
     g = cycle(5)
     with pytest.raises(InternalConsistencyError):
-        greedy_extend(g, bfs_tree(g, 0), {0: 3}, choosers={3: lambda *a: 2})
-
-
-def test_prefix_must_be_a_sigma_prefix():
-    g = path(4)
-    with pytest.raises(PreconditionError):
-        greedy_extend(g, bfs_tree(g, 0), {2: 1})
+        greedy_extend(g, bfs_tree(g, 0), 3, choosers={3: lambda *a: 2})
 
 
 @pytest.mark.parametrize(
     "extend",
-    [greedy_extend, lambda *args: greedy_extend_traced(*args)[0]],
+    [greedy_extend, lambda *args, **kwargs: greedy_extend_traced(*args, **kwargs)[0]],
     ids=["untraced", "traced"],
 )
-def test_prefix_must_be_proper(extend):
+def test_the_root_takes_only_its_own_positive_color(extend):
     g = path(4)
-    tree = bfs_tree(g, 0)
-    with pytest.raises(PreconditionError, match="prefix coloring is not proper"):
-        extend(g, tree, {0: 2, 1: 2})
-    # vertex 1 is colored and its neighbor 2 is not yet
-    assert extend(g, tree, {0: 1, 1: 2}).values == (1, 2, 1, 2)
+    tree = bfs_tree(g, 1)
+    with pytest.raises(PreconditionError, match="root 1 cannot be forced or chosen"):
+        extend(g, tree, 2, forced={1: 3})
+    with pytest.raises(PreconditionError, match="root 1 cannot be forced or chosen"):
+        extend(g, tree, 2, choosers={1: pick_last})
+    for bad in (0, "1"):
+        with pytest.raises(PreconditionError, match="root 1 colored with"):
+            extend(g, tree, bad)
+    assert extend(g, tree, 2).values == (1, 2, 3, 1)
 
 
 def test_lists_replace_the_palette():
     g = path(3)
     lists = ListAssignment([(5, 6, 7)] * 3)
-    coloring = greedy_extend(g, bfs_tree(g, 0), {0: 5}, lists=lists)
+    coloring = greedy_extend(g, bfs_tree(g, 0), 5, lists=lists)
     assert coloring.values == (5, 6, 5)
 
 
@@ -218,11 +216,12 @@ def test_greedy_output_is_proper_and_deterministic(seed):
         g = random_tree(5 + seed % 20, seed=seed)
     root = seed % g.n
     tree = bfs_tree(g, root)
-    prefix = {root: 1 + seed % (g.max_degree() + 2)}
-    first = greedy_extend(g, tree, prefix)
+    root_color = 1 + seed % (g.max_degree() + 2)
+    first = greedy_extend(g, tree, root_color)
     assert first.is_total()
     assert first.is_proper(g)
-    assert greedy_extend(g, tree, prefix) == first
+    assert first[root] == root_color
+    assert greedy_extend(g, tree, root_color) == first
 
 
 @PROPERTY_SETTINGS
@@ -232,7 +231,7 @@ def test_rule_bounds_hold_away_from_the_root(seed):
     delta = g.max_degree()
     root = seed % g.n
     tree = bfs_tree(g, root)
-    _, steps = greedy_extend_traced(g, tree, {root: delta + 2})
+    _, steps = greedy_extend_traced(g, tree, delta + 2)
     for step in steps:
         if step.constrained or step.vertex == root or g.has_edge(step.vertex, root):
             continue
@@ -267,12 +266,8 @@ def test_greedy_matches_the_rule_oracle(g, seed):
     rng = random.Random(seed)
     tree = bfs_tree(g, rng.randrange(g.n))
     k = g.max_degree() + rng.randint(1, 3)
-    cut = rng.randint(1, 3)
-    prefix = {}
-    for v in tree.order[:cut]:
-        taken = {prefix.get(u) for u in g.adj[v]}
-        prefix[v] = rng.choice([c for c in range(1, k + 1) if c not in taken])
-    rest = list(tree.order[cut:])
+    root_color = rng.randint(1, k)
+    rest = list(tree.order[1:])
     picked = rng.sample(rest, min(len(rest), rng.randint(0, 6)))
     forced = {v: rng.randint(1, k) for v in picked[:1] if rng.random() < 0.5}
     choosers = {v: pick_last for v in picked[1:2]}
@@ -285,10 +280,10 @@ def test_greedy_matches_the_rule_oracle(g, seed):
     kwargs = dict(
         k=None if lists else k, forced=forced, forbidden=forbidden, choosers=choosers, lists=lists
     )
-    fast = outcome(greedy_extend_traced, g, tree, prefix, **kwargs)
-    assert fast == outcome(greedy_extend_by_rules, g, tree, prefix, **kwargs)
+    fast = outcome(greedy_extend_traced, g, tree, root_color, **kwargs)
+    assert fast == outcome(greedy_extend_by_rules, g, tree, {tree.root: root_color}, **kwargs)
     untraced = fast[0] if isinstance(fast[0], Coloring) else fast
-    assert outcome(greedy_extend, g, tree, prefix, **kwargs) == untraced
+    assert outcome(greedy_extend, g, tree, root_color, **kwargs) == untraced
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
 """The full construction: branch dispatch, branch internals, certification."""
 
 import hashlib
+import random
 import sys
+from itertools import islice
 
 import pytest
 from hypothesis import assume, given, settings
@@ -65,16 +67,19 @@ from distcolor.solver import (
 from distcolor.symmetry import (
     CERTIFICATE_PROPAGATION,
     CERTIFICATE_SEARCH,
+    certify,
     exact_chi_D,
     exists_automorphism_mapping,
     find_isomorphism,
     fixed_propagation,
     is_distinguishing,
 )
-from distcolor.tree import bfs_tree
+from distcolor.tree import BfsTree, bfs_tree
 from oracles import (
+    STORED_SPECIAL_COLORINGS,
     cubic_girth5_completions,
     girth5_graphs,
+    relabel,
     small_graphs,
 )
 
@@ -238,6 +243,64 @@ def test_diameter_three_preconditions():
     assert run_case(_diameter3_case, hoffman_singleton()) is None
 
 
+def hoffman_singleton_minus_a_closed_neighborhood():
+    # the graph the Moore case recurses on, and the only input that reaches
+    # the diameter-three case
+    g = hoffman_singleton()
+    return g.induced_subgraph(sorted(set(g.vertices()) - {0} - set(g.adj[0])))[0]
+
+
+def test_every_diameter_three_configuration_certifies():
+    # the case builds on the first configuration only, so every other one
+    # must work as well
+    robertson_configs = list(_diam3_configs(robertson()))
+    assert len(robertson_configs) == 720
+    g = hoffman_singleton_minus_a_closed_neighborhood()
+    for h, configs in (
+        (robertson(), robertson_configs),
+        (g, islice(_diam3_configs(g), 200)),
+    ):
+        for cfg, dist in configs:
+            tree, coloring, prefix = _diam3_parts(h, cfg, dist)
+            assert certify(h, tree, coloring, prefix) == (prefix, CERTIFICATE_PROPAGATION)
+
+
+def test_the_diameter_three_case_on_its_one_input():
+    g = hoffman_singleton_minus_a_closed_neighborhood()
+    tree, coloring, prefix = run_case(_diameter3_case, g)
+    assert (tree, coloring, prefix) == _diam3_parts(g, *next(_diam3_configs(g)))
+    assert solver._run_cases(g).branch == BRANCH_DIAMETER3
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: path(7),
+        lambda: random_tree(30, seed=1),
+        petersen,
+        heawood,
+        mcgee,
+        robertson,
+        hoffman_singleton,
+        hoffman_singleton_minus_a_closed_neighborhood,
+    ],
+    ids=["path", "random-tree", "petersen", "heawood", "mcgee", "robertson",
+         "hoffman-singleton", "hoffman-singleton-minus-n0"],
+)
+def test_every_case_returns_parts_or_none(build):
+    # in solve's order, so each case sees only what solve would hand it
+    g = build()
+    for branch, case in solver._CASES:
+        parts = run_case(case, g)
+        if parts is not None:
+            break
+    assert branch == solve(g).branch
+    assert isinstance(parts, tuple) and len(parts) == 3
+    tree, coloring, prefix = parts
+    assert isinstance(tree, BfsTree) and isinstance(coloring, Coloring)
+    assert prefix is None or isinstance(prefix, tuple)
+
+
 def test_moore_branch_solves_hoffman_singleton():
     g = hoffman_singleton()
     r = solve(g)
@@ -356,9 +419,29 @@ def test_special_branch_rejects_other_cubic_graphs():
 def test_stored_colorings_expose_both_graphs():
     stored = special_colorings()
     assert [label for label, _, _ in stored] == ["petersen", "heawood"]
+    for (_, g, _), build in zip(stored, (petersen, heawood)):
+        assert list(g.edges()) == list(build().edges())
     for _, g, coloring in stored:
         assert coloring.is_proper(g)
         assert coloring.num_colors() == 4
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["petersen", "heawood"])
+def test_special_colorings_match_the_former_stored_pair(index):
+    # the stored colorings moved to the generators' numbering; on every
+    # relabeling solve must give what the former graph and coloring gave
+    g = (petersen, heawood)[index]()
+    edges, values = STORED_SPECIAL_COLORINGS[index]
+    old_h = Graph(g.n, edges)
+    rng = random.Random(index)
+    graphs = [g]
+    for _ in range(200):
+        image = list(g.vertices())
+        rng.shuffle(image)
+        graphs.append(relabel(g, image))
+    for h in graphs:
+        iso = find_isomorphism(h, old_h)
+        assert solve(h).coloring.values == tuple(values[iso(v)] for v in h.vertices())
 
 
 def test_solve_validates_its_input():
