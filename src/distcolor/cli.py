@@ -30,7 +30,8 @@ class _Parser(argparse.ArgumentParser):
 def _read_text(path: str) -> str:
     try:
         if path == "-":
-            return sys.stdin.read()
+            # the raw bytes, so the locale's error handler cannot hide a bad byte
+            return sys.stdin.buffer.read().decode("utf-8")
         with open(path, encoding="utf-8") as handle:
             return handle.read()
     except UnicodeDecodeError as exc:

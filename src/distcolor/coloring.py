@@ -70,21 +70,24 @@ def parse_coloring(text: str, n: int) -> Coloring:
     """Parse ``v <vertex> <color>`` lines (1-indexed vertices).
 
     Each line is split once, and a vertex colored twice is found in the
-    values being filled. Errors name the line and quote it stripped.
+    values being filled. Numbers are ASCII digits only, as in ``parse_graph``.
+    Errors name the line and quote it stripped.
     """
     values: list[int | None] = [None] * n
+    ascii_text = text.isascii()  # then isdigit() alone means 0-9
     for lineno, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split()
         if not fields or fields[0][0] == "c":
             continue
-        if fields[0] != "v" or len(fields) != 3:
-            raise DimacsError(f"line {lineno}: malformed coloring line: {raw.strip()!r}")
         try:
-            v, color = int(fields[1]), int(fields[2])
+            tag, a, b = fields
         except ValueError:
-            raise DimacsError(
-                f"line {lineno}: malformed coloring line: {raw.strip()!r}"
-            ) from None
+            tag = a = b = ""
+        if tag != "v" or not (
+            a.isdigit() and b.isdigit() and (ascii_text or (a + b).isascii())
+        ):
+            raise DimacsError(f"line {lineno}: malformed coloring line: {raw.strip()!r}")
+        v, color = int(a), int(b)
         if not 1 <= v <= n:
             raise DimacsError(f"line {lineno}: vertex out of range: {raw.strip()!r}")
         if color < 1:
@@ -141,20 +144,22 @@ class ListAssignment:
 
 
 def parse_lists(text: str, n: int) -> ListAssignment:
-    """Parse ``l <vertex> <color>...`` lines (1-indexed vertices)."""
+    """Parse ``l <vertex> <color>...`` lines (1-indexed vertices), numbers in
+    ASCII digits only, as in ``parse_graph``."""
     lists: list[list[int] | None] = [None] * n
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
         fields = line.split()
-        if fields[0] != "l" or len(fields) < 3:
+        numbers = fields[1:]
+        if (
+            fields[0] != "l"
+            or len(numbers) < 2
+            or not all(f.isdigit() and f.isascii() for f in numbers)
+        ):
             raise DimacsError(f"line {lineno}: malformed list line: {line!r}")
-        try:
-            v = int(fields[1])
-            colors = [int(f) for f in fields[2:]]
-        except ValueError:
-            raise DimacsError(f"line {lineno}: malformed list line: {line!r}") from None
+        v, *colors = map(int, numbers)
         if not 1 <= v <= n:
             raise DimacsError(f"line {lineno}: vertex out of range: {line!r}")
         if lists[v - 1] is not None:

@@ -9,6 +9,7 @@ that same object. Random families are deterministic for a given seed.
 
 from __future__ import annotations
 
+import heapq
 import random
 from functools import cache
 
@@ -49,16 +50,15 @@ def random_tree(n: int, seed: int = 0) -> Graph:
     for v in seq:
         degree[v] += 1
     edges = []
-    leaves = sorted(v for v in range(n) if degree[v] == 1)
+    # a heap of the current leaves: each step joins the least one, O(log n)
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
     for v in seq:
-        leaf = leaves.pop(0)
-        edges.append((leaf, v))
+        edges.append((heapq.heappop(leaves), v))
         degree[v] -= 1
         if degree[v] == 1:
-            # keep the candidate set ordered for determinism
-            leaves.append(v)
-            leaves.sort()
-    edges.append((leaves[0], leaves[1]))
+            heapq.heappush(leaves, v)
+    edges.append((heapq.heappop(leaves), leaves[0]))
     return Graph(n, edges)
 
 

@@ -120,13 +120,17 @@ def parse_graph(text: str) -> Graph:
 
     Vertices are 1-indexed in the text. Malformed lines, out-of-range vertices,
     duplicate edges and self-loops are each reported as a distinct parse error
-    naming the line. Each line is split once; an edge's duplicate check is one
-    integer key, its ends in ascending order.
+    naming the line. A number is ASCII digits only: the sign, ``_`` and other
+    scripts' digits that ``int`` would take make the line malformed. Each
+    line is split once; an edge's duplicate check is one integer key, its
+    ends in ascending order.
     """
     n = None
     expected_m = None
     edges: list[tuple[int, int]] = []
     seen: set[int] = set()
+    # in ASCII text (an O(1) test) isdigit() alone means the digits 0-9
+    ascii_text = text.isascii()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split()
         if not fields:
@@ -137,11 +141,11 @@ def parse_graph(text: str) -> Graph:
                 raise DimacsError(f"line {lineno}: edge before problem line")
             try:
                 _, a, b = fields
-                u, v = int(a), int(b)
             except ValueError:
-                raise DimacsError(
-                    f"line {lineno}: malformed edge line: {raw.strip()!r}"
-                ) from None
+                a = b = ""  # a wrong field count is malformed too
+            if not (a.isdigit() and b.isdigit() and (ascii_text or (a + b).isascii())):
+                raise DimacsError(f"line {lineno}: malformed edge line: {raw.strip()!r}")
+            u, v = int(a), int(b)
             if not (1 <= u <= n and 1 <= v <= n):
                 raise DimacsError(f"line {lineno}: vertex out of range: {raw.strip()!r}")
             if u == v:
@@ -157,14 +161,15 @@ def parse_graph(text: str) -> Graph:
             line = raw.strip()
             if n is not None:
                 raise DimacsError(f"line {lineno}: repeated problem line")
-            if len(fields) != 4 or fields[1] != "edge":
-                raise DimacsError(f"line {lineno}: malformed problem line: {line!r}")
             try:
-                n, expected_m = int(fields[2]), int(fields[3])
+                _, kind, a, b = fields
             except ValueError:
-                raise DimacsError(f"line {lineno}: malformed problem line: {line!r}") from None
-            if n < 0 or expected_m < 0:
+                kind = a = b = ""
+            if kind != "edge" or not (
+                a.isdigit() and b.isdigit() and (ascii_text or (a + b).isascii())
+            ):
                 raise DimacsError(f"line {lineno}: malformed problem line: {line!r}")
+            n, expected_m = int(a), int(b)
             # more than 2m+1 vertices leave the graph disconnected, which
             # solve, color2 and listcolor refuse, and more than SEARCH_BOUND
             # are beyond verify and exact: refuse before allocating them

@@ -8,11 +8,13 @@ of deficient degree, a geodesic or diameter-three configuration), pins a BFS
 tree, colors its root, overrides a handful of vertices and lets the greedy
 rules do the rest; the Petersen and Heawood graphs get stored colorings
 instead. The paper's last cubic case, a vertex with two dissimilar
-neighbors, comes after them and no graph reaches it. Every case returns its
-parts, and ``solve`` certifies them with ``symmetry.certify``, the path the
-Δ+2 and list constructions share: fixedness propagation from a prefix that
-color refinement pins down, or, when refinement cannot, the exact symmetry
-search under its vertex bound. An improper or uncertifiable coloring is
+neighbors, has no code: a cubic girth-five graph with no geodesic
+configuration has at most 14 vertices, and the tests solve every one of
+them through the cases above. Every case returns its parts, and ``solve``
+certifies them with ``symmetry.certify``, the path the Δ+2 and list
+constructions share: fixedness propagation from a prefix that color
+refinement pins down, or, when refinement cannot, the exact symmetry search
+under its vertex bound. An improper or uncertifiable coloring is
 reported as an internal bug rather than a user error.
 """
 
@@ -28,7 +30,7 @@ from .errors import InternalConsistencyError, PreconditionError
 from .generators import heawood, petersen
 from .graph import Graph, distances, has_cycle_shorter_than_five, is_connected
 from .greedy import Chooser, greedy_extend
-from .symmetry import certify, exists_automorphism_mapping, find_isomorphism
+from .symmetry import certify, find_isomorphism
 from .tree import LAST, BfsTree, bfs_tree
 
 BRANCH_PATH_OR_CYCLE = "path_or_cycle"
@@ -36,6 +38,7 @@ BRANCH_NONREGULAR = "nonregular"
 BRANCH_GEODESIC = "geodesic"
 BRANCH_DIAMETER3 = "diameter3"
 BRANCH_MOORE = "moore_recursive"
+# No case takes this branch; the benchmark still reports a count for it.
 BRANCH_DISSIMILAR = "dissimilar_neighbors"
 BRANCH_SPECIAL = "special"
 BRANCH_C6 = "c6"
@@ -455,45 +458,6 @@ def _special_case(
     return None
 
 
-def _find_dissimilar_pair(g: Graph) -> tuple[int, int, int] | None:
-    for w in g.vertices():
-        nbrs = g.adj[w]
-        for i, x1 in enumerate(nbrs):
-            for y1 in nbrs[i + 1:]:
-                if not exists_automorphism_mapping(g, x1, y1):
-                    return w, x1, y1
-    return None
-
-
-def _dissimilar_parts(g: Graph, w: int, x1: int, y1: int) -> Parts:
-    """Give two structurally different neighbors of w the same color 1.
-
-    w is the only top-colored vertex with two 1-colored neighbors, and no
-    automorphism can swap x1 with y1, so all three are fixed outright.
-    """
-    k = g.max_degree() + 1
-    tree = bfs_tree(g, w, slots={x1: 0, y1: 1})
-    coloring = greedy_extend(g, tree, k, k=k, forced={x1: 1, y1: 1})
-    return tree, coloring, tuple(tree.order[:3])
-
-
-def _dissimilar_case(
-    g: Graph, delta: int, scan: Callable[[], GeodesicScan]
-) -> Parts | None:
-    """The paper's last cubic case; no graph reaches it.
-
-    Every cubic graph that gets here is neither Petersen nor Heawood and has
-    no geodesic configuration. An exhaustive check finds none through 14
-    vertices, and above 14 this raises.
-    """
-    if delta != 3:
-        return None
-    if g.n > 14:
-        raise InternalConsistencyError("cubic graph too large for the remaining cases")
-    pair = _find_dissimilar_pair(g)
-    return None if pair is None else _dissimilar_parts(g, *pair)
-
-
 # The paper's cases in the order solve tries them. Each takes the graph, its
 # maximum degree and the geodesic scan (a memo, run on first use) and returns
 # (tree, coloring, prefix), or None when its case does not apply; a None
@@ -507,7 +471,6 @@ _CASES = (
     (BRANCH_DIAMETER3, _diameter3_case),
     (BRANCH_MOORE, _moore_case),
     (BRANCH_SPECIAL, _special_case),
-    (BRANCH_DISSIMILAR, _dissimilar_case),
 )
 
 
@@ -517,9 +480,9 @@ def solve(g: Graph) -> SolveResult:
     The first case of ``_CASES`` that applies builds the coloring: paths and
     cycles (Δ ≤ 2); a vertex of deficient degree; a geodesic configuration;
     diameter 3 (Δ ≥ 4); diameter 2 (Δ ≥ 4, a Moore graph, handled
-    recursively); and the cubic leftovers: the Petersen and Heawood graphs,
-    which get stored colorings, and then a vertex with two dissimilar
-    neighbors, which no graph reaches. The geodesic scan runs one BFS per
+    recursively); and the Petersen and Heawood graphs, which get stored
+    colorings. Every other cubic graph of girth five has a geodesic
+    configuration, so a graph that no case takes is a bug. The geodesic scan runs one BFS per
     vertex at most once per call, and the two diameter cases read the
     diameter off it rather than running a second all-sources BFS.
     """

@@ -336,6 +336,7 @@ def _search_verdict(g: Graph, coloring: Coloring) -> SymmetryVerdict:
     return SymmetryVerdict(True, None)
 
 
+# No library code calls this; the benchmark tracer (benchmarks/tracing.py) wraps it.
 def exists_automorphism_mapping(g: Graph, u: int, v: int) -> bool:
     """True iff some automorphism of g maps u to v."""
     _check_bound(g)

@@ -11,6 +11,8 @@ Each one is the straightforward form that the library's version replaced:
   (``canonical_colorings``) to the full ``is_distinguishing``;
 * ``girth5_extensions_unpruned`` attaches a new vertex to every valid set,
   with no regard to the parent's symmetry or the new vertex's profile.
+* ``random_tree_by_sorted_list`` re-sorts its list of leaves after every
+  push where ``random_tree`` keeps a heap;
 * ``random_girth5_by_bfs`` decides each candidate edge of ``random_girth5``
   with a full breadth-first search instead of the depth-3 test;
 * ``wl_labels_plain`` refines round by round from (base label, degree)
@@ -361,6 +363,31 @@ def girth5_extensions_unpruned(g):
                 for a, b in combinations(chosen, 2)
             ):
                 yield Graph(n + 1, edges + [(a, n) for a in chosen])
+
+
+def random_tree_by_sorted_list(n, seed=0):
+    """``random_tree`` keeping its leaves in a list, sorted after each push."""
+    if n < 1:
+        raise PreconditionError("tree needs at least one vertex")
+    if n == 1:
+        return Graph(1, [])
+    if n == 2:
+        return Graph(2, [(0, 1)])
+    rng = random.Random(seed)
+    seq = [rng.randrange(n) for _ in range(n - 2)]
+    degree = [1] * n
+    for v in seq:
+        degree[v] += 1
+    edges = []
+    leaves = sorted(v for v in range(n) if degree[v] == 1)
+    for v in seq:
+        edges.append((leaves.pop(0), v))
+        degree[v] -= 1
+        if degree[v] == 1:
+            leaves.append(v)
+            leaves.sort()
+    edges.append((leaves[0], leaves[1]))
+    return Graph(n, edges)
 
 
 def random_girth5_by_bfs(n, max_degree, seed=0):

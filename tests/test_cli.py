@@ -1,26 +1,35 @@
 """Command-line behavior: formats, exit codes, pipes, determinism."""
 
+import contextlib
 import io
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import distcolor
 from distcolor import solver
 from distcolor.cli import main
 from distcolor.coloring import Coloring, parse_coloring
-from distcolor.generators import cycle, path, petersen
+from distcolor.generators import cycle, path, petersen, random_tree, star
 from distcolor.graph import parse_graph, render_graph
+from distcolor.solver import render_result, solve
 from distcolor.tree import bfs_tree
 
 
 def run_cli(argv, capsys, monkeypatch=None, stdin_text=None):
-    """Run main() in process and return (exit_code, stdout, stderr)."""
+    """Run main() in process and return (exit_code, stdout, stderr).
+
+    ``stdin_text`` (str, sent as UTF-8, or bytes) becomes standard input.
+    """
     if stdin_text is not None:
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
+        raw = stdin_text.encode() if isinstance(stdin_text, str) else stdin_text
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw)))
     try:
         code = main(argv)
     except SystemExit as exc:
@@ -228,6 +237,15 @@ def test_a_file_that_is_not_utf8_is_named(tmp_path, capsys):
     assert err == f"distcolor: {solution}: not valid UTF-8 (invalid start byte at byte 6)\n"
 
 
+def test_standard_input_that_is_not_utf8_exits_one(capsys, monkeypatch):
+    code, out, err = run_cli(
+        ["solve", "-"], capsys, monkeypatch, stdin_text=b"p edge 2 1\n\xff"
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "distcolor: standard input: not valid UTF-8 (invalid start byte at byte 11)\n"
+
+
 def test_malformed_graph_exits_one(capsys, monkeypatch):
     text = "p edge 3 3\ne 1 2\ne 2 3\n"
     code, _, err = run_cli(["solve", "-"], capsys, monkeypatch, stdin_text=text)
@@ -303,3 +321,78 @@ def test_module_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout == "3\n"
+
+
+# Valid inputs for the exit-code property: small graphs, so that exact and
+# verify stay quick, with solve's colorings of them and color lists.
+SEED_GRAPHS = [path(5), cycle(7), cycle(6), star(4), petersen(), random_tree(9, seed=2)]
+SEED_TEXTS = {
+    "graph": [render_graph(g).encode() for g in SEED_GRAPHS],
+    # solve refuses the six-cycle
+    "coloring": [render_result(solve(g)).encode() for g in SEED_GRAPHS if g.n != 6],
+    "lists": [
+        "".join(f"l {v} 1 2 3 {v % 4 + 4}\n" for v in range(1, n + 1)).encode()
+        for n in (5, 7, 10)
+    ],
+}
+ALL_SEED_TEXTS = [text for texts in SEED_TEXTS.values() for text in texts]
+TOKENS = [
+    b"p", b"edge", b"e", b"v", b"l", b"c", b"0", b"1", b"3", b"9", b"-1", b"+2", b"1_0",
+    b"99999999999", " \u0661".encode(), b" ", b"\t", b"\n", b"\r\n", b"\xff", b"\x00",
+]
+
+
+@st.composite
+def mutated(draw, kind):
+    """A valid input of the kind with tokens inserted, bytes deleted and
+    parts of other inputs spliced in."""
+    data = draw(st.sampled_from(SEED_TEXTS[kind]))
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        at = draw(st.integers(min_value=0, max_value=len(data)))
+        op = draw(st.sampled_from(["insert", "delete", "splice"]))
+        if op == "insert":
+            data = data[:at] + draw(st.sampled_from(TOKENS)) + data[at:]
+        elif op == "delete":
+            end = draw(st.integers(min_value=at, max_value=min(len(data), at + 12)))
+            data = data[:at] + data[end:]
+        else:
+            other = draw(st.sampled_from(ALL_SEED_TEXTS))
+            start = draw(st.integers(min_value=0, max_value=len(other)))
+            end = draw(st.integers(min_value=start, max_value=len(other)))
+            data = data[:at] + other[start:end] + data[at:]
+    return data
+
+
+@pytest.fixture(scope="module")
+def second_input(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated") / "second.txt"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    command=st.sampled_from(["solve", "color2", "listcolor", "verify", "exact"]),
+    graph=st.one_of(st.sampled_from(SEED_TEXTS["graph"]), mutated("graph")),
+    data=st.data(),
+)
+def test_mutated_inputs_exit_zero_or_one(second_input, command, graph, data):
+    # the exit-code contract: a bad input exits 1 with a message, never 2
+    # and never a traceback; the graph comes on standard input and the
+    # coloring or lists from a file
+    argv = [command, "-"]
+    kind = {"verify": "coloring", "listcolor": "lists"}.get(command)
+    if kind is not None:
+        second_input.write_bytes(
+            data.draw(st.one_of(st.sampled_from(SEED_TEXTS[kind]), mutated(kind)))
+        )
+        argv.append(str(second_input))
+    out, err = io.StringIO(), io.StringIO()
+    stdin = io.TextIOWrapper(io.BytesIO(graph))
+    with (
+        mock.patch.object(sys, "stdin", stdin),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
+        code = main(argv)
+    assert code in (0, 1), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == (err.getvalue() == "")

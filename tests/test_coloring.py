@@ -96,6 +96,15 @@ def test_parse_rejects_malformed_colorings(text, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("field", ["+1", "1_0", "-1", "\u0661", "\u00b2"])
+def test_parse_coloring_reads_only_ascii_digits(field):
+    # int() takes the first four; "²" is a digit to str.isdigit() alone
+    for line in (f"v {field} 1", f"v 1 {field}"):
+        with pytest.raises(DimacsError) as err:
+            parse_coloring(line + "\n", 20)
+        assert str(err.value) == f"line 1: malformed coloring line: {line!r}"
+
+
 def test_rejects_nonpositive_colors():
     with pytest.raises(PreconditionError):
         Coloring((0, 1))
@@ -136,6 +145,14 @@ def test_parse_lists_round_trip():
 def test_parse_lists_rejects_malformed(text):
     with pytest.raises(DimacsError):
         parse_lists(text, 3)
+
+
+@pytest.mark.parametrize("field", ["+1", "1_0", "-1", "\u0661", "\u00b2"])
+def test_parse_lists_reads_only_ascii_digits(field):
+    for line in (f"l {field} 1 2", f"l 1 2 {field}"):
+        with pytest.raises(DimacsError) as err:
+            parse_lists(line + "\n", 20)
+        assert str(err.value) == f"line 1: malformed list line: {line!r}"
 
 
 @PROPERTY_SETTINGS

@@ -25,7 +25,7 @@ from distcolor.generators import (
     tutte_coxeter,
 )
 from distcolor.graph import INFINITY, diameter, girth, is_connected
-from oracles import outcome, random_girth5_by_bfs
+from oracles import outcome, random_girth5_by_bfs, random_tree_by_sorted_list
 
 PROPERTY_SETTINGS = settings(max_examples=50, deadline=None)
 
@@ -112,6 +112,12 @@ def test_random_tree_is_a_tree():
 def test_random_tree_is_deterministic():
     assert random_tree(12, seed=9) == random_tree(12, seed=9)
     assert random_tree(12, seed=9) != random_tree(12, seed=10)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 57, 1000, 5000])
+@pytest.mark.parametrize("seed", range(5))
+def test_random_tree_matches_the_sorted_list_reference(n, seed):
+    assert random_tree(n, seed=seed) == random_tree_by_sorted_list(n, seed=seed)
 
 
 def test_random_girth5_respects_its_contract():

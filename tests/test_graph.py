@@ -214,6 +214,29 @@ def test_parse_rejects_malformed_input(text, message):
     assert str(err.value) == message
 
 
+PATH_10 = "".join(f"e {v} {v + 1}\n" for v in range(1, 10))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p edge 1_0 9\n" + PATH_10, "line 1: malformed problem line: 'p edge 1_0 9'"),
+        ("p edge 10 +9\n" + PATH_10, "line 1: malformed problem line: 'p edge 10 +9'"),
+        ("p edge 10 9\ne +9 1_0\n", "line 2: malformed edge line: 'e +9 1_0'"),
+        ("p edge 10 1\ne 1 \u0661\n", "line 2: malformed edge line: 'e 1 \u0661'"),
+        ("p edge 10 1\ne \uff11 2\n", "line 2: malformed edge line: 'e \uff11 2'"),
+        ("p edge 10 1\ne -1 2\n", "line 2: malformed edge line: 'e -1 2'"),
+    ],
+    ids=["underscore-count", "plus-count", "plus-and-underscore", "arabic-indic", "fullwidth", "minus"],
+)
+def test_parse_reads_only_ascii_digits(text, message):
+    # int() also takes a sign, "_" between digits and other scripts'
+    # digits; read that way, the first text was a 10-vertex path
+    with pytest.raises(DimacsError) as err:
+        parse_graph(text)
+    assert str(err.value) == message
+
+
 def test_parse_refuses_more_vertices_than_edges_or_searches_use(monkeypatch):
     # the header alone must not allocate: a stub stands in for huge graphs
     real = graph_module.Graph

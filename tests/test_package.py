@@ -23,6 +23,12 @@ def _used_names(node: ast.AST) -> Counter[str]:
     return names
 
 
+# Public functions kept only because the benchmark tracer wraps them by
+# name; the next change to benchmarks/ can drop the tracer's entry and then
+# the function.
+BENCHMARK_ONLY = {"symmetry.exists_automorphism_mapping"}
+
+
 def test_every_public_function_is_used_or_exported():
     # a public function that nothing in the library calls and the package
     # does not export exists only for the tests; it belongs in tests/
@@ -36,7 +42,7 @@ def test_every_public_function_is_used_or_exported():
                 defined.append((source.stem, node.name, node))
     unused = []
     for module_name, name, definition in defined:
-        if name in distcolor.__all__:
+        if name in distcolor.__all__ or f"{module_name}.{name}" in BENCHMARK_ONLY:
             continue
         if not any(name in _used_names(node) for node in statements if node is not definition):
             unused.append(f"{module_name}.{name}")
