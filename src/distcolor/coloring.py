@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import DimacsError, PreconditionError
-from .graph import Graph
+from .graph import Graph, number_test
 
 
 class Coloring:
@@ -70,24 +70,24 @@ def parse_coloring(text: str, n: int) -> Coloring:
     """Parse ``v <vertex> <color>`` lines (1-indexed vertices).
 
     Each line is split once, and a vertex colored twice is found in the
-    values being filled. Numbers are ASCII digits only, as in ``parse_graph``.
-    Errors name the line and quote it stripped.
+    values being filled. A number is a field that ``graph.number_test``
+    accepts. Errors name the line and quote it stripped.
     """
     values: list[int | None] = [None] * n
-    ascii_text = text.isascii()  # then isdigit() alone means 0-9
+    is_number = number_test(text)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split()
         if not fields or fields[0][0] == "c":
             continue
         try:
             tag, a, b = fields
+            if tag != "v" or is_number and not (is_number(a) and is_number(b)):
+                raise ValueError(raw)
+            v, color = int(a), int(b)
         except ValueError:
-            tag = a = b = ""
-        if tag != "v" or not (
-            a.isdigit() and b.isdigit() and (ascii_text or (a + b).isascii())
-        ):
-            raise DimacsError(f"line {lineno}: malformed coloring line: {raw.strip()!r}")
-        v, color = int(a), int(b)
+            raise DimacsError(
+                f"line {lineno}: malformed coloring line: {raw.strip()!r}"
+            ) from None
         if not 1 <= v <= n:
             raise DimacsError(f"line {lineno}: vertex out of range: {raw.strip()!r}")
         if color < 1:
@@ -144,22 +144,23 @@ class ListAssignment:
 
 
 def parse_lists(text: str, n: int) -> ListAssignment:
-    """Parse ``l <vertex> <color>...`` lines (1-indexed vertices), numbers in
-    ASCII digits only, as in ``parse_graph``."""
+    """Parse ``l <vertex> <color>...`` lines (1-indexed vertices), a number
+    being a field that ``graph.number_test`` accepts."""
     lists: list[list[int] | None] = [None] * n
+    is_number = number_test(text)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
         fields = line.split()
         numbers = fields[1:]
-        if (
-            fields[0] != "l"
-            or len(numbers) < 2
-            or not all(f.isdigit() and f.isascii() for f in numbers)
-        ):
-            raise DimacsError(f"line {lineno}: malformed list line: {line!r}")
-        v, *colors = map(int, numbers)
+        try:
+            well_formed = fields[0] == "l" and len(numbers) >= 2
+            if not well_formed or is_number and not all(map(is_number, numbers)):
+                raise ValueError(line)
+            v, *colors = map(int, numbers)
+        except ValueError:
+            raise DimacsError(f"line {lineno}: malformed list line: {line!r}") from None
         if not 1 <= v <= n:
             raise DimacsError(f"line {lineno}: vertex out of range: {line!r}")
         if lists[v - 1] is not None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import DimacsError, PreconditionError
 
@@ -115,13 +115,27 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def _is_ascii_number(field: str) -> bool:
+    return field.isdigit() and field.isascii()
+
+
+def number_test(text: str) -> Callable[[str], bool] | None:
+    """The test that a field of ``text`` is a number, ASCII digits only, or
+    None when ``int`` alone reads nothing else there: ASCII text with no
+    ``+``, ``-`` or ``_``, since ``int`` also takes a sign, ``_`` and other
+    scripts' digits. Callers keep ``int`` inside ``except ValueError``: past
+    its digit limit (4300 by default) it raises on digits too."""
+    if text.isascii() and not ("+" in text or "-" in text or "_" in text):
+        return None
+    return _is_ascii_number
+
+
 def parse_graph(text: str) -> Graph:
     """Parse a DIMACS graph: one ``p edge n m`` line, ``e u v`` lines, ``c`` comments.
 
     Vertices are 1-indexed in the text. Malformed lines, out-of-range vertices,
     duplicate edges and self-loops are each reported as a distinct parse error
-    naming the line. A number is ASCII digits only: the sign, ``_`` and other
-    scripts' digits that ``int`` would take make the line malformed. Each
+    naming the line; a number is a field that ``number_test`` accepts. Each
     line is split once; an edge's duplicate check is one integer key, its
     ends in ascending order.
     """
@@ -129,8 +143,7 @@ def parse_graph(text: str) -> Graph:
     expected_m = None
     edges: list[tuple[int, int]] = []
     seen: set[int] = set()
-    # in ASCII text (an O(1) test) isdigit() alone means the digits 0-9
-    ascii_text = text.isascii()
+    is_number = number_test(text)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split()
         if not fields:
@@ -141,11 +154,13 @@ def parse_graph(text: str) -> Graph:
                 raise DimacsError(f"line {lineno}: edge before problem line")
             try:
                 _, a, b = fields
+                if is_number and not (is_number(a) and is_number(b)):
+                    raise ValueError(raw)
+                u, v = int(a), int(b)
             except ValueError:
-                a = b = ""  # a wrong field count is malformed too
-            if not (a.isdigit() and b.isdigit() and (ascii_text or (a + b).isascii())):
-                raise DimacsError(f"line {lineno}: malformed edge line: {raw.strip()!r}")
-            u, v = int(a), int(b)
+                raise DimacsError(
+                    f"line {lineno}: malformed edge line: {raw.strip()!r}"
+                ) from None
             if not (1 <= u <= n and 1 <= v <= n):
                 raise DimacsError(f"line {lineno}: vertex out of range: {raw.strip()!r}")
             if u == v:
@@ -163,13 +178,11 @@ def parse_graph(text: str) -> Graph:
                 raise DimacsError(f"line {lineno}: repeated problem line")
             try:
                 _, kind, a, b = fields
+                if kind != "edge" or is_number and not (is_number(a) and is_number(b)):
+                    raise ValueError(line)
+                n, expected_m = int(a), int(b)
             except ValueError:
-                kind = a = b = ""
-            if kind != "edge" or not (
-                a.isdigit() and b.isdigit() and (ascii_text or (a + b).isascii())
-            ):
-                raise DimacsError(f"line {lineno}: malformed problem line: {line!r}")
-            n, expected_m = int(a), int(b)
+                raise DimacsError(f"line {lineno}: malformed problem line: {line!r}") from None
             # more than 2m+1 vertices leave the graph disconnected, which
             # solve, color2 and listcolor refuse, and more than SEARCH_BOUND
             # are beyond verify and exact: refuse before allocating them

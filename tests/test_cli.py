@@ -338,7 +338,7 @@ SEED_TEXTS = {
 ALL_SEED_TEXTS = [text for texts in SEED_TEXTS.values() for text in texts]
 TOKENS = [
     b"p", b"edge", b"e", b"v", b"l", b"c", b"0", b"1", b"3", b"9", b"-1", b"+2", b"1_0",
-    b"99999999999", " \u0661".encode(), b" ", b"\t", b"\n", b"\r\n", b"\xff", b"\x00",
+    b"99999999999", b"9" * 4301, " \u0661".encode(), b" ", b"\t", b"\n", b"\r\n", b"\xff", b"\x00",
 ]
 
 

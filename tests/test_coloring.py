@@ -96,9 +96,14 @@ def test_parse_rejects_malformed_colorings(text, message):
     assert str(err.value) == message
 
 
-@pytest.mark.parametrize("field", ["+1", "1_0", "-1", "\u0661", "\u00b2"])
+# int() takes the first four; "²" is a digit to str.isdigit() alone, and
+# int() raises ValueError itself past its default limit of 4300 digits
+NOT_NUMBERS = ["+1", "1_0", "-1", "\u0661", "\u00b2", "9" * 4301]
+NOT_NUMBER_IDS = ["plus", "underscore", "minus", "arabic-indic", "superscript", "long"]
+
+
+@pytest.mark.parametrize("field", NOT_NUMBERS, ids=NOT_NUMBER_IDS)
 def test_parse_coloring_reads_only_ascii_digits(field):
-    # int() takes the first four; "²" is a digit to str.isdigit() alone
     for line in (f"v {field} 1", f"v 1 {field}"):
         with pytest.raises(DimacsError) as err:
             parse_coloring(line + "\n", 20)
@@ -147,7 +152,7 @@ def test_parse_lists_rejects_malformed(text):
         parse_lists(text, 3)
 
 
-@pytest.mark.parametrize("field", ["+1", "1_0", "-1", "\u0661", "\u00b2"])
+@pytest.mark.parametrize("field", NOT_NUMBERS, ids=NOT_NUMBER_IDS)
 def test_parse_lists_reads_only_ascii_digits(field):
     for line in (f"l {field} 1 2", f"l 1 2 {field}"):
         with pytest.raises(DimacsError) as err:

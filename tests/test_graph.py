@@ -214,6 +214,8 @@ def test_parse_rejects_malformed_input(text, message):
     assert str(err.value) == message
 
 
+# past the interpreter's default limit of 4300 digits for int()
+LONG = "9" * 4301
 PATH_10 = "".join(f"e {v} {v + 1}\n" for v in range(1, 10))
 
 
@@ -226,15 +228,29 @@ PATH_10 = "".join(f"e {v} {v + 1}\n" for v in range(1, 10))
         ("p edge 10 1\ne 1 \u0661\n", "line 2: malformed edge line: 'e 1 \u0661'"),
         ("p edge 10 1\ne \uff11 2\n", "line 2: malformed edge line: 'e \uff11 2'"),
         ("p edge 10 1\ne -1 2\n", "line 2: malformed edge line: 'e -1 2'"),
+        ("p edge 10 1\ne 1 \u00b2\n", "line 2: malformed edge line: 'e 1 \u00b2'"),
+        (f"p edge 10 1\ne 1 {LONG}\n", f"line 2: malformed edge line: 'e 1 {LONG}'"),
+        (f"p edge 10 {LONG}\n", f"line 1: malformed problem line: 'p edge 10 {LONG}'"),
     ],
-    ids=["underscore-count", "plus-count", "plus-and-underscore", "arabic-indic", "fullwidth", "minus"],
+    ids=[
+        "underscore-count", "plus-count", "plus-and-underscore", "arabic-indic",
+        "fullwidth", "minus", "superscript", "long-vertex", "long-count",
+    ],
 )
 def test_parse_reads_only_ascii_digits(text, message):
     # int() also takes a sign, "_" between digits and other scripts'
-    # digits; read that way, the first text was a 10-vertex path
+    # digits; read that way, the first text was a 10-vertex path. "²" is a
+    # digit to str.isdigit() alone, and int() itself raises ValueError past
+    # 4300 digits
     with pytest.raises(DimacsError) as err:
         parse_graph(text)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("comment", ["c a-b", "c +1", "c 1_0", "c \u0661 \u00e9"])
+def test_parse_reads_numbers_beside_signs_and_other_scripts_in_comments(comment):
+    # such characters anywhere in the text turn on the per-field test
+    assert parse_graph(f"{comment}\np edge 3 2\ne 1 2\ne 2 3\n") == Graph(3, [(0, 1), (1, 2)])
 
 
 def test_parse_refuses_more_vertices_than_edges_or_searches_use(monkeypatch):
