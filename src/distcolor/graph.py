@@ -45,6 +45,15 @@ class Graph:
         self.n = n
         self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in adj)
 
+    @classmethod
+    def _from_sets(cls, adj: list[set[int]]) -> "Graph":
+        """The graph of adjacency sets whose edges are already checked: in
+        range, no self-loop, each edge in both ends' sets."""
+        g = cls.__new__(cls)
+        g.n = len(adj)
+        g.adj = tuple(tuple(sorted(s)) for s in adj)
+        return g
+
     @cached_property
     def neighbor_sets(self) -> tuple[frozenset[int], ...]:
         return tuple(frozenset(ns) for ns in self.adj)
@@ -136,13 +145,12 @@ def parse_graph(text: str) -> Graph:
     Vertices are 1-indexed in the text. Malformed lines, out-of-range vertices,
     duplicate edges and self-loops are each reported as a distinct parse error
     naming the line; a number is a field that ``number_test`` accepts. Each
-    line is split once; an edge's duplicate check is one integer key, its
-    ends in ascending order.
+    line is split once, and each edge is checked once, straight into the
+    adjacency sets that the graph is built from.
     """
     n = None
     expected_m = None
-    edges: list[tuple[int, int]] = []
-    seen: set[int] = set()
+    adj: list[set[int]] = []
     is_number = number_test(text)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split()
@@ -156,20 +164,20 @@ def parse_graph(text: str) -> Graph:
                 _, a, b = fields
                 if is_number and not (is_number(a) and is_number(b)):
                     raise ValueError(raw)
-                u, v = int(a), int(b)
+                u, v = int(a) - 1, int(b) - 1
             except ValueError:
                 raise DimacsError(
                     f"line {lineno}: malformed edge line: {raw.strip()!r}"
                 ) from None
-            if not (1 <= u <= n and 1 <= v <= n):
+            if not (0 <= u < n and 0 <= v < n):
                 raise DimacsError(f"line {lineno}: vertex out of range: {raw.strip()!r}")
             if u == v:
                 raise DimacsError(f"line {lineno}: self-loop: {raw.strip()!r}")
-            key = u * stride + v if u < v else v * stride + u
-            if key in seen:
+            near = adj[u]
+            if v in near:
                 raise DimacsError(f"line {lineno}: duplicate edge: {raw.strip()!r}")
-            seen.add(key)
-            edges.append((u - 1, v - 1))
+            near.add(v)
+            adj[v].add(u)
         elif tag[0] == "c":
             continue
         elif tag == "p":
@@ -192,14 +200,15 @@ def parse_graph(text: str) -> Graph:
                     f"line {lineno}: {n} vertices with {expected_m} edges"
                     f" exceeds the limit of {limit}"
                 )
-            stride = n + 1
+            adj = [set() for _ in range(n)]
         else:
             raise DimacsError(f"line {lineno}: malformed line: {raw.strip()!r}")
     if n is None:
         raise DimacsError("missing problem line")
-    if expected_m is not None and expected_m != len(edges):
-        raise DimacsError(f"problem line promises {expected_m} edges, found {len(edges)}")
-    return Graph(n, edges)
+    found = sum(map(len, adj)) // 2
+    if expected_m != found:
+        raise DimacsError(f"problem line promises {expected_m} edges, found {found}")
+    return Graph._from_sets(adj)
 
 
 def render_graph(g: Graph) -> str:

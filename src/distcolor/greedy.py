@@ -142,7 +142,7 @@ def _extend(g, tree, root_color, k, forced, forbidden, choosers, lists, steps):
     color_of = values.__getitem__
     tree_parent = tree.parent
     tree_children = tree.children
-    near_root = g.neighbor_sets[root]
+    near_root = adj[root]
     full_palette = range(1, k + 1) if lists is None else None
     listed = lists is not None
     overridden = forced.keys() | choosers.keys()

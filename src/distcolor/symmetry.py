@@ -413,8 +413,9 @@ def fixed_propagation(
     worklist re-applies them only where a new certification changes their
     inputs: a newly certified x re-examines itself and its certified
     neighbors one level up, except the one whose second rule certified x,
-    where the loss of x leaves no color unique. O(m * max degree) after the
-    O(n + m) input checks.
+    where the loss of x leaves no color unique. The unique colors of a lower
+    set of k vertices are found by counting in it, O(k²) with k at most the
+    max degree, so O(m * max degree²) after the O(n + m) input checks.
     """
     if has_cycle_shorter_than_five(g):
         raise PreconditionError("girth below five")
@@ -508,6 +509,8 @@ def _propagate(
     #   its adjacency loop, so that examination saw y's lower set without x.
     # Any other vertex that leaves that set later has another certifier or
     # none, and its own pop re-examines y.
+    # The adjacency loop also gathers x's own lower set, as it stands after
+    # the loop's rule-1 certifications, so x's examination rescans nothing.
     colors = coloring.values
     level = tree.level
     adj = g.adj
@@ -519,9 +522,11 @@ def _propagate(
         certified[v] = True
     while work:
         x = work.pop()
-        up = level[x] - 1
+        here = level[x]
+        up, down = here - 1, here + 1
         skip = certifier[x]
         examine = [x]
+        below = []
         for u in adj[x]:
             if certified[u]:
                 if level[u] == up and u != skip:
@@ -532,19 +537,19 @@ def _propagate(
                     certified[u] = True
                     certifier[u] = x
                     work.append(u)
+                elif level[u] == down:
+                    below.append(u)
         for y in examine:
-            down = level[y] + 1
-            below = [u for u in adj[y] if not certified[u] and level[u] == down]
+            if y != x:
+                # y is one level up, so its lower set lies on x's level
+                below = [u for u in adj[y] if not certified[u] and level[u] == here]
             if not below:
                 continue
             if len(below) == 1:
                 unique = below
             else:
-                counts: dict[int, int] = {}
-                for u in below:
-                    c = colors[u]
-                    counts[c] = counts.get(c, 0) + 1
-                unique = [u for u in below if counts[colors[u]] == 1]
+                shades = [colors[u] for u in below]
+                unique = [u for u, c in zip(below, shades) if shades.count(c) == 1]
             for u in unique:
                 certified[u] = True
                 certifier[u] = y

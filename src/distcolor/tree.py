@@ -3,6 +3,8 @@
 The order sigma lists vertices level by level. Within level i+1 the vertices
 are grouped by parent, parents taken in their own sigma order, and inside one
 group children come in ascending id unless a directive pins them elsewhere.
+That is the order of a plain BFS queue over the sorted adjacency lists, so
+one BFS builds the levels, parents, children and sigma together.
 
 Directives:
   * ``parents[v] = p`` reassigns v's parent to the neighbor p one level up;
@@ -49,71 +51,68 @@ def bfs_tree(
 ) -> BfsTree:
     """Build the BFS tree at ``root`` under the given ordering directives.
 
-    Level by level, the parents claim their children in sigma order, so each
-    vertex without a directive hangs under its sigma-first neighbor one level
-    up. O(n + m).
+    One BFS whose queue is sigma itself: each dequeued vertex claims its
+    unvisited neighbors in adjacency order, so each vertex without a
+    directive hangs under its sigma-first neighbor one level up. A vertex
+    whose parent directive names another vertex waits for that one. O(n + m).
 
     Raises TreeConstraintError for infeasible directives and PreconditionError
-    for a disconnected graph or bad root.
+    for a disconnected graph or bad root. Only a call with directives runs a
+    distance BFS first: parent directives are checked against the true
+    levels, and a disconnected graph is reported before any directive.
     """
     if not 0 <= root < g.n:
         raise PreconditionError(f"root {root} out of range")
     parents = dict(parents or {})
     slots = dict(slots or {})
+    adj = g.adj
 
-    # with no INFINITY left, every distance is an int: the levels
-    level = distances(g, root)
-    if INFINITY in level:
-        raise PreconditionError("graph is disconnected")
+    if parents or slots:
+        dist = distances(g, root)
+        if INFINITY in dist:
+            raise PreconditionError("graph is disconnected")
+        for v, p in parents.items():
+            if not 0 <= v < g.n or not 0 <= p < g.n:
+                raise TreeConstraintError(f"parent directive names unknown vertex ({v}, {p})")
+            if v == root:
+                raise TreeConstraintError("the root has no parent")
+            if p not in adj[v]:
+                raise TreeConstraintError(f"{p} is not a neighbor of {v}")
+            if dist[p] != dist[v] - 1:
+                raise TreeConstraintError(f"{p} is not one level above {v}")
+        for v, s in slots.items():
+            if not 0 <= v < g.n:
+                raise TreeConstraintError(f"slot directive names unknown vertex {v}")
+            if v == root:
+                raise TreeConstraintError("the root occupies no child slot")
+            if s != LAST and (not isinstance(s, int) or s < 0):
+                raise TreeConstraintError(f"bad slot {s!r} for vertex {v}")
 
-    for v, p in parents.items():
-        if not 0 <= v < g.n or not 0 <= p < g.n:
-            raise TreeConstraintError(f"parent directive names unknown vertex ({v}, {p})")
-        if v == root:
-            raise TreeConstraintError("the root has no parent")
-        if not g.has_edge(v, p):
-            raise TreeConstraintError(f"{p} is not a neighbor of {v}")
-        if level[p] != level[v] - 1:
-            raise TreeConstraintError(f"{p} is not one level above {v}")
-    for v, s in slots.items():
-        if not 0 <= v < g.n:
-            raise TreeConstraintError(f"slot directive names unknown vertex {v}")
-        if v == root:
-            raise TreeConstraintError("the root occupies no child slot")
-        if s != LAST and (not isinstance(s, int) or s < 0):
-            raise TreeConstraintError(f"bad slot {s!r} for vertex {v}")
-
-    # Each level's parents, in sigma order, claim their unclaimed neighbors
-    # one level down; a parent directive has claimed its vertex beforehand.
     # The sorted adjacency lists make every child group ascending, so only a
     # group that a slot directive names needs arranging.
     parent: list[int | None] = [None] * g.n
     for v, p in parents.items():
         parent[v] = p
+    level = [-1] * g.n
+    level[root] = 0
     order: list[int] = [root]
     children: list[tuple[int, ...]] = [()] * g.n
-    adj = g.adj
-    current = [root]
-    below = 1
-    while current:
-        nxt: list[int] = []
-        for p in current:
-            kids = []
-            for u in adj[p]:
-                if level[u] == below:
-                    q = parent[u]
-                    if q is None:
-                        parent[u] = p
-                        kids.append(u)
-                    elif q == p:
-                        kids.append(u)
-            if slots and any(u in slots for u in kids):
-                kids = _arrange(p, kids, slots)
-            children[p] = tuple(kids)
-            nxt.extend(kids)
-        order.extend(nxt)
-        current = nxt
-        below += 1
+    for p in order:
+        below = level[p] + 1
+        kids = []
+        for u in adj[p]:
+            if level[u] < 0:
+                q = parent[u]
+                if q is None or q == p:
+                    level[u] = below
+                    parent[u] = p
+                    kids.append(u)
+        if slots and any(u in slots for u in kids):
+            kids = _arrange(p, kids, slots)
+        children[p] = tuple(kids)
+        order.extend(kids)
+    if len(order) != g.n:
+        raise PreconditionError("graph is disconnected")
 
     return BfsTree(
         root=root,

@@ -26,7 +26,8 @@ They must return exactly what the library returns, errors included.
 ``check_tree`` replays the structural invariants of a BFS tree.
 ``enumerate_automorphisms`` lists a whole automorphism group, the reference
 for properties of the library's searches. ``girth5_graphs``,
-``small_graphs`` and ``random_proper_coloring`` draw their inputs, and
+``small_graphs`` and ``random_proper_coloring`` draw their inputs,
+``CONSTRUCTION_GRAPHS`` holds a few at construction sizes, and
 ``cubic_girth5_completions`` lists cubic girth-5 graphs exhaustively.
 ``relabel`` renames a graph's vertices, and ``is_identity`` tests a
 permutation. ``STORED_SPECIAL_COLORINGS`` holds the Petersen and Heawood
@@ -519,6 +520,17 @@ def outcome(fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except Exception as exc:  # noqa: BLE001 - the comparison is the point
         return type(exc), str(exc)
+
+
+# connected inputs at the sizes the constructions run on: the benchmark's
+# 200 to 800 vertices and below
+CONSTRUCTION_GRAPHS = (
+    path(450),
+    cycle(800),
+    random_tree(300, seed=1),
+    random_girth5(100, max_degree=5, seed=2),
+    random_girth5(400, max_degree=3, seed=3),
+)
 
 
 @st.composite

@@ -254,15 +254,17 @@ def test_parse_reads_numbers_beside_signs_and_other_scripts_in_comments(comment)
 
 
 def test_parse_refuses_more_vertices_than_edges_or_searches_use(monkeypatch):
-    # the header alone must not allocate: a stub stands in for huge graphs
-    real = graph_module.Graph
+    # the header alone must not allocate: the parser makes one neighbor set
+    # per vertex, and a stub for set() stands in for huge graphs
+    made = []
 
-    def small_only(n, edges):
-        if n > 1000:
-            raise AssertionError(f"a graph of {n} vertices was allocated")
-        return real(n, edges)
+    def small_only(*args):
+        made.append(None)
+        if len(made) > 1000:
+            raise AssertionError("more than 1000 vertex sets were allocated")
+        return set(*args)
 
-    monkeypatch.setattr(graph_module, "Graph", small_only)
+    monkeypatch.setattr(graph_module, "set", small_only, raising=False)
     for text in ("p edge 1000000000 0\n", "p edge 129 0\n", "p edge 200 3\ne 1 2\n"):
         with pytest.raises(DimacsError, match="exceeds the limit"):
             parse_graph(text)

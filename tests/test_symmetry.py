@@ -49,6 +49,7 @@ from distcolor.symmetry import (
 )
 from distcolor.tree import bfs_tree
 from oracles import (
+    CONSTRUCTION_GRAPHS,
     canonical_colorings,
     connected_order_by_pop,
     enumerate_automorphisms,
@@ -421,16 +422,30 @@ def test_propagation_re_examines_a_parent_whose_child_is_certified_elsewhere():
 def test_propagation_matches_the_round_robin_oracle(g, seed):
     rng = random.Random(seed)
     w = rng.randrange(g.n)
-    tree = bfs_tree(g, w)
+    colorings = _delta_plus_2_colorings(g, w, rng) + (
+        random_proper_coloring(g, rng, g.max_degree() + rng.randint(1, 3)),
+    )
+    _matches_the_round_robin_oracle(g, bfs_tree(g, w), colorings)
+
+
+@pytest.mark.parametrize("g", CONSTRUCTION_GRAPHS, ids=repr)
+def test_propagation_matches_the_round_robin_oracle_at_construction_sizes(g):
+    rng = random.Random(g.n)
+    for w in (0, rng.randrange(g.n)):
+        colorings = _delta_plus_2_colorings(g, w, rng)
+        _matches_the_round_robin_oracle(g, bfs_tree(g, w), colorings)
+
+
+def _delta_plus_2_colorings(g, w, rng):
+    """The Δ+2 coloring rooted at w and a list coloring from random lists."""
     size = g.max_degree() + 2
     lists = ListAssignment(
         [rng.sample(range(1, 2 * size + 1), size) for _ in range(g.n)]
     )
-    colorings = (
-        color_delta_plus_2(g, w=w),
-        list_color_delta_plus_2(g, lists, w=w),
-        random_proper_coloring(g, rng, g.max_degree() + rng.randint(1, 3)),
-    )
+    return color_delta_plus_2(g, w=w), list_color_delta_plus_2(g, lists, w=w)
+
+
+def _matches_the_round_robin_oracle(g, tree, colorings):
     for coloring in colorings:
         for length in (1, 2, 3):
             prefix = tree.order[:length]

@@ -10,7 +10,13 @@ from distcolor.errors import PreconditionError, TreeConstraintError
 from distcolor.generators import cycle, path, petersen, random_girth5, star
 from distcolor.graph import Graph, distances
 from distcolor.tree import LAST, bfs_tree
-from oracles import bfs_tree_by_min_parent, check_tree, girth5_graphs, outcome
+from oracles import (
+    CONSTRUCTION_GRAPHS,
+    bfs_tree_by_min_parent,
+    check_tree,
+    girth5_graphs,
+    outcome,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -93,6 +99,12 @@ def test_disconnected_graph_is_rejected():
         bfs_tree(Graph(3, [(0, 1)]), 0)
     with pytest.raises(PreconditionError):
         bfs_tree(path(3), 7)
+    # before any bad directive, as the oracle reports it
+    g = Graph(4, [(0, 1), (2, 3)])
+    for parents, slots in (({}, {99: 0}), ({}, {0: 0}), ({5: 0}, {}), ({1: 0}, {1: "x"})):
+        assert outcome(bfs_tree, g, 0, parents, slots) == (
+            PreconditionError, "graph is disconnected"
+        ) == outcome(bfs_tree_by_min_parent, g, 0, parents, slots)
 
 
 def test_bad_directives_are_rejected():
@@ -138,8 +150,20 @@ def test_tree_is_spanning_and_consistent(seed, root_pick):
 @PROPERTY_SETTINGS
 @given(girth5_graphs(), st.integers(min_value=0, max_value=10_000))
 def test_bfs_tree_matches_the_min_parent_oracle(g, seed):
-    rng = random.Random(seed)
+    _matches_the_min_parent_oracle(g, random.Random(seed))
+
+
+@pytest.mark.parametrize("g", CONSTRUCTION_GRAPHS, ids=repr)
+def test_bfs_tree_matches_the_min_parent_oracle_at_construction_sizes(g):
+    for seed in range(5):
+        _matches_the_min_parent_oracle(g, random.Random(seed))
+
+
+def _matches_the_min_parent_oracle(g, rng):
+    # rooted at random, with no directives and with random ones: the tree
+    # and every error agree with the oracle
     root = rng.randrange(g.n)
+    assert bfs_tree(g, root) == bfs_tree_by_min_parent(g, root)
     dist = distances(g, root)
     parents = {}
     for v in rng.sample(range(g.n), rng.randint(0, 4)):
