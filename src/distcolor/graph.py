@@ -26,6 +26,8 @@ class Graph:
     Edges are checked as they are added: both ends in range, no self-loop,
     and no duplicate in either order. A duplicate is found in the adjacency
     set being built, so each edge costs one membership test and no key.
+    ``parse_graph`` keeps the same edge rules with DIMACS messages and builds
+    its graph with ``_from_sets``.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
@@ -42,17 +44,20 @@ class Graph:
                 raise PreconditionError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
             near.add(v)
             adj[v].add(u)
-        self.n = n
-        self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in adj)
+        self._adopt(adj)
 
     @classmethod
     def _from_sets(cls, adj: list[set[int]]) -> "Graph":
         """The graph of adjacency sets whose edges are already checked: in
         range, no self-loop, each edge in both ends' sets."""
         g = cls.__new__(cls)
-        g.n = len(adj)
-        g.adj = tuple(tuple(sorted(s)) for s in adj)
+        g._adopt(adj)
         return g
+
+    def _adopt(self, adj: list[set[int]]) -> None:
+        # the one place a graph's form is built from its checked sets
+        self.n = len(adj)
+        self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in adj)
 
     @cached_property
     def neighbor_sets(self) -> tuple[frozenset[int], ...]:

@@ -252,17 +252,7 @@ def _first_geodesic_config(g: Graph) -> GeodesicScan:
     a shortest path to it would be an x3 with a neighbor x at distance 4. By
     then the scan has run a BFS from every vertex, so the diameter is the
     largest eccentricity it saw, and no second all-sources BFS is needed.
-
-    A Moore graph (Δ-regular, Δ ≥ 2, n = Δ² + 1) answers 2 without a BFS:
-    with girth at least five, which every caller has checked, each vertex
-    reaches 1 + Δ + Δ(Δ−1) = n vertices within two steps, so none is at
-    distance 3 and no configuration exists.
     """
-    delta = g.max_degree()
-    if delta >= 2 and g.n == delta * delta + 1 and all(
-        len(near) == delta for near in g.adj
-    ):
-        return 2
     diam = 0
     for w in g.vertices():
         dist = distances(g, w)

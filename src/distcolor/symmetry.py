@@ -413,9 +413,8 @@ def fixed_propagation(
     worklist re-applies them only where a new certification changes their
     inputs: a newly certified x re-examines itself and its certified
     neighbors one level up, except the one whose second rule certified x,
-    where the loss of x leaves no color unique. The unique colors of a lower
-    set of k vertices are found by counting in it, O(k²) with k at most the
-    max degree, so O(m * max degree²) after the O(n + m) input checks.
+    where the loss of x leaves no color unique. O(m * max degree) after the
+    O(n + m) input checks.
     """
     if has_cycle_shorter_than_five(g):
         raise PreconditionError("girth below five")
@@ -548,8 +547,11 @@ def _propagate(
             if len(below) == 1:
                 unique = below
             else:
-                shades = [colors[u] for u in below]
-                unique = [u for u, c in zip(below, shades) if shades.count(c) == 1]
+                counts: dict[int, int] = {}
+                for u in below:
+                    c = colors[u]
+                    counts[c] = counts.get(c, 0) + 1
+                unique = [u for u in below if counts[colors[u]] == 1]
             for u in unique:
                 certified[u] = True
                 certifier[u] = y

@@ -218,19 +218,6 @@ def test_no_geodesic_configuration_at_diameter_two():
     assert _first_geodesic_config(hoffman_singleton()) == 2
 
 
-def test_moore_graphs_skip_the_geodesic_scan(monkeypatch):
-    # Δ-regular with n = Δ² + 1 and girth five: the diameter is 2 without
-    # a BFS, so the scan answers it at once
-    graphs = (cycle(5), petersen(), hoffman_singleton())
-    expected = [diameter(g) for g in graphs]
-
-    def refuse(g, source):
-        raise AssertionError("the scan ran a BFS on a Moore graph")
-
-    monkeypatch.setattr(solver, "distances", refuse)
-    assert [_first_geodesic_config(g) for g in graphs] == expected == [2, 2, 2]
-
-
 def test_construction_builds_no_neighbor_sets():
     # neighbor_sets makes a frozenset per vertex; reading one neighborhood
     # or checking a directive must not build it on a fresh graph
@@ -372,12 +359,12 @@ def test_solve_takes_the_diameter_from_the_geodesic_scan(monkeypatch):
         if name.startswith("distcolor") and getattr(module, "distances", None) is real:
             monkeypatch.setattr(module, "distances", counted)
     assert solve(g) == expected
-    # 42 scan roots on the reduced graph (Hoffman-Singleton itself is a
-    # Moore graph, so its scan answers 2 without a BFS), 2 connectivity
-    # checks (solve's and the Moore case's on the reduced graph), the
-    # directive check of the diameter-three tree and the first diameter-three
-    # root; 97 with a scan of all 50 roots, 190 when diameter() redid the scan
-    assert len(calls) == 46
+    # 50 + 42 scan roots, 2 connectivity checks (solve's and the Moore
+    # case's on the reduced graph), the directive check of the
+    # diameter-three tree and the first diameter-three root; a tree without
+    # directives runs no separate BFS (97 when every tree did), and 190
+    # when diameter() redid the scan
+    assert len(calls) == 96
 
 
 # connected cubic girth-5 graphs up to isomorphism (OEIS A014372); the 9
