@@ -5,8 +5,9 @@ preserving automorphism.  ``solve`` builds one with at most one color more
 than the maximum degree (the six-cycle alone needs ``solve_c6_extension``),
 ``color_delta_plus_2`` and ``list_color_delta_plus_2`` trade one extra color
 for a much simpler construction, and every returned coloring is certified
-before it reaches the caller: by fixedness propagation from a prefix that
-color refinement pins down, or else by an exact automorphism search.
+before it reaches the caller, in one way: fixedness propagation from the
+shortest BFS-order prefix that certifies every vertex, a prefix that color
+refinement seeded by the coloring must pin down.
 """
 
 from .coloring import Coloring, ListAssignment, parse_coloring, render_coloring

@@ -163,6 +163,8 @@ def parse_lists(text: str, n: int) -> ListAssignment:
             raise DimacsError(f"line {lineno}: malformed list line: {line!r}") from None
         if not 1 <= v <= n:
             raise DimacsError(f"line {lineno}: vertex out of range: {line!r}")
+        if min(colors) < 1:
+            raise DimacsError(f"line {lineno}: colors are positive integers: {line!r}")
         if lists[v - 1] is not None:
             raise DimacsError(f"line {lineno}: vertex {v} listed twice")
         lists[v - 1] = colors

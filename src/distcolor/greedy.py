@@ -237,7 +237,7 @@ def color_delta_plus_2(g: Graph, w: int = 0) -> Coloring:
     # the root holds k, so any second k is a leak
     if coloring.values.count(k) > 1:
         raise InternalConsistencyError("top color leaked past the root")
-    certify(g, tree, coloring, (w,))
+    certify(g, tree, coloring)
     return coloring
 
 
@@ -270,5 +270,5 @@ def list_color_delta_plus_2(g: Graph, lists: ListAssignment, w: int = 0) -> Colo
     for v, (c, allowed) in enumerate(zip(coloring.values, lists.lists)):
         if c not in allowed:
             raise InternalConsistencyError(f"vertex {v} was colored outside its list")
-    certify(g, tree, coloring, (w,))
+    certify(g, tree, coloring)
     return coloring

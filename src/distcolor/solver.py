@@ -10,12 +10,12 @@ rules do the rest; the Petersen and Heawood graphs get stored colorings
 instead. The paper's last cubic case, a vertex with two dissimilar
 neighbors, has no code: a cubic girth-five graph with no geodesic
 configuration has at most 14 vertices, and the tests solve every one of
-them through the cases above. Every case returns its parts, and ``solve``
-certifies them with ``symmetry.certify``, the path the Δ+2 and list
-constructions share: fixedness propagation from a prefix that color
-refinement pins down, or, when refinement cannot, the exact symmetry search
-under its vertex bound. An improper or uncertifiable coloring is
-reported as an internal bug rather than a user error.
+them through the cases above. Every case returns its tree and coloring, and
+``solve`` certifies them with ``symmetry.certify``, the path the Δ+2 and list
+constructions share: fixedness propagation from the shortest sigma-prefix
+that certifies every vertex, which color refinement must pin down. An
+improper or uncertifiable coloring is reported as an internal bug rather
+than a user error.
 """
 
 from __future__ import annotations
@@ -72,12 +72,10 @@ class DiameterThreeConfig:
 class SolveResult:
     """A certified coloring plus the construction it came from.
 
-    Every returned result is certified: ``prefix`` is a sigma-prefix of
-    ``tree`` from which fixed_propagation certifies every vertex, and
-    ``certificate`` says what proved the coloring distinguishing:
-    ``"propagation"`` when color refinement isolates every prefix vertex, so
-    the propagation from that prefix is sound, or ``"search"`` when the exact
-    symmetry search had to decide.
+    Every returned result is certified: ``prefix`` is the shortest
+    sigma-prefix of ``tree`` from which fixed_propagation certifies every
+    vertex, and color refinement seeded by the coloring isolates every prefix
+    vertex, so the propagation from it is sound.
     """
 
     coloring: Coloring
@@ -85,12 +83,10 @@ class SolveResult:
     branch: str
     tree: BfsTree
     prefix: tuple[int, ...]
-    certificate: str
 
 
-# What a case builds: the BFS tree, the coloring, and the sigma-prefix to
-# certify from (None: the shortest that works).
-Parts = tuple[BfsTree, Coloring, tuple[int, ...] | None]
+# What a case builds: the BFS tree and the coloring to certify along it.
+Parts = tuple[BfsTree, Coloring]
 
 # What the geodesic scan finds: the first configuration with the distances
 # from its root or, in a graph without one, the diameter (at most 3).
@@ -134,20 +130,14 @@ def is_c6(g: Graph) -> bool:
 
 
 def _verified_result(
-    g: Graph,
-    tree: BfsTree,
-    coloring: Coloring,
-    branch: str,
-    prefix: tuple[int, ...] | None = None,
+    g: Graph, tree: BfsTree, coloring: Coloring, branch: str
 ) -> SolveResult:
     """Certify a case's coloring with ``symmetry.certify``; failures name the branch."""
     try:
-        prefix, certificate = certify(g, tree, coloring, prefix)
+        prefix = certify(g, tree, coloring)
     except InternalConsistencyError as err:
         raise InternalConsistencyError(f"{branch}: {err}") from err
-    return SolveResult(
-        coloring, coloring.num_colors(), branch, tree, prefix, certificate
-    )
+    return SolveResult(coloring, coloring.num_colors(), branch, tree, prefix)
 
 
 def _walk_from(g: Graph, start: int) -> list[int]:
@@ -181,7 +171,7 @@ def _path_or_cycle_case(
         head = (1, 2, 3, 1, 2)
         for idx, v in enumerate(order):
             values[v] = head[idx] if idx < 5 else (3 if idx % 2 == 1 else 2)
-    return bfs_tree(g, order[0]), Coloring(values), None
+    return bfs_tree(g, order[0]), Coloring(values)
 
 
 def _nonregular_case(
@@ -196,8 +186,7 @@ def _nonregular_case(
     if w is None:
         return None
     tree = bfs_tree(g, w)
-    coloring = greedy_extend(g, tree, delta + 1, k=delta + 1)
-    return tree, coloring, (w,)
+    return tree, greedy_extend(g, tree, delta + 1, k=delta + 1)
 
 
 def _neighborhood_split_chooser(
@@ -298,8 +287,7 @@ def _geodesic_parts(g: Graph, cfg: GeodesicConfig, dist: list[int | float]) -> P
         forced={x1: 1, y1: 1, x2: k},
         choosers={x3: chooser},
     )
-    prefix = tuple(tree.order[: tree.position(x2) + 1])
-    return tree, coloring, prefix
+    return tree, coloring
 
 
 def _geodesic_case(
@@ -385,8 +373,7 @@ def _diam3_parts(
         forbidden=forbidden,
         choosers={z3: chooser},
     )
-    prefix = tuple(tree.order[: tree.position(z2) + 1])
-    return tree, coloring, prefix
+    return tree, coloring
 
 
 def _diameter3_case(
@@ -437,7 +424,7 @@ def _moore_case(
     for u in g.adj[w]:
         values[u] = delta + 1
     values[w] = 1
-    return bfs_tree(g, w), Coloring(values), None
+    return bfs_tree(g, w), Coloring(values)
 
 
 def _special_case(
@@ -454,14 +441,13 @@ def _special_case(
         if iso is None:
             continue
         values = [stored[iso(v)] for v in g.vertices()]
-        return bfs_tree(g, 0), Coloring(values), None
+        return bfs_tree(g, 0), Coloring(values)
     return None
 
 
 # The paper's cases in the order solve tries them. Each takes the graph, its
 # maximum degree and the geodesic scan (a memo, run on first use) and returns
-# (tree, coloring, prefix), or None when its case does not apply; a None
-# prefix asks certification for the shortest one. The cases after the
+# (tree, coloring), or None when its case does not apply. The cases after the
 # geodesic one run only when the scan found no configuration, so they read
 # the diameter off it.
 _CASES = (
@@ -502,8 +488,7 @@ def _run_cases(g: Graph) -> SolveResult:
     for branch, case in _CASES:
         parts = case(g, delta, scan)
         if parts is not None:
-            tree, coloring, prefix = parts
-            return _verified_result(g, tree, coloring, branch, prefix)
+            return _verified_result(g, *parts, branch)
     raise InternalConsistencyError("dispatcher found no applicable case")
 
 

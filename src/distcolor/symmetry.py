@@ -8,9 +8,10 @@ chromatic number, pruned by the automorphism group. Fixedness propagation replay
 that the greedy constructions are built around.
 
 ``certify`` is the one certification path of every construction (``solve``,
-Δ+2 and list): it checks the coloring once, lets propagation certify every
-vertex from a sigma-prefix, and proves that prefix fixed by color refinement,
-or failing that by the exact search.
+Δ+2 and list): it checks the coloring once, finds in one propagation pass the
+shortest sigma-prefix from which propagation certifies every vertex, and
+proves that prefix fixed by color refinement seeded by the coloring. There is
+no search fallback: a prefix that refinement leaves unfixed is a bug.
 
 All searches are deterministic: vertices and candidate images are always
 scanned in ascending order.
@@ -34,9 +35,6 @@ from .graph import SEARCH_BOUND, Graph, distances, has_cycle_shorter_than_five
 from .tree import BfsTree
 
 EXACT_BOUND = 10
-
-CERTIFICATE_PROPAGATION = "propagation"
-CERTIFICATE_SEARCH = "search"
 
 
 @dataclass(frozen=True)
@@ -318,7 +316,7 @@ def is_distinguishing(g: Graph, coloring: Coloring) -> SymmetryVerdict:
 
 
 def _search_verdict(g: Graph, coloring: Coloring) -> SymmetryVerdict:
-    """``is_distinguishing`` without its checks, for ``certify``.
+    """``is_distinguishing`` without its checks, for it and ``exact_chi_D``.
 
     The caller has checked the bound and that the coloring is total and
     proper.
@@ -429,28 +427,23 @@ def fixed_propagation(
         raise PreconditionError("fixed_prefix is empty")
     if prefix != set(tree.order[: len(prefix)]):
         raise PreconditionError("fixed_prefix is not a sigma-prefix")
-    return _propagate(g, tree, coloring, prefix)
+    return _propagate(g, tree, coloring, tree.order[: len(prefix)])[0]
 
 
-def certify(
-    g: Graph,
-    tree: BfsTree,
-    coloring: Coloring,
-    prefix: Iterable[int] | None = None,
-) -> tuple[tuple[int, ...], str]:
-    """Prove a constructed coloring distinguishing: the prefix and certificate kind.
+def certify(g: Graph, tree: BfsTree, coloring: Coloring) -> tuple[int, ...]:
+    """Prove a constructed coloring distinguishing; return the prefix it rests on.
 
-    The coloring must be total and proper. Propagation must then certify
-    every vertex from ``prefix``, a sigma-prefix of ``tree``; with no prefix
-    given, the shortest one that does is used. Propagation assumes the prefix
-    is fixed. When color refinement isolates every prefix vertex, every
-    color-preserving automorphism fixes the prefix, and with it the root and
-    so the BFS levels; propagation's rules are then sound and only the
-    identity is left (``"propagation"``). Otherwise the exact search decides,
-    under its vertex bound (``"search"``). The caller has checked the girth.
-    The inputs come from the library's own constructions, so a failed check
-    is an InternalConsistencyError; only the search's bound raises
-    SearchBoundError.
+    The coloring must be total and proper. One propagation pass takes sigma
+    vertices of ``tree`` as prefix vertices, one more each time the rules
+    stall, until every vertex is certified; the vertices it took form the
+    shortest sigma-prefix from which propagation certifies everything.
+    Propagation assumes the prefix is fixed. Color refinement seeded by the
+    coloring must then isolate every prefix vertex: every color-preserving
+    automorphism fixes the prefix, and with it the root and so the BFS
+    levels; propagation's rules are then sound and only the identity is
+    left. The caller has checked the girth. The inputs come from the
+    library's own constructions, so a failed check, refinement included, is
+    an InternalConsistencyError.
     """
     if len(coloring) != g.n or len(tree.order) != g.n:
         raise InternalConsistencyError("graph, tree and coloring sizes disagree")
@@ -458,30 +451,12 @@ def certify(
         raise InternalConsistencyError("coloring is not total")
     if not coloring.is_proper(g):
         raise InternalConsistencyError("coloring is not proper")
-    if prefix is None:
-        for end in range(1, g.n + 1):
-            if len(_propagate(g, tree, coloring, tree.order[:end])) == g.n:
-                prefix = tree.order[:end]
-                break
-        else:
-            raise InternalConsistencyError("no prefix certifies the coloring")
-    else:
-        prefix = tuple(prefix)
-        if (
-            set(prefix) != set(tree.order[: len(prefix)])
-            or len(_propagate(g, tree, coloring, prefix)) != g.n
-        ):
-            raise InternalConsistencyError(
-                "the stated prefix does not certify every vertex"
-            )
-    if prefix_is_fixed(g, coloring, prefix):
-        return prefix, CERTIFICATE_PROPAGATION
-    _check_bound(g)
-    if _search_verdict(g, coloring).distinguishing:
-        return prefix, CERTIFICATE_SEARCH
-    raise InternalConsistencyError(
-        "coloring preserved by a non-identity automorphism"
-    )
+    prefix = tree.order[: _propagate(g, tree, coloring, tree.order)[1]]
+    if not prefix_is_fixed(g, coloring, prefix):
+        raise InternalConsistencyError(
+            f"refinement does not isolate the certifying prefix of {len(prefix)} vertices"
+        )
+    return prefix
 
 
 def _propagate(
@@ -489,12 +464,19 @@ def _propagate(
     tree: BfsTree,
     coloring: Coloring,
     prefix: Iterable[int],
-) -> frozenset[int]:
-    """``fixed_propagation`` without its checks, for ``certify``.
+) -> tuple[frozenset[int], int]:
+    """``fixed_propagation`` without its checks: the certified set, and how
+    many vertices of ``prefix`` it took.
 
     ``prefix`` must be a sigma-prefix without repeats, and the coloring total
-    and proper. A worklist of newly certified vertices, each remembering the
-    vertex that certified it (none for the prefix); see ``fixed_propagation``.
+    and proper. Its vertices are taken one at a time, the next one only once
+    the rules stall; a vertex already certified when its turn comes adds
+    nothing. Both rules are monotone, so the result is the least fixpoint of
+    the whole prefix, and the count, which ends at the last vertex that
+    added something, is the length of the shortest part of ``prefix`` that
+    certifies as much. A worklist of newly certified vertices, each
+    remembering the vertex that certified it (none for a prefix vertex); see
+    ``fixed_propagation``.
     """
     # Popping a newly certified x counts it at its neighbors (rule 1) and
     # re-examines, for rule 2, x itself and each certified neighbor one level
@@ -507,7 +489,9 @@ def _propagate(
     # - rule 1: the pop of y that completed x's count examined y itself after
     #   its adjacency loop, so that examination saw y's lower set without x.
     # Any other vertex that leaves that set later has another certifier or
-    # none, and its own pop re-examines y.
+    # none, and its own pop re-examines y. A prefix vertex, taken when the
+    # worklist runs dry, has none, so its pop re-examines every certified
+    # neighbor one level up.
     # The adjacency loop also gathers x's own lower set, as it stands after
     # the loop's rule-1 certifications, so x's examination rescans nothing.
     colors = coloring.values
@@ -516,47 +500,51 @@ def _propagate(
     certified = [False] * g.n
     hits = [0] * g.n
     certifier = [-1] * g.n
-    work = list(prefix)
-    for v in work:
-        certified[v] = True
-    while work:
-        x = work.pop()
-        here = level[x]
-        up, down = here - 1, here + 1
-        skip = certifier[x]
-        examine = [x]
-        below = []
-        for u in adj[x]:
-            if certified[u]:
-                if level[u] == up and u != skip:
-                    examine.append(u)
-            else:
-                hits[u] += 1
-                if hits[u] == 2:
+    taken = 0
+    for i, p in enumerate(prefix, 1):
+        if certified[p]:
+            continue
+        taken = i
+        certified[p] = True
+        work = [p]
+        while work:
+            x = work.pop()
+            here = level[x]
+            up, down = here - 1, here + 1
+            skip = certifier[x]
+            examine = [x]
+            below = []
+            for u in adj[x]:
+                if certified[u]:
+                    if level[u] == up and u != skip:
+                        examine.append(u)
+                else:
+                    hits[u] += 1
+                    if hits[u] == 2:
+                        certified[u] = True
+                        certifier[u] = x
+                        work.append(u)
+                    elif level[u] == down:
+                        below.append(u)
+            for y in examine:
+                if y != x:
+                    # y is one level up, so its lower set lies on x's level
+                    below = [u for u in adj[y] if not certified[u] and level[u] == here]
+                if not below:
+                    continue
+                if len(below) == 1:
+                    unique = below
+                else:
+                    counts: dict[int, int] = {}
+                    for u in below:
+                        c = colors[u]
+                        counts[c] = counts.get(c, 0) + 1
+                    unique = [u for u in below if counts[colors[u]] == 1]
+                for u in unique:
                     certified[u] = True
-                    certifier[u] = x
+                    certifier[u] = y
                     work.append(u)
-                elif level[u] == down:
-                    below.append(u)
-        for y in examine:
-            if y != x:
-                # y is one level up, so its lower set lies on x's level
-                below = [u for u in adj[y] if not certified[u] and level[u] == here]
-            if not below:
-                continue
-            if len(below) == 1:
-                unique = below
-            else:
-                counts: dict[int, int] = {}
-                for u in below:
-                    c = colors[u]
-                    counts[c] = counts.get(c, 0) + 1
-                unique = [u for u in below if counts[colors[u]] == 1]
-            for u in unique:
-                certified[u] = True
-                certifier[u] = y
-                work.append(u)
-    return frozenset(compress(range(g.n), certified))
+    return frozenset(compress(range(g.n), certified)), taken
 
 
 def exact_chi_D(g: Graph) -> int:

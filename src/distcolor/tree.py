@@ -31,10 +31,6 @@ class BfsTree:
     order: tuple[int, ...]
     children: tuple[tuple[int, ...], ...]
 
-    def position(self, v: int) -> int:
-        """Index of v in sigma."""
-        return self.order.index(v)
-
     def siblings(self, v: int) -> tuple[int, ...]:
         """The other children of v's parent (empty for the root)."""
         p = self.parent[v]

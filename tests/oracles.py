@@ -6,7 +6,9 @@ Each one is the straightforward form that the library's version replaced:
   level up with a ``min`` and arranges every child group;
 * ``greedy_extend_by_rules`` restates rules i and ii literally per vertex;
 * ``propagate_by_rounds`` rescans the whole order every round until nothing
-  changes;
+  changes, and ``shortest_certifying_prefix_by_loop`` runs it once per
+  prefix length, shortest first, where ``certify`` takes its prefix in one
+  propagation pass;
 * ``exact_chi_D_by_enumeration`` sends every canonical proper coloring
   (``canonical_colorings``) to the full ``is_distinguishing``;
 * ``girth5_extensions_unpruned`` attaches a new vertex to every valid set,
@@ -302,6 +304,14 @@ def propagate_by_rounds(g, tree, coloring, fixed_prefix):
                     certified.add(y)
                     changed = True
     return frozenset(certified)
+
+
+def shortest_certifying_prefix_by_loop(g, tree, coloring):
+    for end in range(1, g.n + 1):
+        prefix = tree.order[:end]
+        if len(propagate_by_rounds(g, tree, coloring, prefix)) == g.n:
+            return prefix
+    raise PreconditionError("the graph has no vertices")
 
 
 def enumerate_automorphisms(g, coloring=None):

@@ -285,13 +285,23 @@ def test_corpus_rejects_a_count_below_one(capsys, count):
 def test_a_broken_construction_exits_two(tmp_path, capsys, monkeypatch, values):
     # an improper or partial coloring from a case is a bug, not a bad input
     def broken(g, delta, scan):
-        return bfs_tree(g, 0), Coloring(values), None
+        return bfs_tree(g, 0), Coloring(values)
 
     monkeypatch.setattr(solver, "_CASES", ((solver.BRANCH_PATH_OR_CYCLE, broken),))
     code, out, err = run_cli(["solve", write_graph(tmp_path, path(5))], capsys)
     assert code == 2
     assert out == ""
     assert "internal consistency failure" in err
+
+
+def test_an_uncertifiable_coloring_exits_two_at_any_size(tmp_path, capsys, monkeypatch):
+    # refinement that leaves the prefix unfixed is a bug, past the search
+    # bound too: it is not reported as a bad input
+    monkeypatch.setattr("distcolor.symmetry.prefix_is_fixed", lambda *args: False)
+    code, out, err = run_cli(["solve", write_graph(tmp_path, path(200))], capsys)
+    assert code == 2
+    assert out == ""
+    assert "internal consistency failure: path_or_cycle: refinement" in err
 
 
 def test_hostile_problem_line_exits_one(capsys, monkeypatch):

@@ -152,6 +152,17 @@ def test_parse_lists_rejects_malformed(text):
         parse_lists(text, 3)
 
 
+def test_parse_lists_names_the_line_of_a_non_positive_color():
+    # a zero is a number; the parser refuses it as a color, naming the line
+    for text, lineno, line in (
+        ("l 1 0 2 3 4\nl 2 1 2\n", 1, "l 1 0 2 3 4"),
+        ("c lists\nl 1 1 2\nl 2 3 2 00\n", 3, "l 2 3 2 00"),
+    ):
+        with pytest.raises(DimacsError) as err:
+            parse_lists(text, 2)
+        assert str(err.value) == f"line {lineno}: colors are positive integers: {line!r}"
+
+
 @pytest.mark.parametrize("field", NOT_NUMBERS, ids=NOT_NUMBER_IDS)
 def test_parse_lists_reads_only_ascii_digits(field):
     for line in (f"l {field} 1 2", f"l 1 2 {field}"):

@@ -23,15 +23,32 @@ def _used_names(node: ast.AST) -> Counter[str]:
     return names
 
 
-# Public functions kept only because the benchmark tracer wraps them by
-# name; the next change to benchmarks/ can drop the tracer's entry and then
-# the function.
-BENCHMARK_ONLY = {"symmetry.exists_automorphism_mapping"}
+# Public names kept only because the benchmark names them: the tracer wraps
+# exists_automorphism_mapping, and run.py reports a count for every
+# solver.BRANCH_* constant. The next change to benchmarks/ can drop those
+# entries and then the names.
+BENCHMARK_ONLY = {"symmetry.exists_automorphism_mapping", "solver.BRANCH_DISSIMILAR"}
+
+
+def _public_constants(node: ast.AST) -> list[str]:
+    # the UPPER_CASE names a module-level assignment binds
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [
+        target.id
+        for target in targets
+        if isinstance(target, ast.Name) and target.id.isupper() and not target.id.startswith("_")
+    ]
 
 
 def test_every_public_function_is_used_or_exported():
-    # a public function that nothing in the library calls and the package
-    # does not export exists only for the tests; it belongs in tests/
+    # a public function or UPPER_CASE constant that nothing else in the
+    # library uses and the package does not export exists only for the
+    # tests; it belongs in tests/
     defined: list[tuple[str, str, ast.AST]] = []
     statements: list[ast.AST] = []
     for source in sorted(SOURCES.glob("*.py")):
@@ -40,6 +57,8 @@ def test_every_public_function_is_used_or_exported():
             statements.append(node)
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
                 defined.append((source.stem, node.name, node))
+            for name in _public_constants(node):
+                defined.append((source.stem, name, node))
     unused = []
     for module_name, name, definition in defined:
         if name in distcolor.__all__ or f"{module_name}.{name}" in BENCHMARK_ONLY:

@@ -13,12 +13,8 @@ from hypothesis import strategies as st
 from distcolor import graph as graph_module
 from distcolor import solver
 from distcolor.coloring import Coloring, ListAssignment
-from distcolor.corpus import corpus_graphs
-from distcolor.errors import (
-    InternalConsistencyError,
-    PreconditionError,
-    SearchBoundError,
-)
+from distcolor.corpus import connected_girth5_graphs, corpus_graphs
+from distcolor.errors import InternalConsistencyError, PreconditionError
 from distcolor.generators import (
     cycle,
     desargues,
@@ -63,13 +59,12 @@ from distcolor.solver import (
     special_colorings,
 )
 from distcolor.symmetry import (
-    CERTIFICATE_PROPAGATION,
-    CERTIFICATE_SEARCH,
     certify,
     exact_chi_D,
     find_isomorphism,
     fixed_propagation,
     is_distinguishing,
+    prefix_is_fixed,
 )
 from distcolor.tree import BfsTree, bfs_tree
 from oracles import (
@@ -205,8 +200,11 @@ def test_geodesic_configuration_on_the_dodecahedron():
     g = dodecahedron()
     cfg, dist = _first_geodesic_config(g)
     assert cfg == GeodesicConfig(w=0, x1=1, x2=2, x3=3, x=4)
-    tree, coloring, prefix = _geodesic_parts(g, cfg, dist)
-    _verified_result(g, tree, coloring, BRANCH_GEODESIC, prefix)
+    tree, coloring = _geodesic_parts(g, cfg, dist)
+    # the construction pins w through x2; the shortest prefix is shorter
+    r = _verified_result(g, tree, coloring, BRANCH_GEODESIC)
+    assert r.prefix == (0, 1)
+    assert len(r.prefix) <= tree.order.index(cfg.x2) + 1
     assert coloring.is_proper(g)
     assert coloring.max_color() <= 4
     assert is_distinguishing(g, coloring).distinguishing
@@ -237,8 +235,8 @@ def test_diameter_three_on_the_robertson_graph():
     assert cfg == DiameterThreeConfig(
         w=0, x1=1, x2=9, y1=18, y2=11, z1=7, z2=6, z3=10
     )
-    tree, coloring, prefix = _diam3_parts(g, cfg, dist)
-    _verified_result(g, tree, coloring, BRANCH_DIAMETER3, prefix)
+    tree, coloring = _diam3_parts(g, cfg, dist)
+    _verified_result(g, tree, coloring, BRANCH_DIAMETER3)
     assert coloring.values == (
         1, 5, 2, 1, 3, 2, 1, 5, 2, 3, 2, 3, 4, 3, 1, 4, 2, 1, 2,
     )
@@ -268,14 +266,14 @@ def test_every_diameter_three_configuration_certifies():
         (g, islice(_diam3_configs(g), 200)),
     ):
         for cfg, dist in configs:
-            tree, coloring, prefix = _diam3_parts(h, cfg, dist)
-            assert certify(h, tree, coloring, prefix) == (prefix, CERTIFICATE_PROPAGATION)
+            # the construction pins w through z2, so no longer prefix is needed
+            tree, coloring = _diam3_parts(h, cfg, dist)
+            assert len(certify(h, tree, coloring)) <= tree.order.index(cfg.z2) + 1
 
 
 def test_the_diameter_three_case_on_its_one_input():
     g = hoffman_singleton_minus_a_closed_neighborhood()
-    tree, coloring, prefix = run_case(_diameter3_case, g)
-    assert (tree, coloring, prefix) == _diam3_parts(g, *next(_diam3_configs(g)))
+    assert run_case(_diameter3_case, g) == _diam3_parts(g, *next(_diam3_configs(g)))
     assert solver._run_cases(g).branch == BRANCH_DIAMETER3
 
 
@@ -302,10 +300,9 @@ def test_every_case_returns_parts_or_none(build):
         if parts is not None:
             break
     assert branch == solve(g).branch
-    assert isinstance(parts, tuple) and len(parts) == 3
-    tree, coloring, prefix = parts
+    assert isinstance(parts, tuple) and len(parts) == 2
+    tree, coloring = parts
     assert isinstance(tree, BfsTree) and isinstance(coloring, Coloring)
-    assert prefix is None or isinstance(prefix, tuple)
 
 
 def test_moore_branch_solves_hoffman_singleton():
@@ -503,8 +500,8 @@ def test_a_moved_prefix_is_not_certified():
     coloring = Coloring((1, 2, 3) * 3)
     prefix = tree.order[:2]
     assert len(fixed_propagation(g, tree, coloring, prefix)) == g.n
-    with pytest.raises(InternalConsistencyError):
-        _verified_result(g, tree, coloring, BRANCH_PATH_OR_CYCLE, prefix)
+    with pytest.raises(InternalConsistencyError, match="path_or_cycle: refinement"):
+        _verified_result(g, tree, coloring, BRANCH_PATH_OR_CYCLE)
 
 
 @pytest.mark.parametrize(
@@ -512,7 +509,7 @@ def test_a_moved_prefix_is_not_certified():
 )
 def test_a_broken_case_is_an_internal_failure(values, monkeypatch):
     def broken(g, delta, scan):
-        return bfs_tree(g, 0), Coloring(values), None
+        return bfs_tree(g, 0), Coloring(values)
 
     monkeypatch.setattr(solver, "_CASES", ((BRANCH_PATH_OR_CYCLE, broken),))
     with pytest.raises(InternalConsistencyError):
@@ -543,23 +540,37 @@ def test_solve_checks_properness_once_per_call(monkeypatch):
         solver.solve(build())
         assert len(solved) == calls
         assert sorted(map(id, checked)) == sorted(map(id, solved))
-    # the search fallback relies on the check that certify has made
-    monkeypatch.setattr("distcolor.symmetry.prefix_is_fixed", lambda *args: False)
-    checked.clear()
-    assert solver.solve(petersen()).certificate == CERTIFICATE_SEARCH
-    assert len(checked) == 1
 
 
 def test_corpus_is_certified_by_propagation():
     for label, g in corpus_graphs(0, trees=20, randoms=40):
         r = solve_c6_extension(g) if is_c6(g) else solve(g)
-        assert r.certificate == CERTIFICATE_PROPAGATION, label
+        assert fixed_propagation(g, r.tree, r.coloring, r.prefix) == frozenset(g.vertices())
+        assert prefix_is_fixed(g, r.coloring, r.prefix), label
         assert is_distinguishing(g, r.coloring).distinguishing, label
 
 
-# sha256 over the full seed-0 corpus, recorded before the dispatch table
-# replaced the hand-written branches; any change to a branch's output shows
-CORPUS_GOLDEN = "5ee9cbfaebac805c2c98de5a263856b5e43179697ea1f81779ce8fb4cc9bc038"
+def test_every_small_girth5_class_certifies_under_relabelling():
+    # each connected girth-5 graph on at most ten vertices, up to
+    # isomorphism, renamed two ways: certification does not depend on the
+    # numbering that picks the root and the BFS order
+    graphs = connected_girth5_graphs(10)
+    assert len(graphs) == 683
+    for seed, g in enumerate(graphs):
+        for rng in (random.Random(seed), random.Random(-1 - seed)):
+            image = list(g.vertices())
+            rng.shuffle(image)
+            h = relabel(g, image)
+            if is_c6(h):
+                check(h, solve_c6_extension(h), 4)
+            else:
+                check(h, solve(h), h.max_degree() + 1)
+
+
+# sha256 over the full seed-0 corpus: each result's rendering and its
+# certifying prefix, the shortest there is; any change to a branch's output
+# shows
+CORPUS_GOLDEN = "5effa59ee7d77793a6485c29bc42dae60d5ac7d93a75325399c57489c0993370"
 
 
 def test_corpus_output_is_unchanged():
@@ -568,21 +579,19 @@ def test_corpus_output_is_unchanged():
     for label, g in corpus_graphs(0):
         r = solve_c6_extension(g) if is_c6(g) else solve(g)
         digest.update(
-            f"{label}\n{render_result(r)}c certificate={r.certificate}\n"
-            f"c prefix={' '.join(map(str, r.prefix))}\n".encode()
+            f"{label}\n{render_result(r)}c prefix={' '.join(map(str, r.prefix))}\n".encode()
         )
         count += 1
     assert count == 370
     assert digest.hexdigest() == CORPUS_GOLDEN
 
 
-def test_search_decides_when_refinement_leaves_the_prefix_unfixed(monkeypatch):
-    expected = solve(petersen()).coloring
+def test_a_prefix_that_refinement_leaves_unfixed_is_an_internal_error(monkeypatch):
+    # no search stands behind refinement, at any size
     monkeypatch.setattr("distcolor.symmetry.prefix_is_fixed", lambda *args: False)
-    r = solve(petersen())
-    assert r.certificate == CERTIFICATE_SEARCH
-    assert r.coloring == expected
-    with pytest.raises(SearchBoundError):
+    with pytest.raises(InternalConsistencyError, match="^special: refinement"):
+        solve(petersen())
+    with pytest.raises(InternalConsistencyError, match="^path_or_cycle: refinement"):
         solve(path(200))
 
 
@@ -599,7 +608,6 @@ def test_search_decides_when_refinement_leaves_the_prefix_unfixed(monkeypatch):
 def test_large_graphs_solve_past_the_search_bound(build):
     g = build()
     r = solve(g)
-    assert r.certificate == CERTIFICATE_PROPAGATION
     assert r.coloring.is_total() and r.coloring.is_proper(g)
     assert r.coloring.max_color() <= g.max_degree() + 1
     assert fixed_propagation(g, r.tree, r.coloring, r.prefix) == frozenset(g.vertices())

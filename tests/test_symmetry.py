@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from distcolor.coloring import Coloring, ListAssignment
-from distcolor.corpus import connected_girth5_graphs
+from distcolor.corpus import connected_girth5_graphs, corpus_graphs
 from distcolor.errors import (
     InternalConsistencyError,
     PreconditionError,
@@ -29,9 +29,8 @@ from distcolor.generators import (
 )
 from distcolor.graph import Graph
 from distcolor.greedy import color_delta_plus_2, list_color_delta_plus_2
-from distcolor.solver import solve
+from distcolor.solver import is_c6, solve, solve_c6_extension
 from distcolor.symmetry import (
-    CERTIFICATE_PROPAGATION,
     Permutation,
     _connected_order,
     _orbit,
@@ -61,6 +60,7 @@ from oracles import (
     propagate_by_rounds,
     random_proper_coloring,
     relabel,
+    shortest_certifying_prefix_by_loop,
     small_graphs,
     wl_labels_plain,
 )
@@ -322,30 +322,25 @@ def test_propagation_validates_its_inputs():
         )
 
 
-def test_certify_returns_the_prefix_and_what_fixed_it():
+def test_certify_returns_the_shortest_certifying_prefix():
     g = star(4)
-    tree = bfs_tree(g, 0)
-    coloring = Coloring((4, 1, 2, 3))
-    assert certify(g, tree, coloring, (0,)) == ((0,), CERTIFICATE_PROPAGATION)
-    assert certify(g, tree, coloring) == ((0,), CERTIFICATE_PROPAGATION)
+    assert certify(g, bfs_tree(g, 0), Coloring((4, 1, 2, 3))) == (0,)
+    # on the nine-cycle the root alone leaves both of its neighbors colored 2,
+    # so propagation takes vertex 1 as well; the marked root fixes both
+    g = cycle(9)
+    assert certify(g, bfs_tree(g, 0), Coloring((4, 2, 3, 1, 2, 3, 1, 3, 2))) == (0, 1)
 
 
 def test_certify_refuses_what_it_cannot_prove():
     g = star(4)
     tree = bfs_tree(g, 0)
-    stalled = Coloring((2, 1, 1, 1))
-    # propagation stalls below the center
-    with pytest.raises(InternalConsistencyError):
-        certify(g, tree, stalled, (0,))
-    # the prefix 0, 1, 2 certifies everything, but the search swaps two leaves
-    with pytest.raises(InternalConsistencyError):
-        certify(g, tree, stalled)
-    # not a sigma-prefix
-    with pytest.raises(InternalConsistencyError):
-        certify(g, tree, Coloring((4, 1, 2, 3)), (1,))
+    # propagation stalls below the center until it takes 0, 1, 2, which
+    # refinement cannot isolate: two leaves can swap
+    with pytest.raises(InternalConsistencyError, match="prefix of 3 vertices"):
+        certify(g, tree, Coloring((2, 1, 1, 1)))
     for broken in ((4, 1, 2, None), (1, 1, 2, 3), (4, 1, 2)):
         with pytest.raises(InternalConsistencyError):
-            certify(g, tree, Coloring(broken), (0,))
+            certify(g, tree, Coloring(broken))
 
 
 @PROPERTY_SETTINGS
@@ -434,6 +429,36 @@ def test_propagation_matches_the_round_robin_oracle_at_construction_sizes(g):
     for w in (0, rng.randrange(g.n)):
         colorings = _delta_plus_2_colorings(g, w, rng)
         _matches_the_round_robin_oracle(g, bfs_tree(g, w), colorings)
+
+
+def _certifies_the_loops_prefix(g, rng):
+    # solve's coloring along its own tree, and the Δ+2 and list colorings
+    # rooted at a random vertex
+    r = solve_c6_extension(g) if is_c6(g) else solve(g)
+    assert r.prefix == shortest_certifying_prefix_by_loop(g, r.tree, r.coloring)
+    w = rng.randrange(g.n)
+    tree = bfs_tree(g, w)
+    for coloring in _delta_plus_2_colorings(g, w, rng):
+        assert certify(g, tree, coloring) == shortest_certifying_prefix_by_loop(
+            g, tree, coloring
+        )
+
+
+@settings(max_examples=150, deadline=None)
+@given(girth5_graphs(), st.integers(min_value=0, max_value=10_000))
+def test_certify_finds_the_prefix_of_the_per_length_loop(g, seed):
+    _certifies_the_loops_prefix(g, random.Random(seed))
+
+
+@pytest.mark.parametrize("g", CONSTRUCTION_GRAPHS, ids=repr)
+def test_certify_finds_the_prefix_of_the_per_length_loop_at_construction_sizes(g):
+    _certifies_the_loops_prefix(g, random.Random(g.n))
+
+
+def test_certify_finds_the_prefix_of_the_per_length_loop_on_the_corpus():
+    rng = random.Random(0)
+    for _, g in corpus_graphs(0):
+        _certifies_the_loops_prefix(g, rng)
 
 
 def _delta_plus_2_colorings(g, w, rng):

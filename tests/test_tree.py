@@ -51,7 +51,7 @@ def test_parents_precede_children_in_order():
     for v in g.vertices():
         p = tree.parent[v]
         if p is not None:
-            assert tree.position(p) < tree.position(v)
+            assert tree.order.index(p) < tree.order.index(v)
             assert g.has_edge(p, v)
 
 
@@ -90,7 +90,7 @@ def test_parent_directive_reroutes_an_edge():
 def test_root_position_and_sigma_prefix():
     g = path(6)
     tree = bfs_tree(g, 3)
-    assert tree.position(3) == 0
+    assert tree.order[0] == 3
     assert set(tree.order) == set(g.vertices())
 
 
