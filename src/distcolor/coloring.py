@@ -145,26 +145,30 @@ class ListAssignment:
 
 def parse_lists(text: str, n: int) -> ListAssignment:
     """Parse ``l <vertex> <color>...`` lines (1-indexed vertices), a number
-    being a field that ``graph.number_test`` accepts."""
+    being a field that ``graph.number_test`` accepts. Each line is split
+    once; errors name the line and quote it stripped."""
     lists: list[list[int] | None] = [None] * n
     is_number = number_test(text)
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        fields = raw.split()
+        if not fields or fields[0][0] == "c":
             continue
-        fields = line.split()
         numbers = fields[1:]
         try:
             well_formed = fields[0] == "l" and len(numbers) >= 2
             if not well_formed or is_number and not all(map(is_number, numbers)):
-                raise ValueError(line)
+                raise ValueError(raw)
             v, *colors = map(int, numbers)
         except ValueError:
-            raise DimacsError(f"line {lineno}: malformed list line: {line!r}") from None
+            raise DimacsError(
+                f"line {lineno}: malformed list line: {raw.strip()!r}"
+            ) from None
         if not 1 <= v <= n:
-            raise DimacsError(f"line {lineno}: vertex out of range: {line!r}")
+            raise DimacsError(f"line {lineno}: vertex out of range: {raw.strip()!r}")
         if min(colors) < 1:
-            raise DimacsError(f"line {lineno}: colors are positive integers: {line!r}")
+            raise DimacsError(
+                f"line {lineno}: colors are positive integers: {raw.strip()!r}"
+            )
         if lists[v - 1] is not None:
             raise DimacsError(f"line {lineno}: vertex {v} listed twice")
         lists[v - 1] = colors

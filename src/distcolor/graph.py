@@ -84,18 +84,24 @@ class Graph:
 
     @cached_property
     def _has_short_cycle(self) -> bool:
-        # has_cycle_shorter_than_five's walk check, run once per graph:
-        # stamp[w] == v marks w as a neighbor of v or as already reached
+        # has_cycle_shorter_than_five's walk, run once per graph: from each v
+        # only through lower-ranked u to lower-ranked w, ranked by (degree,
+        # id); stamp[w] == v marks w as a neighbor of v or as already reached
         adj = self.adj
-        stamp = [-1] * self.n
+        n = self.n
+        rank = [len(near) * n + v for v, near in enumerate(adj)]
+        stamp = [-1] * n
         for v, near in enumerate(adj):
+            top = rank[v]
             for u in near:
                 stamp[u] = v
             for u in near:
-                for w in adj[u]:
-                    if stamp[w] == v and w != v:
-                        return True
-                    stamp[w] = v
+                if rank[u] < top:
+                    for w in adj[u]:
+                        if rank[w] < top:
+                            if stamp[w] == v:
+                                return True
+                            stamp[w] = v
         return False
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -299,13 +305,15 @@ def girth(g: Graph) -> int | float:
 def has_cycle_shorter_than_five(g: Graph) -> bool:
     """True iff the graph has a triangle or a 4-cycle: the girth-five validator.
 
-    Walks every v-u-w with w != v. A w adjacent to v closes a triangle, and a
+    Ranks the vertices by (degree, id) and walks, from each v, every v-u-w
+    with u and w ranked below v. A w adjacent to v closes a triangle, and a
     w reached from v through two different neighbors closes a 4-cycle. Every
-    such cycle shows up from each of its vertices, so the test is exact. One
-    stamp array, reused for every v, marks v's neighbors and the w already
-    reached, so a walk step is one read and one write and no per-vertex list
-    or set is built. The walks still cost sum(deg(u)^2) steps, O(n * Δ²),
-    against O(n * m) for girth(), and run once per graph: the verdict is kept
-    on the immutable graph.
+    such cycle has exactly one top-ranked vertex, whose walks find it, so the
+    test is exact. One stamp array, reused for every v, marks v's neighbors
+    and the w already reached, so a walk step is one read and one write and
+    no per-vertex list or set is built. The walks cost the sum over the
+    edges of the lower end's degree (Chiba and Nishizeki): O(m) on trees and
+    stars, O(m * sqrt(m)) at worst, against O(n * m) for girth(). They run
+    once per graph: the verdict is kept on the immutable graph.
     """
     return g._has_short_cycle

@@ -19,6 +19,7 @@ discard the trace, never pay for one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import contains
 from typing import Callable, Mapping
 
 from .coloring import Coloring, ListAssignment
@@ -79,7 +80,12 @@ def greedy_extend(
     Every rule avoids the colors of the vertex's colored neighbors, so the
     result is proper.
 
-    Each step costs O(deg v + palette size); the input checks add O(n).
+    The vertices are taken child group by child group, which is sigma's
+    order. With the plain palette a vertex costs O(deg v): rule i's scan
+    stops within deg v + 1 colors, and rule ii's scans over one child group
+    resume where the last one stopped, O(1) per vertex amortized. So the
+    whole extension is O(n + m) at any degree. A list, a forbidden set or a
+    chooser adds a scan of that vertex's palette; the input checks add O(n).
     Builds no trace; greedy_extend_traced runs the same loop and records
     every step.
     """
@@ -105,8 +111,8 @@ def greedy_extend_traced(
 
 def _extend(g, tree, root_color, k, forced, forbidden, choosers, lists, steps):
     # The loop of both public functions; ``steps`` is a list to record into,
-    # or None. Unrecorded, a vertex costs its colored-neighbor count and the
-    # blocked set of its rule: the full-and-distinct neighborhood stats are
+    # or None. Unrecorded, a vertex costs its colored-neighbor count and its
+    # rule's scan: the full-and-distinct neighborhood stats are
     # worked out only for a recorded step or for a color above the max
     # degree, the only case in which _check_color_bounds can raise.
     n = g.n
@@ -136,72 +142,91 @@ def _extend(g, tree, root_color, k, forced, forbidden, choosers, lists, steps):
     if steps is not None:
         steps.append(GreedyStep(root, RULE_PREFIX, root_color, False, False, False))
 
-    # Every vertex before v in sigma is colored when v's turn comes, its
-    # parent included, so rule i applies exactly when v has a second colored
-    # neighbor, and rule ii blocks the colors of v's parent's child group.
+    # Sigma lists the children of each vertex in turn, so walking the child
+    # groups visits sigma. Every vertex before v in sigma is colored when v's
+    # turn comes, its parent included, so rule i applies exactly when v has a
+    # second colored neighbor. Rule ii blocks the colors of v's parent and of
+    # the siblings before v: the group's ``block``, which gains each color as
+    # it is assigned. Every color below ``least`` is in it, so with the plain
+    # palette rule ii's scan starts there and, the set only growing, the
+    # group's scans take O(group size) steps in all.
     color_of = values.__getitem__
-    tree_parent = tree.parent
-    tree_children = tree.children
-    near_root = adj[root]
-    full_palette = range(1, k + 1) if lists is None else None
+    children = tree.children
+    near_root = frozenset(adj[root])
     listed = lists is not None
-    overridden = forced.keys() | choosers.keys()
+    special = forced.keys() | choosers.keys() | forbidden.keys()
     no_ban: frozenset[int] = frozenset()
-    for v in tree.order[1:]:
-        around = list(map(color_of, adj[v]))
-        count = len(around) - around.count(None)
-        palette = full_palette or lists[v]
-        banned = forbidden.get(v, no_ban)
+    for parent in tree.order:
+        block = {values[parent]}
+        least = 1
+        for v in children[parent]:
+            around = list(map(color_of, adj[v]))
+            count = len(around) - around.count(None)
+            banned = no_ban
+            if v in special:
+                banned = forbidden.get(v, no_ban)
+                if v in forced or v in choosers:
+                    seen = set(around)
+                    seen.discard(None)
+                    if v in forced:
+                        rule = RULE_FORCED
+                        c = forced[v]
+                        if c in seen:
+                            raise PreconditionError(
+                                f"forced color {c} on vertex {v} breaks properness"
+                            )
+                    else:
+                        rule = RULE_CHOOSER
+                        palette = lists[v] if listed else range(1, k + 1)
+                        candidates = tuple(
+                            c for c in palette if c not in banned and c not in seen
+                        )
+                        if not candidates:
+                            raise PaletteExhaustedError(f"no available color for vertex {v}")
+                        c = choosers[v](v, candidates, tuple(values))
+                        if c not in candidates:
+                            raise InternalConsistencyError(f"chooser picked unavailable color {c}")
+                    values[v] = c
+                    block.add(c)
+                    if steps is not None:
+                        steps.append(GreedyStep(
+                            v, rule, c, count == len(around), len(seen) == count, True
+                        ))
+                    continue
 
-        if v in overridden:
-            seen = set(around)
-            seen.discard(None)
-            if v in forced:
-                rule = RULE_FORCED
-                c = forced[v]
-                if c in seen:
-                    raise PreconditionError(f"forced color {c} on vertex {v} breaks properness")
+            if count > 1:
+                rule = RULE_NEIGHBORS
+                blocked = set(around)
+                c = 1
             else:
-                rule = RULE_CHOOSER
-                candidates = tuple(
-                    c for c in palette if c not in banned and c not in seen
-                )
-                if not candidates:
+                rule = RULE_SIBLINGS
+                blocked = block
+                c = least
+            constrained = listed or bool(banned)
+            if constrained:
+                for c in lists[v] if listed else range(1, k + 1):
+                    if c not in blocked and c not in banned:
+                        break
+                else:
                     raise PaletteExhaustedError(f"no available color for vertex {v}")
-                c = choosers[v](v, candidates, tuple(values))
-                if c not in candidates:
-                    raise InternalConsistencyError(f"chooser picked unavailable color {c}")
+            else:
+                while c in blocked:
+                    c += 1
+                if c > k:
+                    raise PaletteExhaustedError(f"no available color for vertex {v}")
+                if blocked is block:
+                    least = c
+            bounded = c > delta and not constrained and v not in near_root
+            if bounded or steps is not None:
+                seen = set(around)
+                seen.discard(None)
+                stats = (count == len(around), len(seen) == count)
+                if bounded:
+                    _check_color_bounds(v, rule, c, delta, stats)
+                if steps is not None:
+                    steps.append(GreedyStep(v, rule, c, *stats, constrained))
             values[v] = c
-            if steps is not None:
-                steps.append(GreedyStep(
-                    v, rule, c, count == len(around), len(seen) == count, True
-                ))
-            continue
-
-        if count > 1:
-            rule = RULE_NEIGHBORS
-            blocked = set(around)
-        else:
-            rule = RULE_SIBLINGS
-            parent = tree_parent[v]
-            blocked = set(map(color_of, tree_children[parent]))
-            blocked.add(values[parent])
-        for c in palette:
-            if c not in blocked and c not in banned:
-                break
-        else:
-            raise PaletteExhaustedError(f"no available color for vertex {v}")
-        constrained = listed or bool(banned)
-        bounded = c > delta and not constrained and v not in near_root
-        if bounded or steps is not None:
-            seen = set(around)
-            seen.discard(None)
-            stats = (count == len(around), len(seen) == count)
-            if bounded:
-                _check_color_bounds(v, rule, c, delta, stats)
-            if steps is not None:
-                steps.append(GreedyStep(v, rule, c, *stats, constrained))
-        values[v] = c
+            block.add(c)
 
     return Coloring(values)
 
@@ -248,6 +273,10 @@ def list_color_delta_plus_2(g: Graph, lists: ListAssignment, w: int = 0) -> Colo
     own list, alpha is deleted from every other list, and the rest is greedy.
     Lists of size max degree + 2 always suffice; one color smaller is accepted
     and may raise PaletteExhaustedError.
+
+    Messages about a list number its vertex from 1, as a list file does, so
+    ``distcolor listcolor`` names the file's vertex; a w out of range is
+    quoted as given.
     """
     if has_cycle_shorter_than_five(g):
         raise PreconditionError("girth below five")
@@ -256,19 +285,24 @@ def list_color_delta_plus_2(g: Graph, lists: ListAssignment, w: int = 0) -> Colo
     if not (0 <= w < g.n):
         raise PreconditionError(f"vertex {w} out of range")
     need = g.max_degree() + 1
-    for v, colors in enumerate(lists.lists):
-        if v != w and len(colors) < need:
-            raise PreconditionError(f"list for vertex {v} has fewer than {need} colors")
+    if min(map(len, lists.lists)) < need:
+        # name the first short list; w's may be shorter
+        for v, colors in enumerate(lists.lists):
+            if v != w and len(colors) < need:
+                raise PreconditionError(
+                    f"list for vertex {v + 1} has fewer than {need} colors"
+                )
     if not lists[w]:
-        raise PreconditionError(f"list for vertex {w} is empty")
+        raise PreconditionError(f"list for vertex {w + 1} is empty")
     alpha = min(lists[w])
     pruned = lists.without(alpha, keep=w)
     tree = bfs_tree(g, w)
     coloring = greedy_extend(g, tree, alpha, lists=pruned)
     if coloring.values.count(alpha) > 1:
         raise InternalConsistencyError("root color leaked into another list")
-    for v, (c, allowed) in enumerate(zip(coloring.values, lists.lists)):
-        if c not in allowed:
-            raise InternalConsistencyError(f"vertex {v} was colored outside its list")
+    if not all(map(contains, lists.lists, coloring.values)):
+        for v, (c, allowed) in enumerate(zip(coloring.values, lists.lists)):
+            if c not in allowed:
+                raise InternalConsistencyError(f"vertex {v + 1} was colored outside its list")
     certify(g, tree, coloring)
     return coloring

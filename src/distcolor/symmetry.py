@@ -476,7 +476,9 @@ def _propagate(
     added something, is the length of the shortest part of ``prefix`` that
     certifies as much. A worklist of newly certified vertices, each
     remembering the vertex that certified it (none for a prefix vertex); see
-    ``fixed_propagation``.
+    ``fixed_propagation``. A count of the vertices left uncertified ends the
+    pass once it reaches zero, when no rule can add anything, and a lower
+    set of two vertices is settled by comparing their colors.
     """
     # Popping a newly certified x counts it at its neighbors (rule 1) and
     # re-examines, for rule 2, x itself and each certified neighbor one level
@@ -501,13 +503,17 @@ def _propagate(
     hits = [0] * g.n
     certifier = [-1] * g.n
     taken = 0
+    left = g.n
     for i, p in enumerate(prefix, 1):
+        if not left:
+            break
         if certified[p]:
             continue
         taken = i
         certified[p] = True
+        left -= 1
         work = [p]
-        while work:
+        while work and left:
             x = work.pop()
             here = level[x]
             up, down = here - 1, here + 1
@@ -523,6 +529,7 @@ def _propagate(
                     if hits[u] == 2:
                         certified[u] = True
                         certifier[u] = x
+                        left -= 1
                         work.append(u)
                     elif level[u] == down:
                         below.append(u)
@@ -534,6 +541,9 @@ def _propagate(
                     continue
                 if len(below) == 1:
                     unique = below
+                elif len(below) == 2:
+                    a, b = below
+                    unique = below if colors[a] != colors[b] else ()
                 else:
                     counts: dict[int, int] = {}
                     for u in below:
@@ -544,6 +554,7 @@ def _propagate(
                     certified[u] = True
                     certifier[u] = y
                     work.append(u)
+                left -= len(unique)
     return frozenset(compress(range(g.n), certified)), taken
 
 

@@ -21,6 +21,8 @@ Each one is the straightforward form that the library's version replaced:
   alone, with no distances folded in, and ``prefix_is_fixed_plain`` reads
   its rounds;
 * ``connected_order_by_pop`` pops its BFS queue from the front of a list;
+* ``has_short_cycle_by_walk`` walks every 2-path v-u-w from every v, where
+  the graph's walk goes only downhill in (degree, id) rank;
 * ``find_isomorphism_joint`` refines g and h side by side (``wl_labels_plain``
   of both) instead of their disjoint union, after a degree-sequence check.
 
@@ -28,7 +30,8 @@ They must return exactly what the library returns, errors included.
 ``check_tree`` replays the structural invariants of a BFS tree.
 ``enumerate_automorphisms`` lists a whole automorphism group, the reference
 for properties of the library's searches. ``girth5_graphs``,
-``small_graphs`` and ``random_proper_coloring`` draw their inputs,
+``small_graphs``, ``hub_trees`` and ``random_proper_coloring`` draw their
+inputs, ``hub_tree`` builds a tree with one high-degree vertex,
 ``CONSTRUCTION_GRAPHS`` holds a few at construction sizes, and
 ``cubic_girth5_completions`` lists cubic girth-5 graphs exhaustively.
 ``relabel`` renames a graph's vertices, and ``is_identity`` tests a
@@ -507,6 +510,19 @@ def connected_order_by_pop(g, start):
     return seen
 
 
+def has_short_cycle_by_walk(g):
+    stamp = [-1] * g.n
+    for v, near in enumerate(g.adj):
+        for u in near:
+            stamp[u] = v
+        for u in near:
+            for w in g.adj[u]:
+                if stamp[w] == v and w != v:
+                    return True
+                stamp[w] = v
+    return False
+
+
 def find_isomorphism_joint(g, h):
     _check_bound(g)
     _check_bound(h)
@@ -556,6 +572,22 @@ def girth5_graphs(draw, max_n=30):
     if family == "cycle":
         return cycle(n)
     return random_girth5(n, max_degree=draw(st.integers(min_value=3, max_value=5)), seed=seed)
+
+
+def hub_tree(leaves, tail):
+    """A path on ``tail`` vertices whose middle vertex also holds ``leaves``
+    leaves; a star when ``tail`` is 1."""
+    hub = tail // 2
+    edges = [(i, i + 1) for i in range(tail - 1)]
+    edges += [(hub, tail + i) for i in range(leaves)]
+    return Graph(tail + leaves, edges)
+
+
+@st.composite
+def hub_trees(draw, max_n=30):
+    """Stars and hub trees: one child group holds most of the vertices."""
+    tail = draw(st.integers(min_value=1, max_value=5))
+    return hub_tree(draw(st.integers(min_value=2, max_value=max_n - tail)), tail)
 
 
 @st.composite

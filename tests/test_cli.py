@@ -167,6 +167,15 @@ def test_listcolor(tmp_path, capsys):
     assert set(coloring.values) <= {5, 6, 7}
 
 
+def test_listcolor_names_the_short_list_by_the_files_vertex(tmp_path, capsys):
+    graph_file = write_graph(tmp_path, path(3))
+    lists_file = tmp_path / "lists.txt"
+    lists_file.write_text("l 1 1 2 3 4\nl 2 1 2\nl 3 1 2 3 4\n")
+    code, out, err = run_cli(["listcolor", graph_file, str(lists_file)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "distcolor: list for vertex 2 has fewer than 3 colors\n"
+
+
 def test_gen_named_graph_round_trip(capsys):
     code, out, _ = run_cli(["gen", "petersen"], capsys)
     assert code == 0

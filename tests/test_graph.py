@@ -30,6 +30,7 @@ from distcolor.graph import (
     parse_graph,
     render_graph,
 )
+import oracles
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -282,13 +283,15 @@ def test_round_trip_is_identity(g):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(small_graphs(), sparse_graphs()))
+@given(st.one_of(small_graphs(), sparse_graphs(), oracles.small_graphs()))
 @example(K23)
 @example(CUBE)
 @example(petersen())
 @example(heawood())
 @example(C5_PENDANT)
 def test_girth_matches_shortcut_predicate(g):
+    # the ranked walk against the unranked one and the exact girth
+    assert has_cycle_shorter_than_five(g) == oracles.has_short_cycle_by_walk(g)
     assert has_cycle_shorter_than_five(g) == (girth(g) < 5)
 
 

@@ -1,6 +1,7 @@
 """Greedy color extension rules and the two extra-color constructions."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -37,7 +38,7 @@ from distcolor.greedy import (
 from distcolor.solver import solve
 from distcolor.symmetry import is_distinguishing
 from distcolor.tree import bfs_tree
-from oracles import girth5_graphs, greedy_extend_by_rules, outcome
+from oracles import girth5_graphs, greedy_extend_by_rules, hub_tree, hub_trees, outcome
 
 PROPERTY_SETTINGS = settings(max_examples=50, deadline=None)
 
@@ -261,7 +262,7 @@ def pick_last(v, candidates, values):
 
 
 @PROPERTY_SETTINGS
-@given(girth5_graphs(), st.integers(min_value=0, max_value=10_000))
+@given(st.one_of(girth5_graphs(), hub_trees()), st.integers(min_value=0, max_value=10_000))
 def test_greedy_matches_the_rule_oracle(g, seed):
     rng = random.Random(seed)
     tree = bfs_tree(g, rng.randrange(g.n))
@@ -307,6 +308,39 @@ def test_large_inputs_are_certified_by_propagation_alone(build):
         assert all(listed[v] in lists[v] for v in g.vertices())
         for coloring in (plain, listed):
             assert symmetry.certify(g, tree, coloring) == (w,)
+
+
+def line_events(call):
+    """How many lines of Python ``call()`` executes."""
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return trace
+
+    before = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        call()
+    finally:
+        sys.settrace(before)
+    return count
+
+
+@pytest.mark.parametrize("build", [star, lambda n: hub_tree(n - 9, 9)], ids=["star", "hub-tree"])
+@pytest.mark.parametrize(
+    "run",
+    [color_delta_plus_2, lambda g: g._has_short_cycle],
+    ids=["color_delta_plus_2", "short-cycle-walk"],
+)
+def test_construction_work_is_linear_at_any_degree(build, run):
+    # the graphs are built outside the count; doubling n at most doubles the
+    # lines run, where walks and scans quadratic in the degree quadruple them
+    small, large = build(400), build(800)
+    ratio = line_events(lambda: run(large)) / line_events(lambda: run(small))
+    assert ratio <= 2.2
 
 
 def test_each_construction_checks_properness_once(monkeypatch):
