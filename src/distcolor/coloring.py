@@ -110,7 +110,8 @@ def render_coloring(coloring: Coloring) -> str:
 
 
 class ListAssignment:
-    """A sorted tuple of allowed colors per vertex."""
+    """A sorted tuple of allowed colors per vertex. Messages number a vertex
+    from 1, as a list file does."""
 
     def __init__(self, lists: Sequence[Iterable[int]]):
         self.lists: tuple[tuple[int, ...], ...] = tuple(
@@ -118,9 +119,9 @@ class ListAssignment:
         )
         for v, colors in enumerate(self.lists):
             if not colors:
-                raise PreconditionError(f"list of vertex {v} is empty")
+                raise PreconditionError(f"list of vertex {v + 1} is empty")
             if any(c < 1 for c in colors):
-                raise PreconditionError(f"list of vertex {v} has a non-positive color")
+                raise PreconditionError(f"list of vertex {v + 1} has a non-positive color")
 
     def __len__(self) -> int:
         return len(self.lists)
@@ -134,7 +135,7 @@ class ListAssignment:
         for v, colors in enumerate(lists):
             if v != keep and color in colors:
                 if len(colors) == 1:
-                    raise PreconditionError(f"list of vertex {v} is empty")
+                    raise PreconditionError(f"list of vertex {v + 1} is empty")
                 i = colors.index(color)
                 lists[v] = colors[:i] + colors[i + 1:]
         # deleting one color keeps every list sorted, distinct and positive

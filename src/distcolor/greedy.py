@@ -19,7 +19,6 @@ discard the trace, never pay for one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import contains
 from typing import Callable, Mapping
 
 from .coloring import Coloring, ListAssignment
@@ -285,24 +284,17 @@ def list_color_delta_plus_2(g: Graph, lists: ListAssignment, w: int = 0) -> Colo
     if not (0 <= w < g.n):
         raise PreconditionError(f"vertex {w} out of range")
     need = g.max_degree() + 1
-    if min(map(len, lists.lists)) < need:
-        # name the first short list; w's may be shorter
-        for v, colors in enumerate(lists.lists):
-            if v != w and len(colors) < need:
-                raise PreconditionError(
-                    f"list for vertex {v + 1} has fewer than {need} colors"
-                )
-    if not lists[w]:
-        raise PreconditionError(f"list for vertex {w + 1} is empty")
+    for v, colors in enumerate(lists.lists):
+        if v != w and len(colors) < need:
+            raise PreconditionError(f"list for vertex {v + 1} has fewer than {need} colors")
     alpha = min(lists[w])
     pruned = lists.without(alpha, keep=w)
     tree = bfs_tree(g, w)
     coloring = greedy_extend(g, tree, alpha, lists=pruned)
     if coloring.values.count(alpha) > 1:
         raise InternalConsistencyError("root color leaked into another list")
-    if not all(map(contains, lists.lists, coloring.values)):
-        for v, (c, allowed) in enumerate(zip(coloring.values, lists.lists)):
-            if c not in allowed:
-                raise InternalConsistencyError(f"vertex {v + 1} was colored outside its list")
+    for v, (c, allowed) in enumerate(zip(coloring.values, lists.lists)):
+        if c not in allowed:
+            raise InternalConsistencyError(f"vertex {v + 1} was colored outside its list")
     certify(g, tree, coloring)
     return coloring

@@ -477,8 +477,7 @@ def _propagate(
     certifies as much. A worklist of newly certified vertices, each
     remembering the vertex that certified it (none for a prefix vertex); see
     ``fixed_propagation``. A count of the vertices left uncertified ends the
-    pass once it reaches zero, when no rule can add anything, and a lower
-    set of two vertices is settled by comparing their colors.
+    pass once it reaches zero, when no rule can add anything.
     """
     # Popping a newly certified x counts it at its neighbors (rule 1) and
     # re-examines, for rule 2, x itself and each certified neighbor one level
@@ -541,9 +540,6 @@ def _propagate(
                     continue
                 if len(below) == 1:
                     unique = below
-                elif len(below) == 2:
-                    a, b = below
-                    unique = below if colors[a] != colors[b] else ()
                 else:
                     counts: dict[int, int] = {}
                     for u in below:

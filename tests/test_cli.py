@@ -176,6 +176,18 @@ def test_listcolor_names_the_short_list_by_the_files_vertex(tmp_path, capsys):
     assert err == "distcolor: list for vertex 2 has fewer than 3 colors\n"
 
 
+def test_listcolor_names_an_emptied_list_by_the_files_vertex(tmp_path, capsys):
+    # no edges, so one color per list passes the size check, and deleting
+    # the root's color empties the other list
+    graph_file = tmp_path / "graph.col"
+    graph_file.write_text("p edge 2 0\n")
+    lists_file = tmp_path / "lists.txt"
+    lists_file.write_text("l 1 1\nl 2 1\n")
+    code, out, err = run_cli(["listcolor", str(graph_file), str(lists_file)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "distcolor: list of vertex 2 is empty\n"
+
+
 def test_gen_named_graph_round_trip(capsys):
     code, out, _ = run_cli(["gen", "petersen"], capsys)
     assert code == 0

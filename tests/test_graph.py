@@ -282,7 +282,7 @@ def test_round_trip_is_identity(g):
     assert parse_graph(render_graph(g)) == g
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=225, deadline=None)
 @given(st.one_of(small_graphs(), sparse_graphs(), oracles.small_graphs()))
 @example(K23)
 @example(CUBE)
