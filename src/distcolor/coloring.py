@@ -42,7 +42,7 @@ class Coloring:
         return f"Coloring({list(self.values)})"
 
     def is_total(self) -> bool:
-        return all(c is not None for c in self.values)
+        return None not in self.values
 
     def used_colors(self) -> set[int]:
         return {c for c in self.values if c is not None}

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -281,14 +282,22 @@ def test_girth_precondition_exits_one(capsys, monkeypatch):
     assert "girth" in err
 
 
+CORPUS_COUNT_10 = """\
+criterion 1 theorem-suite      PASS Ts  72 graphs solved and verified in Ts
+criterion 2 moore-recursion    PASS Ts  hoffman-singleton: 8 colors via moore_recursive, verified in Ts
+criterion 3 stored-colorings   PASS Ts  petersen and heawood colorings proper, 4 colors, distinguishing; same-colored petersen vertices have distinct neighborhood multisets
+criterion 4 exact-boundary     PASS Ts  35 isomorphism classes within the bound; the six-cycle is the only graph above Δ+1
+criterion 5 two-extra-colors   PASS Ts  72 Δ+2 colorings verified; 50 list assignments over 50 small graphs respected
+criterion 6 greedy-bounds      PASS Ts  10 greedy runs, 35 unconstrained steps within bounds
+criterion 7 propagation        PASS Ts  10 of 10 instances certified all vertices, all sound
+"""
+
+
 def test_corpus_small_count(capsys):
-    code, out, _ = run_cli(["corpus", "--count", "50"], capsys)
+    # every row's name, verdict and detail; only the times vary
+    code, out, _ = run_cli(["corpus", "--count", "10"], capsys)
     assert code == 0
-    lines = out.splitlines()
-    assert len(lines) == 7
-    for number, line in enumerate(lines, start=1):
-        assert line.startswith(f"criterion {number} ")
-        assert "PASS" in line
+    assert re.sub(r" *\d+\.\d+s", " Ts", out) == CORPUS_COUNT_10
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])

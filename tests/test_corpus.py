@@ -1,5 +1,6 @@
 """The acceptance machinery itself: corpus shape, enumeration, result rows."""
 
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -15,6 +16,7 @@ from distcolor.corpus import (
     _dedup,
     _girth5_extensions,
     _run,
+    check_exact_boundary,
     check_greedy_bounds,
     check_propagation_soundness,
     check_two_extra_colors,
@@ -23,8 +25,9 @@ from distcolor.corpus import (
     run_all,
 )
 from distcolor.errors import PreconditionError
+from distcolor.generators import petersen
 from distcolor.graph import Graph, girth, is_connected
-from distcolor.symmetry import find_isomorphism
+from distcolor.symmetry import automorphisms, find_isomorphism
 from oracles import girth5_extensions_unpruned
 
 # isomorphism classes of connected graphs with girth >= 5 on 1..9 vertices
@@ -57,13 +60,49 @@ def test_enumeration_counts_frozen():
 
 
 def test_pruned_extensions_reach_every_class():
-    # every level, disconnected graphs included, against the extensions of
-    # every valid attachment set
+    # every connected level against the extensions of every valid non-empty
+    # attachment set, the sets that keep the graph connected
     pruned = unpruned = [Graph(1, [])]
-    for _ in range(2, 9):
+    for n in range(1, 8):
         pruned = _dedup([h for g in pruned for h in _girth5_extensions(g)])
-        unpruned = _dedup([h for g in unpruned for h in girth5_extensions_unpruned(g)])
-        assert len(pruned) == len(unpruned)
+        unpruned = _dedup(
+            [h for g in unpruned for h in girth5_extensions_unpruned(g) if h.adj[n]]
+        )
+        assert len(pruned) == len(unpruned) == CLASS_COUNTS[n + 1]
+
+
+def test_extensions_skip_a_cut_vertex_of_smaller_profile():
+    # two Petersen graphs joined by a path through c: c has the least
+    # profile, (2, (4, 4)), but is a cut vertex, so H is grown from H - u
+    # for a non-cut u of least profile, where the new vertex's profile is
+    # not the least
+    p = petersen()
+    edges = p.edges() + [(a + 10, b + 10) for a, b in p.edges()] + [(0, 20), (10, 20)]
+    h = Graph(21, edges)
+    u = next(v for v in range(1, 10) if v not in p.adj[0])
+    index = {v: i for i, v in enumerate(v for v in range(21) if v != u)}
+    parent = Graph(20, [(index[a], index[b]) for a, b in edges if u not in (a, b)])
+    assert any(find_isomorphism(e, h) is not None for e in _girth5_extensions(parent))
+
+
+def test_enumeration_computes_one_group_per_grown_class(monkeypatch):
+    # one automorphisms call per connected class on 1..6 vertices, 17 in all
+    sizes = []
+
+    def counted(g):
+        sizes.append(g.n)
+        return automorphisms(g)
+
+    monkeypatch.setattr(corpus, "automorphisms", counted)
+    connected_girth5_graphs(7)
+    assert Counter(sizes) == {n: CLASS_COUNTS[n] for n in range(1, 7)}
+
+
+def test_exact_boundary_fails_on_a_lost_class(monkeypatch):
+    graphs = connected_girth5_graphs(7)
+    monkeypatch.setattr(corpus, "connected_girth5_graphs", lambda max_n: graphs[:-1])
+    with pytest.raises(CriterionFailure, match="34 isomorphism classes instead of 35"):
+        check_exact_boundary()
 
 
 @pytest.mark.parametrize("max_n", [0, -2])
