@@ -115,13 +115,10 @@ def _solve_any(g: Graph):
     return solve(g), g.max_degree() + 1
 
 
-def check_theorem_suite(
-    seed: int = 0, trees: int = TREE_COUNT, randoms: int = RANDOM_COUNT
-) -> str:
+def check_theorem_suite(graphs: list[tuple[str, Graph]]) -> str:
     """Criterion 1: solve the corpus within Δ+1 colors, verified exactly."""
     start = time.perf_counter()
-    count = 0
-    for label, g in corpus_graphs(seed, trees, randoms):
+    for label, g in graphs:
         result, bound = _solve_any(g)
         _need(result.coloring.is_proper(g), f"{label}: improper coloring")
         _need(
@@ -132,10 +129,9 @@ def check_theorem_suite(
             is_distinguishing(g, result.coloring).distinguishing,
             f"{label}: coloring is not distinguishing",
         )
-        count += 1
     elapsed = time.perf_counter() - start
     _need(elapsed < 120.0, f"suite took {elapsed:.1f}s, budget is 120s")
-    return f"{count} graphs solved and verified in {elapsed:.1f}s"
+    return f"{len(graphs)} graphs solved and verified"
 
 
 def check_moore_recursion() -> str:
@@ -156,10 +152,7 @@ def check_moore_recursion() -> str:
     )
     _need(verdict.distinguishing, "coloring is not distinguishing")
     _need(elapsed < 300.0, f"took {elapsed:.1f}s, budget is 300s")
-    return (
-        f"hoffman-singleton: {result.colors_used} colors via {result.branch},"
-        f" verified in {elapsed:.2f}s"
-    )
+    return f"hoffman-singleton: {result.colors_used} colors via {result.branch}, verified"
 
 
 def check_stored_colorings() -> str:
@@ -190,12 +183,13 @@ def check_stored_colorings() -> str:
     )
 
 
-def _girth5_extensions(g: Graph) -> Iterator[Graph]:
+def _girth5_extensions(g: Graph) -> Iterator[tuple[tuple, Graph]]:
     # attach a new vertex to a non-empty independent set with pairwise
     # disjoint neighborhoods: non-empty keeps the connected parent connected,
     # and the rest are exactly the sets that create no 3- or 4-cycle; one set
     # per orbit of the parent's automorphism group, and only extensions in
-    # which no non-cut vertex has a smaller profile than the new vertex
+    # which no non-cut vertex has a smaller profile than the new vertex; each
+    # comes with the dedup key its profiles give
     n = g.n
     nbr = g.neighbor_sets
     edges = g.edges()
@@ -213,7 +207,7 @@ def _girth5_extensions(g: Graph) -> Iterator[Graph]:
             profiles = _profiles(h)
             new = profiles[n]
             if all(p >= new or _is_cut_vertex(h, v) for v, p in enumerate(profiles)):
-                yield h
+                yield _iso_key(h, profiles), h
 
 
 def _is_cut_vertex(g: Graph, u: int) -> bool:
@@ -252,15 +246,17 @@ def _profiles(g: Graph) -> list[tuple[int, tuple[int, ...]]]:
     ]
 
 
-def _iso_key(g: Graph) -> tuple:
-    return (g.n, g.m, tuple(sorted(_profiles(g))))
+def _iso_key(g: Graph, profiles: list[tuple[int, tuple[int, ...]]]) -> tuple:
+    # an isomorphism invariant of g, from its ``_profiles``
+    return (g.n, g.m, tuple(sorted(profiles)))
 
 
-def _dedup(graphs: list[Graph]) -> list[Graph]:
+def _dedup(keyed: list[tuple[tuple, Graph]]) -> list[Graph]:
+    # one graph per isomorphism class, each given with its ``_iso_key``
     buckets: dict[tuple, list[Graph]] = {}
     reps: list[Graph] = []
-    for h in graphs:
-        bucket = buckets.setdefault(_iso_key(h), [])
+    for key, h in keyed:
+        bucket = buckets.setdefault(key, [])
         if any(find_isomorphism(h, seen) is not None for seen in bucket):
             continue
         bucket.append(h)
@@ -294,7 +290,7 @@ def connected_girth5_graphs(max_n: int) -> list[Graph]:
     level = [Graph(1, [])]
     out = [Graph(1, [])]
     for _ in range(2, max_n + 1):
-        level = _dedup([h for g in level for h in _girth5_extensions(g)])
+        level = _dedup([e for g in level for e in _girth5_extensions(g)])
         out.extend(level)
     return out
 
@@ -327,22 +323,22 @@ def check_exact_boundary() -> str:
 
 
 def check_two_extra_colors(
-    seed: int = 0,
-    trees: int = TREE_COUNT,
-    randoms: int = RANDOM_COUNT,
+    graphs: list[tuple[str, Graph]],
+    seed: int,
     lists_per_graph: int = LISTS_PER_GRAPH,
 ) -> str:
     """Criterion 5: Δ+2 colorings and their list version across the corpus.
 
-    One walk over the corpus: every graph gets its Δ+2 coloring, and every
-    graph of at most 20 vertices its list trials.
+    One walk over the given corpus: every graph gets its Δ+2 coloring, and
+    every graph of at most 20 vertices its list trials, drawn from an rng
+    seeded by ``seed``, the seed the corpus was built from.
     """
     _at_least_one("lists_per_graph", lists_per_graph)
     rng = random.Random(1009 * seed + 7)
     plain = 0
     small = 0
     assignments = 0
-    for label, g in corpus_graphs(seed, trees, randoms):
+    for label, g in graphs:
         coloring = color_delta_plus_2(g)
         bound = g.max_degree() + 2
         _need(coloring.is_proper(g), f"{label}: improper Δ+2 coloring")
@@ -401,11 +397,11 @@ def _property_graphs(seed: int, runs: int) -> Iterator[tuple[Graph, int, int]]:
         yield g, (seed + 3 * i) % g.n, i
 
 
-def check_greedy_bounds(seed: int = 0, runs: int = PROPERTY_RUNS) -> str:
+def check_greedy_bounds(runs: list[tuple[Graph, int, int]]) -> str:
     """Criterion 6: rule color bounds hold on every unconstrained step."""
-    _at_least_one("runs", runs)
+    _at_least_one("runs", len(runs))
     checked = 0
-    for g, root, i in _property_graphs(seed, runs):
+    for g, root, i in runs:
         delta = g.max_degree()
         tree = bfs_tree(g, root)
         coloring, steps = greedy_extend_traced(g, tree, 1 + i % (delta + 2))
@@ -431,14 +427,14 @@ def check_greedy_bounds(seed: int = 0, runs: int = PROPERTY_RUNS) -> str:
                         f"run {i}: top color without a rainbow neighborhood",
                     )
             checked += 1
-    return f"{runs} greedy runs, {checked} unconstrained steps within bounds"
+    return f"{len(runs)} greedy runs, {checked} unconstrained steps within bounds"
 
 
-def check_propagation_soundness(seed: int = 0, instances: int = PROPERTY_RUNS) -> str:
+def check_propagation_soundness(instances: list[tuple[Graph, int, int]]) -> str:
     """Criterion 7: whenever propagation certifies everything, it is right."""
-    _at_least_one("instances", instances)
+    _at_least_one("instances", len(instances))
     certified_all = 0
-    for g, root, i in _property_graphs(seed, instances):
+    for g, root, i in instances:
         delta = g.max_degree()
         tree = bfs_tree(g, root)
         coloring = greedy_extend(g, tree, delta + 2)
@@ -451,10 +447,10 @@ def check_propagation_soundness(seed: int = 0, instances: int = PROPERTY_RUNS) -
             f"instance {i}: certified coloring has a color-preserving symmetry",
         )
     _need(
-        certified_all >= instances // 2,
-        f"only {certified_all} of {instances} instances certified every vertex",
+        certified_all >= len(instances) // 2,
+        f"only {certified_all} of {len(instances)} instances certified every vertex",
     )
-    return f"{certified_all} of {instances} instances certified all vertices, all sound"
+    return f"{certified_all} of {len(instances)} instances certified all vertices, all sound"
 
 
 def _at_least_one(name: str, volume: int) -> None:
@@ -496,22 +492,28 @@ def run_all(seed: int = 0, count: int = PROPERTY_RUNS) -> list[CriterionResult]:
     the random corpus and the property-test runs proportionally for a quicker
     (non-authoritative) pass.  A count below 1 would run nothing and still
     report seven passes, so it raises PreconditionError.
+
+    Each input is built once, before the first criterion, and shared: the
+    corpus graphs by criteria 1 and 5, the property-test graphs by criteria
+    6 and 7.  No row's time includes that build.
     """
     _at_least_one("count", count)
     factor = count / PROPERTY_RUNS
     trees = max(1, round(TREE_COUNT * factor))
     randoms = max(1, round(RANDOM_COUNT * factor))
     lists = max(1, round(LISTS_PER_GRAPH * factor))
+    graphs = list(corpus_graphs(seed, trees, randoms))
+    runs = list(_property_graphs(seed, count))
     return [
-        _run(1, "theorem-suite", lambda: check_theorem_suite(seed, trees, randoms)),
+        _run(1, "theorem-suite", lambda: check_theorem_suite(graphs)),
         _run(2, "moore-recursion", check_moore_recursion),
         _run(3, "stored-colorings", check_stored_colorings),
         _run(4, "exact-boundary", check_exact_boundary),
         _run(
             5,
             "two-extra-colors",
-            lambda: check_two_extra_colors(seed, trees, randoms, lists),
+            lambda: check_two_extra_colors(graphs, seed, lists),
         ),
-        _run(6, "greedy-bounds", lambda: check_greedy_bounds(seed, count)),
-        _run(7, "propagation", lambda: check_propagation_soundness(seed, count)),
+        _run(6, "greedy-bounds", lambda: check_greedy_bounds(runs)),
+        _run(7, "propagation", lambda: check_propagation_soundness(runs)),
     ]

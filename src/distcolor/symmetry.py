@@ -84,17 +84,19 @@ def _wl_rounds(g: Graph, base: list[object]) -> Iterator[list[int]]:
     """Iterated neighborhood refinement of one graph's vertex labels.
 
     Yields the labels of every round: first (base label, degree), then each
-    refinement, ending with the first round that splits no class. Vertices
-    with different labels in any round cannot correspond under any
-    automorphism that preserves the base labels.
+    refinement, ending with the first discrete round (every vertex alone in
+    its class) or else the first round that splits no class. Vertices with
+    different labels in any round cannot correspond under any automorphism
+    that preserves the base labels, so a discrete round already shows that
+    the identity is the only one, and no round after it can say more.
 
-    The first refinement round also carries distances. When some round-0
-    label is held by one vertex alone, the vertex with the least such label
-    is fixed by every label-preserving map, so its BFS distances are
-    invariant; they are folded into the labels before the round. The stable
-    partition already refines them, so it is the one plain refinement
-    reaches, in fewer rounds: at most three on a path or cycle with a unique
-    color, against about half its length.
+    When some round-0 label is held by one vertex alone, the vertex with the
+    least such label is fixed by every label-preserving map, so its BFS
+    distances are invariant. They are folded into the labels as a round of
+    their own, before the first refinement round. The stable partition
+    already refines them, so it is the one plain refinement reaches, in
+    fewer rounds: a path with a unique color at one end is discrete after
+    the fold, against about half its length.
     """
     table: dict[object, int] = {}
 
@@ -107,13 +109,19 @@ def _wl_rounds(g: Graph, base: list[object]) -> Iterator[list[int]]:
     labels = [canon((base[v], len(g.adj[v]))) for v in range(g.n)]
     yield labels
     # every round-0 label is an id below len(table)
-    sizes = [0] * len(table)
+    classes = len(table)
+    if classes == g.n:
+        return
+    sizes = [0] * classes
     for l in labels:
         sizes[l] += 1
     if 1 in sizes:
         dist = distances(g, labels.index(sizes.index(1)))
         labels = [canon((l, d)) for l, d in zip(labels, dist)]
-    classes = len(set(labels))
+        yield labels
+        classes = len(set(labels))
+        if classes == g.n:
+            return
     while True:
         labels = [
             canon((labels[v], tuple(sorted(labels[u] for u in g.adj[v]))))
@@ -121,13 +129,14 @@ def _wl_rounds(g: Graph, base: list[object]) -> Iterator[list[int]]:
         ]
         yield labels
         before, classes = classes, len(set(labels))
-        if classes == before:
+        if classes in (before, g.n):
             return
 
 
 def _wl_labels(g: Graph, base: list[object]) -> list[int]:
-    """The stable round of ``_wl_rounds``: labels of the coarsest equitable
-    partition that refines (base label, degree)."""
+    """The last round of ``_wl_rounds``: labels of the coarsest equitable
+    partition that refines (base label, degree), or of a discrete partition
+    reached first, which that equitable partition would equal."""
     for labels in _wl_rounds(g, base):
         pass
     return labels
@@ -142,10 +151,10 @@ def prefix_is_fixed(g: Graph, coloring: Coloring, vertices: Iterable[int]) -> bo
     (color, degree) labels would already isolate them all, so the answer is
     True with no labels built. Otherwise refinement stops at the first round
     that isolates every vertex. A color held by one vertex brings in
-    distances from it with the first refinement round, and a path or cycle
-    with such a color is settled in at most three rounds instead of about
-    half its length. False once refinement is stable without isolating every
-    vertex, which proves nothing either way.
+    distances from it as a round of their own, right after round 0; on the
+    ``solve`` coloring of a path that round is already discrete, against
+    about half its length in plain rounds. False once refinement is stable
+    without isolating every vertex, which proves nothing either way.
     """
     if len(coloring) != g.n:
         raise PreconditionError("coloring length does not match the graph")

@@ -20,6 +20,10 @@ Each one is the straightforward form that the library's version replaced:
 * ``wl_labels_plain`` refines round by round from (base label, degree)
   alone, with no distances folded in, and ``prefix_is_fixed_plain`` reads
   its rounds;
+* ``wl_rounds_until_stable`` folds in distances from a vertex with a unique
+  round-0 label inside its first refinement round, and always runs to the
+  first round that splits no class, where ``_wl_rounds`` yields the fold as
+  a round of its own and stops at the first discrete round;
 * ``connected_order_by_pop`` pops its BFS queue from the front of a list;
 * ``has_short_cycle_by_walk`` walks every 2-path v-u-w from every v, where
   the graph's walk goes only downhill in (degree, id) rank;
@@ -474,6 +478,35 @@ def wl_rounds_plain(graphs, bases):
         ]
         yield labels
         if len({l for ls in labels for l in ls}) == before:
+            return
+
+
+def wl_rounds_until_stable(g, base):
+    table = {}
+
+    def canon(key):
+        val = table.get(key)
+        if val is None:
+            val = table[key] = len(table)
+        return val
+
+    labels = [canon((base[v], len(g.adj[v]))) for v in range(g.n)]
+    yield labels
+    sizes = [0] * len(table)
+    for l in labels:
+        sizes[l] += 1
+    if 1 in sizes:
+        dist = distances(g, labels.index(sizes.index(1)))
+        labels = [canon((l, d)) for l, d in zip(labels, dist)]
+    classes = len(set(labels))
+    while True:
+        labels = [
+            canon((labels[v], tuple(sorted(labels[u] for u in g.adj[v]))))
+            for v in range(g.n)
+        ]
+        yield labels
+        before, classes = classes, len(set(labels))
+        if classes == before:
             return
 
 

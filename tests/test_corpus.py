@@ -1,6 +1,7 @@
 """The acceptance machinery itself: corpus shape, enumeration, result rows."""
 
 from collections import Counter
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -15,6 +16,8 @@ from distcolor.corpus import (
     CriterionResult,
     _dedup,
     _girth5_extensions,
+    _iso_key,
+    _profiles,
     _run,
     check_exact_boundary,
     check_greedy_bounds,
@@ -25,7 +28,7 @@ from distcolor.corpus import (
     run_all,
 )
 from distcolor.errors import PreconditionError
-from distcolor.generators import petersen
+from distcolor.generators import path, petersen
 from distcolor.graph import Graph, girth, is_connected
 from distcolor.symmetry import automorphisms, find_isomorphism
 from oracles import girth5_extensions_unpruned
@@ -64,9 +67,14 @@ def test_pruned_extensions_reach_every_class():
     # attachment set, the sets that keep the graph connected
     pruned = unpruned = [Graph(1, [])]
     for n in range(1, 8):
-        pruned = _dedup([h for g in pruned for h in _girth5_extensions(g)])
+        pruned = _dedup([e for g in pruned for e in _girth5_extensions(g)])
         unpruned = _dedup(
-            [h for g in unpruned for h in girth5_extensions_unpruned(g) if h.adj[n]]
+            [
+                (_iso_key(h, _profiles(h)), h)
+                for g in unpruned
+                for h in girth5_extensions_unpruned(g)
+                if h.adj[n]
+            ]
         )
         assert len(pruned) == len(unpruned) == CLASS_COUNTS[n + 1]
 
@@ -82,7 +90,20 @@ def test_extensions_skip_a_cut_vertex_of_smaller_profile():
     u = next(v for v in range(1, 10) if v not in p.adj[0])
     index = {v: i for i, v in enumerate(v for v in range(21) if v != u)}
     parent = Graph(20, [(index[a], index[b]) for a, b in edges if u not in (a, b)])
-    assert any(find_isomorphism(e, h) is not None for e in _girth5_extensions(parent))
+    assert any(find_isomorphism(e, h) is not None for _, e in _girth5_extensions(parent))
+
+
+def test_enumeration_profiles_each_extension_once(monkeypatch):
+    # one _profiles call per extension tried, none again for the dedup key
+    calls = []
+
+    def counted(g):
+        calls.append(g.n)
+        return _profiles(g)
+
+    monkeypatch.setattr(corpus, "_profiles", counted)
+    connected_girth5_graphs(7)
+    assert len(calls) == 62
 
 
 def test_enumeration_computes_one_group_per_grown_class(monkeypatch):
@@ -150,18 +171,37 @@ def test_corpus_scaling_arguments():
 
 
 def test_two_extra_colors_walks_the_corpus_once(monkeypatch):
-    walks = []
+    # it walks the corpus it is given and builds none of its own
+    graphs = list(corpus_graphs(0, 3, 5))
 
-    def counted(*args):
-        walks.append(args)
-        return corpus_graphs(*args)
+    def refused(*args):
+        raise AssertionError("criterion 5 built a corpus")
 
-    monkeypatch.setattr(corpus, "corpus_graphs", counted)
-    detail = check_two_extra_colors(0, 3, 5, 2)
-    assert walks == [(0, 3, 5)]
+    monkeypatch.setattr(corpus, "corpus_graphs", refused)
+    detail = check_two_extra_colors(graphs, 0, 2)
     assert detail == (
         "78 Δ+2 colorings verified; 102 list assignments over 51 small graphs respected"
     )
+
+
+def test_run_all_builds_each_input_once(monkeypatch):
+    # count 100: one random tree and two random girth-5 graphs in the corpus,
+    # and 20 property-test graphs, ten of each kind; criteria 1 and 5 share
+    # the corpus, 6 and 7 the property-test graphs
+    calls = Counter()
+
+    def counting(name, build):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return build(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(corpus, "random_girth5", counting("girth5", corpus.random_girth5))
+    monkeypatch.setattr(corpus, "random_tree", counting("tree", corpus.random_tree))
+    results = run_all(0, count=100)
+    assert all(r.passed for r in results)
+    assert calls == {"girth5": 12, "tree": 11}
 
 
 def test_run_all_small_count_passes():
@@ -207,15 +247,15 @@ def test_run_all_rejects_a_count_below_one(count):
 
 
 @pytest.mark.parametrize(
-    "runner, volume",
+    "runner, volume, empty",
     [
-        (check_two_extra_colors, "lists_per_graph"),
-        (check_greedy_bounds, "runs"),
-        (check_propagation_soundness, "instances"),
+        (partial(check_two_extra_colors, [("path-3", path(3))], 0), "lists_per_graph", 0),
+        (check_greedy_bounds, "runs", []),
+        (check_propagation_soundness, "instances", []),
     ],
     ids=["criterion-5", "criterion-6", "criterion-7"],
 )
-def test_check_runners_reject_an_empty_volume(runner, volume):
+def test_check_runners_reject_an_empty_volume(runner, volume, empty):
     # an empty volume checks nothing, so a pass would mean nothing
     with pytest.raises(PreconditionError, match=f"{volume} must be at least 1, got 0"):
-        runner(**{volume: 0})
+        runner(**{volume: empty})

@@ -1,11 +1,13 @@
 """Automorphism search, distinguishing verdicts, and fixedness propagation."""
 
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from distcolor import symmetry
 from distcolor.coloring import Coloring, ListAssignment
 from distcolor.corpus import connected_girth5_graphs, corpus_graphs
 from distcolor.errors import (
@@ -34,6 +36,7 @@ from distcolor.symmetry import (
     Permutation,
     _connected_order,
     _orbit,
+    _search_verdict,
     _unruled_colorings,
     _wl_labels,
     _wl_rounds,
@@ -56,6 +59,7 @@ from oracles import (
     find_isomorphism_joint,
     girth5_graphs,
     is_identity,
+    outcome,
     prefix_is_fixed_plain,
     propagate_by_rounds,
     random_proper_coloring,
@@ -63,6 +67,7 @@ from oracles import (
     shortest_certifying_prefix_by_loop,
     small_graphs,
     wl_labels_plain,
+    wl_rounds_until_stable,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
@@ -551,6 +556,55 @@ def test_union_refinement_of_unrelated_graphs_matches_the_joint_one(first, secon
     ids=["solve-path-128", "delta-plus-2-path-30", "delta-plus-2-cycle-31"],
 )
 def test_refinement_with_a_unique_color_ends_within_three_rounds(g, coloring):
-    # the plain round loop needs about half the diameter: 64, 15 and 16 rounds
-    rounds = sum(1 for _ in _wl_rounds(g, list(coloring.values)))
-    assert rounds <= 3
+    # the plain round loop needs about half the diameter: 64, 15 and 16
+    # rounds; here the fold of distances from the unique color is already
+    # discrete, so round 0 and the fold are the only rounds
+    rounds = list(_wl_rounds(g, list(coloring.values)))
+    assert len(rounds) == 2
+    assert len(set(rounds[-1])) == g.n
+
+
+@pytest.mark.parametrize(
+    "g, coloring, rounds, until_stable",
+    [
+        (cycle(128), solve(cycle(128)).coloring, 62, 63),
+        (petersen(), solve(petersen()).coloring, 2, 3),
+        (petersen(), Coloring((1,) * 10), 2, 2),
+    ],
+    ids=["solve-cycle-128", "solve-petersen", "petersen-one-color"],
+)
+def test_refinement_stops_at_its_first_discrete_round(g, coloring, rounds, until_stable):
+    # the stable round loop confirms a discrete round with one more round
+    # that splits nothing, unless the fold made it; a partition that is not
+    # discrete still ends at the first round that splits no class
+    base = list(coloring.values)
+    assert sum(1 for _ in _wl_rounds(g, base)) == rounds
+    assert sum(1 for _ in wl_rounds_until_stable(g, base)) == until_stable
+
+
+@settings(max_examples=300, deadline=None)
+@given(_colored_small_graphs(), st.data())
+def test_the_discrete_stop_changes_no_answer(colored, data):
+    # every consumer of refinement answers as it does when refinement runs
+    # on to the first round that splits no class
+    g, values = colored
+    coloring = Coloring(values)
+    targets = data.draw(st.sets(st.integers(min_value=0, max_value=g.n - 1)))
+    if data.draw(st.booleans()):
+        other = relabel(g, data.draw(st.permutations(range(g.n))))
+    else:
+        other = data.draw(small_graphs())
+
+    def answers():
+        return (
+            _partition(_wl_labels(g, values)),
+            prefix_is_fixed(g, coloring, targets),
+            outcome(is_distinguishing, g, coloring),
+            _search_verdict(g, coloring),
+            automorphisms(g, coloring),
+            find_isomorphism(g, other),
+        )
+
+    fast = answers()
+    with patch.object(symmetry, "_wl_rounds", wl_rounds_until_stable):
+        assert fast == answers()
