@@ -8,9 +8,14 @@ for a much simpler construction, and every returned coloring is certified
 before it reaches the caller, in one way: fixedness propagation from the
 shortest BFS-order prefix that certifies every vertex, a prefix that color
 refinement seeded by the coloring must pin down.
+
+``connected_girth5_graphs`` lists the connected girth-5 graphs up to
+isomorphism that the acceptance suite checks ``exact_chi_D`` on, so that a
+user can run the same exhaustive check of the theorem on more vertices.
 """
 
 from .coloring import Coloring, ListAssignment, parse_coloring, render_coloring
+from .corpus import connected_girth5_graphs
 from .errors import (
     DimacsError,
     DistcolorError,
@@ -61,6 +66,7 @@ __all__ = [
     "automorphisms",
     "bfs_tree",
     "color_delta_plus_2",
+    "connected_girth5_graphs",
     "diameter",
     "exact_chi_D",
     "find_isomorphism",

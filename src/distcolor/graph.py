@@ -68,7 +68,7 @@ class Graph:
         # bit u of neighbor_masks[v] is set iff u ~ v: the symmetry search's rows
         return tuple(sum(1 << u for u in ns) for ns in self.adj)
 
-    @property
+    @cached_property
     def m(self) -> int:
         return sum(len(ns) for ns in self.adj) // 2
 

@@ -14,7 +14,8 @@ proves that prefix fixed by color refinement seeded by the coloring. There is
 no search fallback: a prefix that refinement leaves unfixed is a bug.
 
 All searches are deterministic: vertices and candidate images are always
-scanned in ascending order.
+scanned in ascending order, except that ``automorphisms`` takes its base
+points from the last vertex down.
 """
 
 from __future__ import annotations
@@ -265,10 +266,15 @@ def automorphisms(
 ) -> tuple[list[Permutation], int]:
     """Generators and exact order of the (color-preserving) automorphism group.
 
-    Order comes from orbit-stabilizer counting along the base 0, 1, ..., n-1:
-    the orbit of each base point under the stabilizer of its predecessors is
-    found by pinned searches, and the group order is the product of orbit
-    sizes. The returned generators are the witnesses those searches found.
+    Orbit-stabilizer counting along the base 0, 1, ..., n-1, walked from its
+    deepest point n-1 up to 0. Let G_b be the stabilizer of 0, ..., b-1 and
+    G_n the trivial group. Every generator found at a deeper point c > b
+    fixes 0, ..., c-1, so it lies in G_b, and the ones found so far generate
+    G_{b+1}. The orbit of b under G_b is grown under all of them: a pinned
+    search starts only for a candidate image u > b that is not yet in that
+    orbit (an image below b is pinned to itself), and each witness it finds
+    becomes a generator and grows the orbit. The group order is the product
+    of the orbit sizes, and the witnesses generate the whole group.
     """
     _check_bound(g)
     if coloring is not None and len(coloring) != g.n:
@@ -276,11 +282,11 @@ def automorphisms(
     cand = _auto_candidates(g, coloring)
     gens: list[Permutation] = []
     order = 1
-    for b in range(g.n):
+    for b in range(g.n - 1, -1, -1):
+        # the deeper generators all fix b, so its orbit starts alone
         orbit = {b}
-        level_gens: list[Permutation] = []
         for u in cand[b]:
-            if u == b or u in orbit:
+            if u <= b or u in orbit:
                 continue
             pinned = [[v] for v in range(b)] + [[u]] + cand[b + 1:]
             found = next(_search(g, g, list(range(g.n)), pinned), None)
@@ -288,10 +294,9 @@ def automorphisms(
                 continue
             f = Permutation(found)
             _assert_automorphism(g, f, coloring)
-            level_gens.append(f)
-            orbit = _orbit(b, level_gens)
+            gens.append(f)
+            orbit = _orbit(b, gens)
         order *= len(orbit)
-        gens.extend(level_gens)
     return gens, order
 
 
@@ -330,9 +335,12 @@ def _search_verdict(g: Graph, coloring: Coloring) -> SymmetryVerdict:
     The caller has checked the bound and that the coloring is total and
     proper.
     """
-    cand = _auto_candidates(g, coloring)
-    if all(c == [v] for v, c in enumerate(cand)):
+    labels = _wl_labels(g, list(coloring.values))
+    if len(set(labels)) == g.n:
+        # discrete: every vertex is alone in its class, so fixed by every
+        # color-preserving automorphism
         return SymmetryVerdict(True, None)
+    cand = _candidate_lists(labels, labels)
     identity = tuple(range(g.n))
     for image in _search(g, g, list(range(g.n)), cand):
         if image == identity:
@@ -587,7 +595,14 @@ def exact_chi_D(g: Graph) -> int:
         raise SearchBoundError(f"graph has {g.n} vertices, exact bound is {EXACT_BOUND}")
     if g.n == 0:
         raise PreconditionError("empty graph")
-    gens, order = automorphisms(g)
+    return _exact_chi_D(g, automorphisms(g))
+
+
+def _exact_chi_D(g: Graph, group: tuple[list[Permutation], int]) -> int:
+    """``exact_chi_D`` from g's group as ``automorphisms(g)`` returns it, for
+    a caller that already holds the group. The caller has checked that g has
+    1 to ``EXACT_BOUND`` vertices."""
+    gens, order = group
     for k in range(1, g.n + 1):
         for values in _unruled_colorings(g, k, gens):
             if order == 1 or _search_verdict(g, Coloring(values)).distinguishing:

@@ -28,9 +28,15 @@ Each one is the straightforward form that the library's version replaced:
 * ``has_short_cycle_by_walk`` walks every 2-path v-u-w from every v, where
   the graph's walk goes only downhill in (degree, id) rank;
 * ``find_isomorphism_joint`` refines g and h side by side (``wl_labels_plain``
-  of both) instead of their disjoint union, after a degree-sequence check.
+  of both) instead of their disjoint union, after a degree-sequence check;
+* ``automorphisms_forward_base`` walks the base 0, 1, ..., n-1 forward, grows
+  each orbit under that base point's own generators only, and tries every
+  candidate image, those below the base point included, where
+  ``automorphisms`` walks it from n-1 down and reuses every deeper generator.
 
-They must return exactly what the library returns, errors included.
+They must return exactly what the library returns, errors included; the
+automorphism oracle returns other generators of the same group with the same
+order. ``group_closure`` lists the group that generators generate.
 ``check_tree`` replays the structural invariants of a BFS tree.
 ``enumerate_automorphisms`` lists a whole automorphism group, the reference
 for properties of the library's searches. ``girth5_graphs``,
@@ -77,6 +83,7 @@ from distcolor.symmetry import (
     _auto_candidates,
     _candidate_lists,
     _check_bound,
+    _orbit,
     _search,
     is_distinguishing,
 )
@@ -334,6 +341,48 @@ def enumerate_automorphisms(g, coloring=None):
         _assert_automorphism(g, f, coloring)
         out.append(f)
     return out
+
+
+def automorphisms_forward_base(g, coloring=None):
+    _check_bound(g)
+    if coloring is not None and len(coloring) != g.n:
+        raise PreconditionError("coloring length does not match the graph")
+    cand = _auto_candidates(g, coloring)
+    gens = []
+    order = 1
+    for b in range(g.n):
+        orbit = {b}
+        level_gens = []
+        for u in cand[b]:
+            if u == b or u in orbit:
+                continue
+            pinned = [[v] for v in range(b)] + [[u]] + cand[b + 1:]
+            found = next(_search(g, g, list(range(g.n)), pinned), None)
+            if found is None:
+                continue
+            f = Permutation(found)
+            _assert_automorphism(g, f, coloring)
+            level_gens.append(f)
+            orbit = _orbit(b, level_gens)
+        order *= len(orbit)
+        gens.extend(level_gens)
+    return gens, order
+
+
+def group_closure(gens, n):
+    """The image tuples of every element of the group ``gens`` generate on
+    n points, the identity included."""
+    identity = tuple(range(n))
+    seen = {identity}
+    queue = [identity]
+    while queue:
+        p = queue.pop()
+        for f in gens:
+            q = tuple(f.image[x] for x in p)
+            if q not in seen:
+                seen.add(q)
+                queue.append(q)
+    return seen
 
 
 def canonical_colorings(g, k):

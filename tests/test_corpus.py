@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from distcolor import corpus
+from distcolor import corpus, symmetry
 from distcolor.corpus import (
     LISTS_PER_GRAPH,
     PROPERTY_RUNS,
@@ -16,6 +16,7 @@ from distcolor.corpus import (
     CriterionResult,
     _dedup,
     _girth5_extensions,
+    _grown_classes,
     _iso_key,
     _profiles,
     _run,
@@ -67,7 +68,9 @@ def test_pruned_extensions_reach_every_class():
     # attachment set, the sets that keep the graph connected
     pruned = unpruned = [Graph(1, [])]
     for n in range(1, 8):
-        pruned = _dedup([e for g in pruned for e in _girth5_extensions(g)])
+        pruned = _dedup(
+            [e for g in pruned for e in _girth5_extensions(g, automorphisms(g)[0])]
+        )
         unpruned = _dedup(
             [
                 (_iso_key(h, _profiles(h)), h)
@@ -90,7 +93,8 @@ def test_extensions_skip_a_cut_vertex_of_smaller_profile():
     u = next(v for v in range(1, 10) if v not in p.adj[0])
     index = {v: i for i, v in enumerate(v for v in range(21) if v != u)}
     parent = Graph(20, [(index[a], index[b]) for a, b in edges if u not in (a, b)])
-    assert any(find_isomorphism(e, h) is not None for _, e in _girth5_extensions(parent))
+    extensions = _girth5_extensions(parent, automorphisms(parent)[0])
+    assert any(find_isomorphism(e, h) is not None for _, e in extensions)
 
 
 def test_enumeration_profiles_each_extension_once(monkeypatch):
@@ -107,21 +111,42 @@ def test_enumeration_profiles_each_extension_once(monkeypatch):
 
 
 def test_enumeration_computes_one_group_per_grown_class(monkeypatch):
-    # one automorphisms call per connected class on 1..6 vertices, 17 in all
+    # one automorphisms call per connected class on 1..6 vertices, 17 in
+    # all; criterion 4 reuses those groups for its exact values and adds one
+    # per class on 7 vertices and one each for the claw and the five-cycle,
+    # 37 in all. Both modules' bindings are counted, since exact_chi_D calls
+    # its own
     sizes = []
 
-    def counted(g):
+    def counted(g, coloring=None):
         sizes.append(g.n)
-        return automorphisms(g)
+        return automorphisms(g, coloring)
 
     monkeypatch.setattr(corpus, "automorphisms", counted)
+    monkeypatch.setattr(symmetry, "automorphisms", counted)
     connected_girth5_graphs(7)
     assert Counter(sizes) == {n: CLASS_COUNTS[n] for n in range(1, 7)}
+    sizes.clear()
+    check_exact_boundary()
+    expected = Counter({n: CLASS_COUNTS[n] for n in range(1, 8)})
+    expected.update([4, 5])
+    assert Counter(sizes) == expected
+    assert len(sizes) == 37
+
+
+def test_grown_classes_carry_their_own_groups():
+    classes = _grown_classes(7)
+    assert [g for g, _ in classes] == connected_girth5_graphs(7)
+    for g, group in classes:
+        if g.n < 7:
+            assert group == automorphisms(g)
+        else:
+            assert group is None
 
 
 def test_exact_boundary_fails_on_a_lost_class(monkeypatch):
-    graphs = connected_girth5_graphs(7)
-    monkeypatch.setattr(corpus, "connected_girth5_graphs", lambda max_n: graphs[:-1])
+    classes = _grown_classes(7)
+    monkeypatch.setattr(corpus, "_grown_classes", lambda max_n: classes[:-1])
     with pytest.raises(CriterionFailure, match="34 isomorphism classes instead of 35"):
         check_exact_boundary()
 

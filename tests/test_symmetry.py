@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from distcolor import symmetry
 from distcolor.coloring import Coloring, ListAssignment
-from distcolor.corpus import connected_girth5_graphs, corpus_graphs
+from distcolor.corpus import NAMED_GRAPHS, connected_girth5_graphs, corpus_graphs
 from distcolor.errors import (
     InternalConsistencyError,
     PreconditionError,
@@ -52,12 +52,14 @@ from distcolor.symmetry import (
 from distcolor.tree import bfs_tree
 from oracles import (
     CONSTRUCTION_GRAPHS,
+    automorphisms_forward_base,
     canonical_colorings,
     connected_order_by_pop,
     enumerate_automorphisms,
     exact_chi_D_by_enumeration,
     find_isomorphism_joint,
     girth5_graphs,
+    group_closure,
     is_identity,
     outcome,
     prefix_is_fixed_plain,
@@ -221,6 +223,54 @@ def test_vertex_transitivity():
     ):
         gens, _ = automorphisms(g)
         assert (_orbit(0, gens) == set(g.vertices())) == transitive
+
+
+def _group_inputs():
+    # every class on up to 8 vertices and the named graphs, each uncolored,
+    # with a seeded random 2-coloring and with a random proper coloring
+    rng = random.Random(22)
+    graphs = connected_girth5_graphs(8) + [build() for _, build in NAMED_GRAPHS]
+    for g in graphs:
+        yield g, None
+        yield g, Coloring(tuple(rng.randint(1, 2) for _ in g.vertices()))
+        yield g, random_proper_coloring(g, rng, g.max_degree() + 1)
+
+
+def test_automorphisms_match_the_forward_base_oracle():
+    # the same order and the same generated group as the forward walk; and
+    # since base points 0..b-1 are pinned, an image u < b is taken, so a
+    # pinned search reads [[0], ..., [b - 1], [u], ...] and must have u > b
+    pins = []
+    search = symmetry._search
+
+    def recorded(g, h, order, cand):
+        b = next(i for i, c in enumerate(cand) if c != [i])
+        pins.append((b, cand[b]))
+        return search(g, h, order, cand)
+
+    for g, coloring in list(_group_inputs()):
+        with patch.object(symmetry, "_search", recorded):
+            gens, order = automorphisms(g, coloring)
+        old_gens, old_order = automorphisms_forward_base(g, coloring)
+        assert order == old_order
+        closure = group_closure(gens, g.n)
+        assert len(closure) == order
+        assert closure == group_closure(old_gens, g.n)
+    assert pins
+    assert all(len(c) == 1 and c[0] > b for b, c in pins)
+
+
+@pytest.mark.parametrize(
+    "build, count, forward",
+    [(lambda: star(12), 10, 55), (lambda: star(5), 3, 6), (lambda: petersen(), 4, 8)],
+    ids=["star-12", "star-5", "petersen"],
+)
+def test_deeper_generators_grow_each_orbit(build, count, forward):
+    # star(n): one transposition per leaf below the last, n - 2 generators,
+    # where the forward walk finds (n - 1)(n - 2) / 2
+    g = build()
+    assert len(automorphisms(g)[0]) == count
+    assert len(automorphisms_forward_base(g)[0]) == forward
 
 
 def test_search_bound_is_enforced():
