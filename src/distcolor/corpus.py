@@ -56,7 +56,7 @@ from .symmetry import (
     fixed_propagation,
     is_distinguishing,
 )
-from .tree import bfs_tree
+from .tree import BfsTree, bfs_tree
 
 NAMED_GRAPHS = (
     ("petersen", petersen),
@@ -400,9 +400,10 @@ def check_two_extra_colors(
     )
 
 
-def _property_graphs(seed: int, runs: int) -> Iterator[tuple[Graph, int, int]]:
+def _property_graphs(seed: int, runs: int) -> Iterator[tuple[Graph, BfsTree, int]]:
     # a fresh graph every few runs, alternating sparse girth-5 graphs and
-    # trees; the root and its color change on every run
+    # trees; the root, and with it the BFS tree, and the root's color change
+    # on every run
     g = None
     for i in range(runs):
         if i % 5 == 0 or g is None:
@@ -412,16 +413,16 @@ def _property_graphs(seed: int, runs: int) -> Iterator[tuple[Graph, int, int]]:
                 g = random_girth5(n, max_degree=3 + mix % 3, seed=mix)
             else:
                 g = random_tree(4 + (mix * 11) % 13, seed=mix)
-        yield g, (seed + 3 * i) % g.n, i
+        yield g, bfs_tree(g, (seed + 3 * i) % g.n), i
 
 
-def check_greedy_bounds(runs: list[tuple[Graph, int, int]]) -> str:
+def check_greedy_bounds(runs: list[tuple[Graph, BfsTree, int]]) -> str:
     """Criterion 6: rule color bounds hold on every unconstrained step."""
     _at_least_one("runs", len(runs))
     checked = 0
-    for g, root, i in runs:
+    for g, tree, i in runs:
         delta = g.max_degree()
-        tree = bfs_tree(g, root)
+        root = tree.root
         coloring, steps = greedy_extend_traced(g, tree, 1 + i % (delta + 2))
         _need(coloring.is_proper(g), f"run {i}: improper greedy output")
         for step in steps:
@@ -448,13 +449,12 @@ def check_greedy_bounds(runs: list[tuple[Graph, int, int]]) -> str:
     return f"{len(runs)} greedy runs, {checked} unconstrained steps within bounds"
 
 
-def check_propagation_soundness(instances: list[tuple[Graph, int, int]]) -> str:
+def check_propagation_soundness(instances: list[tuple[Graph, BfsTree, int]]) -> str:
     """Criterion 7: whenever propagation certifies everything, it is right."""
     _at_least_one("instances", len(instances))
     certified_all = 0
-    for g, root, i in instances:
+    for g, tree, i in instances:
         delta = g.max_degree()
-        tree = bfs_tree(g, root)
         coloring = greedy_extend(g, tree, delta + 2)
         fixed = fixed_propagation(g, tree, coloring, tree.order[:1])
         if len(fixed) != g.n:
@@ -512,8 +512,9 @@ def run_all(seed: int = 0, count: int = PROPERTY_RUNS) -> list[CriterionResult]:
     report seven passes, so it raises PreconditionError.
 
     Each input is built once, before the first criterion, and shared: the
-    corpus graphs by criteria 1 and 5, the property-test graphs by criteria
-    6 and 7.  No row's time includes that build.
+    corpus graphs by criteria 1 and 5, the property-test graphs with the
+    BFS tree of each run by criteria 6 and 7.  No row's time includes that
+    build.
     """
     _at_least_one("count", count)
     factor = count / PROPERTY_RUNS

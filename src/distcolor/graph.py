@@ -230,15 +230,22 @@ def render_graph(g: Graph) -> str:
 
 
 def distances(g: Graph, source: int) -> list[int | float]:
-    """BFS distances from ``source``; unreachable vertices get infinity.
+    """BFS distances from ``source``; unreachable vertices get infinity."""
+    if not 0 <= source < g.n:
+        raise PreconditionError(f"source {source} out of range")
+    return _bfs_levels(g.adj, source, INFINITY)
+
+
+def _bfs_levels(
+    adj: tuple[tuple[int, ...], ...], source: int, far: object
+) -> list:
+    """BFS distances from ``source`` over ``adj``, with ``far`` for each
+    vertex it does not reach; ``far`` must not equal a distance.
 
     Level by level: the level is a counter, so a newly reached vertex gets it
     without reading its parent's distance.
     """
-    if not 0 <= source < g.n:
-        raise PreconditionError(f"source {source} out of range")
-    adj = g.adj
-    dist: list[int | float] = [INFINITY] * g.n
+    dist = [far] * len(adj)
     dist[source] = 0
     frontier = [source]
     level = 0
@@ -247,11 +254,12 @@ def distances(g: Graph, source: int) -> list[int | float]:
         nxt = []
         for u in frontier:
             for v in adj[u]:
-                if dist[v] is INFINITY:
+                if dist[v] is far:
                     dist[v] = level
                     nxt.append(v)
         frontier = nxt
     return dist
+
 
 def is_connected(g: Graph) -> bool:
     if g.n == 0:

@@ -122,12 +122,12 @@ def _extend(g, tree, root_color, k, forced, forbidden, choosers, lists, steps):
     root = tree.root
     if not isinstance(root_color, int) or root_color < 1:
         raise PreconditionError(f"root {root} colored with {root_color!r}")
-    forced = dict(forced or {})
-    forbidden = {v: frozenset(cs) for v, cs in (forbidden or {}).items()}
-    choosers = dict(choosers or {})
+    forced = dict(forced) if forced else {}
+    forbidden = {v: frozenset(cs) for v, cs in forbidden.items()} if forbidden else {}
+    choosers = dict(choosers) if choosers else {}
     if root in forced or root in choosers:
         raise PreconditionError(f"the root {root} cannot be forced or chosen")
-    if set(forced) & set(choosers):
+    if forced and choosers and not forced.keys().isdisjoint(choosers):
         raise PreconditionError("a vertex has both a forced color and a chooser")
     delta = g.max_degree()
     if lists is None:
@@ -156,9 +156,12 @@ def _extend(g, tree, root_color, k, forced, forbidden, choosers, lists, steps):
     special = forced.keys() | choosers.keys() | forbidden.keys()
     no_ban: frozenset[int] = frozenset()
     for parent in tree.order:
+        group = children[parent]
+        if not group:
+            continue
         block = {values[parent]}
         least = 1
-        for v in children[parent]:
+        for v in group:
             around = list(map(color_of, adj[v]))
             count = len(around) - around.count(None)
             banned = no_ban
@@ -217,9 +220,11 @@ def _extend(g, tree, root_color, k, forced, forbidden, choosers, lists, steps):
                     least = c
             bounded = c > delta and not constrained and v not in near_root
             if bounded or steps is not None:
-                seen = set(around)
-                seen.discard(None)
-                stats = (count == len(around), len(seen) == count)
+                # rule i's ``blocked`` is the set of neighbor colors, None
+                # for an uncolored neighbor; one colored neighbor or none
+                # are trivially distinct
+                distinct = count < 2 or len(blocked) - (None in blocked) == count
+                stats = (count == len(around), distinct)
                 if bounded:
                     _check_color_bounds(v, rule, c, delta, stats)
                 if steps is not None:

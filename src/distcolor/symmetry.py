@@ -20,10 +20,9 @@ points from the last vertex down.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .coloring import Coloring
 from .errors import (
@@ -32,7 +31,7 @@ from .errors import (
     PropernessError,
     SearchBoundError,
 )
-from .graph import SEARCH_BOUND, Graph, distances, has_cycle_shorter_than_five
+from .graph import SEARCH_BOUND, Graph, _bfs_levels, has_cycle_shorter_than_five
 from .tree import BfsTree
 
 EXACT_BOUND = 10
@@ -98,8 +97,35 @@ def _wl_rounds(g: Graph, base: list[object]) -> Iterator[list[int]]:
     already refines them, so it is the one plain refinement reaches, in
     fewer rounds: a path with a unique color at one end is discrete after
     the fold, against about half its length.
+
+    A round means its partition, not its label values. Round 0 takes dense
+    ids from one pass over the (base label, degree) pairs. The fold packs
+    each (label, distance) pair into one integer, top + label·(n+1) +
+    distance, where top is the round-0 class count, so every fold label
+    lies above every round-0 id; a vertex the BFS does not reach counts as
+    distance n. No pair needs a table entry. The refinement rounds take
+    dense ids again.
     """
+    n = g.n
     table: dict[object, int] = {}
+    ids = table.setdefault
+    labels = [ids(key, len(table)) for key in zip(base, map(len, g.adj))]
+    yield labels
+    # every round-0 label is an id below len(table)
+    classes = len(table)
+    if classes == n:
+        return
+    sizes = [0] * classes
+    for l in labels:
+        sizes[l] += 1
+    if 1 in sizes:
+        dist = _bfs_levels(g.adj, labels.index(sizes.index(1)), n)
+        step = n + 1
+        labels = [classes + l * step + d for l, d in zip(labels, dist)]
+        yield labels
+        classes = len(set(labels))
+        if classes == n:
+            return
 
     def canon(key: object) -> int:
         val = table.get(key)
@@ -107,22 +133,6 @@ def _wl_rounds(g: Graph, base: list[object]) -> Iterator[list[int]]:
             val = table[key] = len(table)
         return val
 
-    labels = [canon((base[v], len(g.adj[v]))) for v in range(g.n)]
-    yield labels
-    # every round-0 label is an id below len(table)
-    classes = len(table)
-    if classes == g.n:
-        return
-    sizes = [0] * classes
-    for l in labels:
-        sizes[l] += 1
-    if 1 in sizes:
-        dist = distances(g, labels.index(sizes.index(1)))
-        labels = [canon((l, d)) for l, d in zip(labels, dist)]
-        yield labels
-        classes = len(set(labels))
-        if classes == g.n:
-            return
     while True:
         labels = [
             canon((labels[v], tuple(sorted(labels[u] for u in g.adj[v]))))
@@ -156,19 +166,30 @@ def prefix_is_fixed(g: Graph, coloring: Coloring, vertices: Iterable[int]) -> bo
     ``solve`` coloring of a path that round is already discrete, against
     about half its length in plain rounds. False once refinement is stable
     without isolating every vertex, which proves nothing either way.
+
+    Each test, on the colors and on each round's labels, is one pass over
+    the labels that counts the vertices holding a label of a given vertex:
+    O(n) whatever the number of given vertices.
     """
     if len(coloring) != g.n:
         raise PreconditionError("coloring length does not match the graph")
     targets = set(vertices)
     values = coloring.values
-    sizes = Counter(values)
-    if all(sizes[values[v]] == 1 for v in targets):
+    if _isolates(values, targets):
         return True
     for labels in _wl_rounds(g, list(values)):
-        sizes = Counter(labels)
-        if all(sizes[labels[v]] == 1 for v in targets):
+        if _isolates(labels, targets):
             return True
     return False
+
+
+def _isolates(labels: Sequence[object], targets: set[int]) -> bool:
+    """True when each vertex of ``targets`` holds a label no other vertex
+    holds. Every label in ``held`` is held at least once, so the vertices
+    holding one number len(held) only when each is held by one vertex
+    alone, a target that then shares it with no other target."""
+    held = {labels[v] for v in targets}
+    return sum(map(held.__contains__, labels)) == len(held)
 
 
 def _candidate_lists(label_g: list[int], label_h: list[int]) -> list[list[int]]:
@@ -444,7 +465,8 @@ def fixed_propagation(
         raise PreconditionError("fixed_prefix is empty")
     if prefix != set(tree.order[: len(prefix)]):
         raise PreconditionError("fixed_prefix is not a sigma-prefix")
-    return _propagate(g, tree, coloring, tree.order[: len(prefix)])[0]
+    certified, _ = _propagate(g, tree, coloring, tree.order[: len(prefix)])
+    return frozenset(compress(range(g.n), certified))
 
 
 def certify(g: Graph, tree: BfsTree, coloring: Coloring) -> tuple[int, ...]:
@@ -481,9 +503,11 @@ def _propagate(
     tree: BfsTree,
     coloring: Coloring,
     prefix: Iterable[int],
-) -> tuple[frozenset[int], int]:
-    """``fixed_propagation`` without its checks: the certified set, and how
-    many vertices of ``prefix`` it took.
+) -> tuple[list[bool], int]:
+    """``fixed_propagation`` without its checks: whether each vertex is
+    certified, and how many vertices of ``prefix`` it took. Only
+    ``fixed_propagation`` turns the flags into a set; ``certify`` reads the
+    count alone.
 
     ``prefix`` must be a sigma-prefix without repeats, and the coloring total
     and proper. Its vertices are taken one at a time, the next one only once
@@ -568,7 +592,7 @@ def _propagate(
                     certifier[u] = y
                     work.append(u)
                 left -= len(unique)
-    return frozenset(compress(range(g.n), certified)), taken
+    return certified, taken
 
 
 def exact_chi_D(g: Graph) -> int:

@@ -53,14 +53,16 @@ def bfs_tree(
     whose parent directive names another vertex waits for that one. O(n + m).
 
     Raises TreeConstraintError for infeasible directives and PreconditionError
-    for a disconnected graph or bad root. Only a call with directives runs a
-    distance BFS first: parent directives are checked against the true
-    levels, and a disconnected graph is reported before any directive.
+    for a disconnected graph or bad root. Only a call with directives copies
+    them and runs a distance BFS first: parent directives are checked against
+    the true levels, and a disconnected graph is reported before any
+    directive. A vertex that claims no child, a leaf of the tree, costs only
+    its adjacency scan.
     """
     if not 0 <= root < g.n:
         raise PreconditionError(f"root {root} out of range")
-    parents = dict(parents or {})
-    slots = dict(slots or {})
+    parents = dict(parents) if parents else {}
+    slots = dict(slots) if slots else {}
     adj = g.adj
 
     if parents or slots:
@@ -85,7 +87,8 @@ def bfs_tree(
                 raise TreeConstraintError(f"bad slot {s!r} for vertex {v}")
 
     # The sorted adjacency lists make every child group ascending, so only a
-    # group that a slot directive names needs arranging.
+    # group that a slot directive names needs arranging. A vertex that claims
+    # no child keeps the shared empty group and adds nothing to sigma.
     parent: list[int | None] = [None] * g.n
     for v, p in parents.items():
         parent[v] = p
@@ -103,10 +106,11 @@ def bfs_tree(
                     level[u] = below
                     parent[u] = p
                     kids.append(u)
-        if slots and any(u in slots for u in kids):
-            kids = _arrange(p, kids, slots)
-        children[p] = tuple(kids)
-        order.extend(kids)
+        if kids:
+            if slots and any(u in slots for u in kids):
+                kids = _arrange(p, kids, slots)
+            children[p] = tuple(kids)
+            order.extend(kids)
     if len(order) != g.n:
         raise PreconditionError("graph is disconnected")
 

@@ -1,10 +1,14 @@
 """An exhaustive census of the theorem on every connected girth-5 graph with
-at most ten vertices, up to isomorphism: 683 classes.
+at most eleven vertices, up to isomorphism: 2,476 classes.
 
 Each class gets its exact distinguishing chromatic number from
-``exact_chi_D`` and a coloring from ``solve`` (``solve_c6_extension`` for the
-six-cycle). The paper's bound, χ_D ≤ Δ+1 except for the six-cycle, is
-checked against both, and the distributions are pinned per vertex count.
+``symmetry._exact_chi_D``, with the automorphism group that grew the class
+in the enumeration (a new one for the classes on eleven vertices), and a
+coloring from ``solve`` (``solve_c6_extension`` for the six-cycle). The
+private entry point skips ``EXACT_BOUND``, which stays at ten for
+``exact_chi_D`` and ``distcolor exact``. The paper's bound, χ_D ≤ Δ+1
+except for the six-cycle, is checked against both, and the distributions
+are pinned per vertex count.
 """
 
 from collections import Counter
@@ -12,13 +16,13 @@ from itertools import combinations
 
 import pytest
 
-from distcolor.corpus import connected_girth5_graphs
+from distcolor.corpus import _grown_classes
 from distcolor.generators import cycle, path, petersen, star
 from distcolor.graph import Graph
 from distcolor.solver import is_c6, solve, solve_c6_extension
-from distcolor.symmetry import exact_chi_D, find_isomorphism
+from distcolor.symmetry import _exact_chi_D, automorphisms, find_isomorphism
 
-MAX_N = 10
+MAX_N = 11
 
 # vertex count -> {χ_D − Δ: classes}
 CHI_MINUS_DELTA = {
@@ -32,6 +36,7 @@ CHI_MINUS_DELTA = {
     8: {-1: 13, 0: 32, 1: 2},
     9: {-2: 3, -1: 54, 0: 76, 1: 4},
     10: {-2: 26, -1: 216, 0: 217, 1: 5},
+    11: {-3: 6, -2: 159, -1: 994, 0: 631, 1: 3},
 }
 
 # vertex count -> {colors solve uses − χ_D: classes}
@@ -46,6 +51,7 @@ SOLVE_MINUS_CHI = {
     8: {0: 2, 1: 32, 2: 13},
     9: {0: 4, 1: 76, 2: 54, 3: 3},
     10: {0: 5, 1: 222, 2: 211, 3: 26},
+    11: {0: 3, 1: 689, 2: 940, 3: 155, 4: 6},
 }
 
 
@@ -64,13 +70,13 @@ def _spider():
 
 
 def attaining_graphs():
-    """The classes on at most ten vertices with χ_D = Δ+1: stars, paths on
-    an odd number of vertices, cycles other than the six-cycle, and four
-    more."""
+    """The classes on at most eleven vertices with χ_D = Δ+1: stars, paths
+    on an odd number of vertices, cycles other than the six-cycle, and four
+    more, all on at most ten vertices."""
     return (
         [star(n) for n in range(1, MAX_N + 1)]
-        + [path(n) for n in (5, 7, 9)]
-        + [cycle(n) for n in (5, 7, 8, 9, 10)]
+        + [path(n) for n in (5, 7, 9, 11)]
+        + [cycle(n) for n in (5, 7, 8, 9, 10, 11)]
         + [
             petersen().induced_subgraph(range(1, 10))[0],
             _spider(),
@@ -84,14 +90,15 @@ def attaining_graphs():
 def census():
     # (graph, χ_D, colors solve uses) for every class
     rows = []
-    for g in connected_girth5_graphs(MAX_N):
+    for g, group in _grown_classes(MAX_N):
+        chi = _exact_chi_D(g, automorphisms(g) if group is None else group)
         result = solve_c6_extension(g) if is_c6(g) else solve(g)
-        rows.append((g, exact_chi_D(g), result.colors_used))
+        rows.append((g, chi, result.colors_used))
     return rows
 
 
 def test_census_covers_every_class(census):
-    assert len(census) == 683
+    assert len(census) == 2476
     assert Counter(g.n for g, _, _ in census) == {
         n: sum(counts.values()) for n, counts in CHI_MINUS_DELTA.items()
     }
@@ -121,6 +128,6 @@ def test_six_cycle_alone_exceeds_the_bound(census):
 def test_classes_attaining_the_bound(census):
     attaining = [g for g, chi, _ in census if chi == g.max_degree() + 1]
     expected = attaining_graphs()
-    assert len(attaining) == len(expected) == 22
+    assert len(attaining) == len(expected) == 25
     for h in expected:
         assert sum(find_isomorphism(g, h) is not None for g in attaining) == 1

@@ -19,6 +19,7 @@ from distcolor.corpus import (
     _grown_classes,
     _iso_key,
     _profiles,
+    _property_graphs,
     _run,
     check_exact_boundary,
     check_greedy_bounds,
@@ -209,10 +210,27 @@ def test_two_extra_colors_walks_the_corpus_once(monkeypatch):
     )
 
 
+def test_property_checks_take_the_tree_of_each_run(monkeypatch):
+    # each run comes with its BFS tree at the run's own root; criteria 6
+    # and 7 read it and build none of their own
+    runs = list(_property_graphs(0, 20))
+    assert [tree.root for _, tree, _ in runs] == [3 * i % g.n for g, _, i in runs]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a property check built a BFS tree")
+
+    monkeypatch.setattr(corpus, "bfs_tree", refused)
+    assert check_greedy_bounds(runs) == "20 greedy runs, 142 unconstrained steps within bounds"
+    assert check_propagation_soundness(runs) == (
+        "20 of 20 instances certified all vertices, all sound"
+    )
+
+
 def test_run_all_builds_each_input_once(monkeypatch):
     # count 100: one random tree and two random girth-5 graphs in the corpus,
     # and 20 property-test graphs, ten of each kind; criteria 1 and 5 share
-    # the corpus, 6 and 7 the property-test graphs
+    # the corpus, 6 and 7 the property-test graphs and the tree of each of
+    # the 100 runs
     calls = Counter()
 
     def counting(name, build):
@@ -224,9 +242,10 @@ def test_run_all_builds_each_input_once(monkeypatch):
 
     monkeypatch.setattr(corpus, "random_girth5", counting("girth5", corpus.random_girth5))
     monkeypatch.setattr(corpus, "random_tree", counting("tree", corpus.random_tree))
+    monkeypatch.setattr(corpus, "bfs_tree", counting("bfs_tree", corpus.bfs_tree))
     results = run_all(0, count=100)
     assert all(r.passed for r in results)
-    assert calls == {"girth5": 12, "tree": 11}
+    assert calls == {"girth5": 12, "tree": 11, "bfs_tree": 100}
 
 
 def test_run_all_small_count_passes():

@@ -1,6 +1,7 @@
 """Automorphism search, distinguishing verdicts, and fixedness propagation."""
 
 import random
+from itertools import permutations, product
 from unittest.mock import patch
 
 import pytest
@@ -29,7 +30,7 @@ from distcolor.generators import (
     random_tree,
     star,
 )
-from distcolor.graph import Graph
+from distcolor.graph import Graph, distances
 from distcolor.greedy import color_delta_plus_2, list_color_delta_plus_2
 from distcolor.solver import is_c6, solve, solve_c6_extension
 from distcolor.symmetry import (
@@ -434,6 +435,85 @@ def test_prefix_is_fixed_on_the_nine_cycle():
     assert prefix_is_fixed(g, marked, range(9))
     with pytest.raises(PreconditionError):
         prefix_is_fixed(g, Coloring((1, 2)), [0])
+
+
+@pytest.mark.parametrize(
+    "g, coloring",
+    [
+        (path(300), solve(path(300)).coloring),
+        (cycle(301), solve(cycle(301)).coloring),
+        (
+            random_girth5(60, max_degree=4, seed=5),
+            color_delta_plus_2(random_girth5(60, max_degree=4, seed=5)),
+        ),
+    ],
+    ids=["solve-path-300", "solve-cycle-301", "delta-plus-2-girth5-60"],
+)
+def test_prefix_of_every_vertex_matches_the_plain_oracle(g, coloring):
+    # the one-pass test of each round reads all n targets at once
+    everyone = range(g.n)
+    assert prefix_is_fixed(g, coloring, everyone) == prefix_is_fixed_plain(g, coloring, everyone)
+
+
+def _two_components():
+    # P3 on 0..2 and P5 on 3..7: no automorphism swaps the components
+    return Graph(8, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 7)])
+
+
+def _brute_force_automorphisms(g, coloring):
+    return [
+        image
+        for image in permutations(range(g.n))
+        if all(g.has_edge(image[u], image[v]) for u, v in g.edges())
+        and all(coloring[image[v]] == coloring[v] for v in range(g.n))
+    ]
+
+
+def test_distance_fold_keeps_unreached_vertices_apart_by_label():
+    # vertex 0 alone holds color 3, so the fold takes distances from it;
+    # the P5 is out of its reach, and there only the round-0 label splits
+    g = _two_components()
+    symmetric = Coloring((3, 1, 2) + (1, 2, 1, 2, 1))
+    rounds = list(_wl_rounds(g, list(symmetric.values)))
+    assert len(set(rounds[0])) < len(set(rounds[1])) < g.n
+    assert not is_distinguishing(g, symmetric).distinguishing
+    assert automorphisms(g, symmetric)[1] == 2
+    assert len(enumerate_automorphisms(g, symmetric)) == 2
+    assert len(_brute_force_automorphisms(g, symmetric)) == 2
+    broken = Coloring((3, 1, 2) + (1, 2, 1, 2, 3))
+    assert is_distinguishing(g, broken).distinguishing
+    assert automorphisms(g, broken)[1] == 1
+    assert len(enumerate_automorphisms(g, broken)) == 1
+
+
+@pytest.mark.parametrize(
+    "image", [range(8), (5, 6, 7, 0, 1, 2, 3, 4)], ids=["p3-first", "p5-first"]
+)
+def test_distance_fold_matches_brute_force_on_two_components(image):
+    # every 3-coloring of P3 ⊔ P5, numbered either way: the fold round is the
+    # partition by (round-0 label, distance), and on proper colorings the
+    # group keeps the elements of the uncolored group of order 4 that
+    # preserve the coloring
+    g = relabel(_two_components(), list(image))
+    group = _brute_force_automorphisms(g, Coloring((1,) * g.n))
+    assert len(group) == 4
+    folds = 0
+    for values in product((1, 2, 3), repeat=g.n):
+        rounds = list(_wl_rounds(g, list(values)))
+        first = rounds[0]
+        alone = [l for l in first if first.count(l) == 1]
+        if alone and len(rounds) > 1:
+            folds += 1
+            dist = distances(g, first.index(min(alone)))
+            assert _partition(rounds[1]) == _partition(list(zip(first, dist)))
+        coloring = Coloring(values)
+        if not coloring.is_proper(g):
+            continue
+        kept = sum(all(values[f[v]] == values[v] for v in range(g.n)) for f in group)
+        assert automorphisms(g, coloring)[1] == kept
+        assert len(enumerate_automorphisms(g, coloring)) == kept
+        assert is_distinguishing(g, coloring).distinguishing == (kept == 1)
+    assert folds > 0
 
 
 @settings(max_examples=150, deadline=None)
