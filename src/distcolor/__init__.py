@@ -12,6 +12,12 @@ refinement seeded by the coloring must pin down.
 ``connected_girth5_graphs`` lists the connected girth-5 graphs up to
 isomorphism that the acceptance suite checks ``exact_chi_D`` on, so that a
 user can run the same exhaustive check of the theorem on more vertices.
+
+``BfsTree`` is exported because every ``SolveResult`` carries one, the tree
+its coloring was built and certified on. The steps that build and certify
+a coloring (``bfs_tree``, ``greedy_extend``, ``fixed_propagation``) and
+``diameter`` are not: no command and no example needs them, and they stay
+importable from their modules.
 """
 
 from .coloring import Coloring, ListAssignment, parse_coloring, render_coloring
@@ -27,8 +33,8 @@ from .errors import (
     TreeConstraintError,
 )
 from .generators import generate
-from .graph import Graph, diameter, girth, is_connected, parse_graph, render_graph
-from .greedy import color_delta_plus_2, greedy_extend, list_color_delta_plus_2
+from .graph import Graph, girth, is_connected, parse_graph, render_graph
+from .greedy import color_delta_plus_2, list_color_delta_plus_2
 from .solver import (
     SolveResult,
     is_c6,
@@ -42,10 +48,9 @@ from .symmetry import (
     automorphisms,
     exact_chi_D,
     find_isomorphism,
-    fixed_propagation,
     is_distinguishing,
 )
-from .tree import BfsTree, bfs_tree
+from .tree import BfsTree
 
 __all__ = [
     "BfsTree",
@@ -64,16 +69,12 @@ __all__ = [
     "SymmetryVerdict",
     "TreeConstraintError",
     "automorphisms",
-    "bfs_tree",
     "color_delta_plus_2",
     "connected_girth5_graphs",
-    "diameter",
     "exact_chi_D",
     "find_isomorphism",
-    "fixed_propagation",
     "generate",
     "girth",
-    "greedy_extend",
     "is_c6",
     "is_connected",
     "is_distinguishing",

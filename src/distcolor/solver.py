@@ -241,7 +241,16 @@ def _first_geodesic_config(g: Graph) -> GeodesicScan:
     a shortest path to it would be an x3 with a neighbor x at distance 4. By
     then the scan has run a BFS from every vertex, so the diameter is the
     largest eccentricity it saw, and no second all-sources BFS is needed.
+
+    A Δ-regular graph with Δ ≥ 2 on Δ²+1 vertices needs no BFS at all: with
+    girth at least five, the caller's precondition, the 1 + Δ + Δ(Δ−1)
+    vertices within two steps of any vertex are distinct and so are all of
+    them (the Moore bound), and the diameter is 2. K1 and K2 also have
+    Δ²+1 vertices, with diameters 0 and 1, hence Δ ≥ 2.
     """
+    delta = g.max_degree()
+    if delta >= 2 and g.n == delta * delta + 1 and min(map(len, g.adj)) == delta:
+        return 2
     diam = 0
     for w in g.vertices():
         dist = distances(g, w)

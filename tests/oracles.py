@@ -24,6 +24,10 @@ Each one is the straightforward form that the library's version replaced:
   round-0 label inside its first refinement round, and always runs to the
   first round that splits no class, where ``_wl_rounds`` yields the fold as
   a round of its own and stops at the first discrete round;
+* ``wl_rounds_shared_table`` numbers the keys of every refinement round in
+  one table kept until refinement ends, and counts each round's classes
+  with a set, where ``_wl_rounds`` starts a table per round and reads the
+  count off its size;
 * ``connected_order_by_pop`` pops its BFS queue from the front of a list;
 * ``has_short_cycle_by_walk`` walks every 2-path v-u-w from every v, where
   the graph's walk goes only downhill in (degree, id) rank;
@@ -66,7 +70,7 @@ from distcolor.errors import (
     TreeConstraintError,
 )
 from distcolor.generators import cycle, path, random_girth5, random_tree
-from distcolor.graph import INFINITY, Graph, distances
+from distcolor.graph import INFINITY, Graph, _bfs_levels, distances
 from distcolor.greedy import (
     RULE_CHOOSER,
     RULE_FORCED,
@@ -556,6 +560,44 @@ def wl_rounds_until_stable(g, base):
         yield labels
         before, classes = classes, len(set(labels))
         if classes == before:
+            return
+
+
+def wl_rounds_shared_table(g, base):
+    n = g.n
+    table = {}
+    ids = table.setdefault
+    labels = [ids(key, len(table)) for key in zip(base, map(len, g.adj))]
+    yield labels
+    classes = len(table)
+    if classes == n:
+        return
+    sizes = [0] * classes
+    for l in labels:
+        sizes[l] += 1
+    if 1 in sizes:
+        dist = _bfs_levels(g.adj, labels.index(sizes.index(1)), n)
+        step = n + 1
+        labels = [classes + l * step + d for l, d in zip(labels, dist)]
+        yield labels
+        classes = len(set(labels))
+        if classes == n:
+            return
+
+    def canon(key):
+        val = table.get(key)
+        if val is None:
+            val = table[key] = len(table)
+        return val
+
+    while True:
+        labels = [
+            canon((labels[v], tuple(sorted(labels[u] for u in g.adj[v]))))
+            for v in range(g.n)
+        ]
+        yield labels
+        before, classes = classes, len(set(labels))
+        if classes in (before, g.n):
             return
 
 

@@ -24,10 +24,14 @@ def _used_names(node: ast.AST) -> Counter[str]:
 
 
 # Public names kept only because the benchmark names them: the tracer wraps
-# exists_automorphism_mapping, and run.py reports a count for every
-# solver.BRANCH_* constant. The next change to benchmarks/ can drop those
-# entries and then the names.
-BENCHMARK_ONLY = {"symmetry.exists_automorphism_mapping", "solver.BRANCH_DISSIMILAR"}
+# exists_automorphism_mapping and diameter (its LAYERS), and run.py reports
+# a count for every solver.BRANCH_* constant. The next change to
+# benchmarks/ can drop those entries and then the names.
+BENCHMARK_ONLY = {
+    "symmetry.exists_automorphism_mapping",
+    "solver.BRANCH_DISSIMILAR",
+    "graph.diameter",
+}
 
 
 def _public_constants(node: ast.AST) -> list[str]:

@@ -210,10 +210,16 @@ def test_geodesic_configuration_on_the_dodecahedron():
     assert is_distinguishing(g, coloring).distinguishing
 
 
-def test_no_geodesic_configuration_at_diameter_two():
-    # without a configuration the scan answers with the diameter
-    assert _first_geodesic_config(petersen()) == 2
-    assert _first_geodesic_config(hoffman_singleton()) == 2
+def test_no_geodesic_configuration_at_diameter_two(monkeypatch):
+    # without a configuration the scan answers with the diameter; a Moore
+    # graph (Δ-regular on Δ²+1 vertices, girth 5) has diameter 2, so its
+    # scan runs no BFS
+    def refuse(*_):
+        raise AssertionError("the scan ran a BFS on a Moore graph")
+
+    monkeypatch.setattr(solver, "distances", refuse)
+    for g in (cycle(5), petersen(), hoffman_singleton()):
+        assert _first_geodesic_config(g) == 2
 
 
 def test_construction_builds_no_neighbor_sets():
@@ -356,12 +362,13 @@ def test_solve_takes_the_diameter_from_the_geodesic_scan(monkeypatch):
         if name.startswith("distcolor") and getattr(module, "distances", None) is real:
             monkeypatch.setattr(module, "distances", counted)
     assert solve(g) == expected
-    # 50 + 42 scan roots, 2 connectivity checks (solve's and the Moore
-    # case's on the reduced graph), the directive check of the
-    # diameter-three tree and the first diameter-three root; a tree without
-    # directives runs no separate BFS (97 when every tree did), and 190
-    # when diameter() redid the scan
-    assert len(calls) == 96
+    # 42 scan roots on the reduced graph, 2 connectivity checks (solve's
+    # and the Moore case's on the reduced graph), the directive check of
+    # the diameter-three tree and the first diameter-three root. The scan
+    # of Hoffman-Singleton itself runs no BFS: a 7-regular girth-5 graph on
+    # 50 = 7² + 1 vertices has diameter 2 by the Moore bound (96 when it
+    # ran its 50 roots). A tree without directives runs no separate BFS.
+    assert len(calls) == 46
 
 
 # connected cubic girth-5 graphs up to isomorphism (OEIS A014372); the 9

@@ -1,6 +1,7 @@
 """Automorphism search, distinguishing verdicts, and fixedness propagation."""
 
 import random
+import tracemalloc
 from itertools import permutations, product
 from unittest.mock import patch
 
@@ -70,6 +71,7 @@ from oracles import (
     shortest_certifying_prefix_by_loop,
     small_graphs,
     wl_labels_plain,
+    wl_rounds_shared_table,
     wl_rounds_until_stable,
 )
 
@@ -710,6 +712,45 @@ def test_refinement_stops_at_its_first_discrete_round(g, coloring, rounds, until
     base = list(coloring.values)
     assert sum(1 for _ in _wl_rounds(g, base)) == rounds
     assert sum(1 for _ in wl_rounds_until_stable(g, base)) == until_stable
+
+
+def _rounds_match_the_shared_table(g, base):
+    ours = [_partition(labels) for labels in _wl_rounds(g, base)]
+    assert ours == [_partition(labels) for labels in wl_rounds_shared_table(g, base)]
+
+
+@PROPERTY_SETTINGS
+@given(girth5_graphs(), st.data())
+def test_a_table_per_round_yields_the_rounds_of_one_shared_table(g, data):
+    # any base labels; half the time one vertex holds a color of its own,
+    # so that the distance round runs too
+    k = data.draw(st.integers(min_value=1, max_value=4))
+    base = data.draw(st.lists(st.integers(min_value=1, max_value=k), min_size=g.n, max_size=g.n))
+    if data.draw(st.booleans()):
+        base[data.draw(st.integers(min_value=0, max_value=g.n - 1))] = k + 1
+    _rounds_match_the_shared_table(g, base)
+
+
+def test_a_table_per_round_on_the_solve_coloring_of_the_128_cycle():
+    g = cycle(128)
+    _rounds_match_the_shared_table(g, list(solve(g).coloring.values))
+
+
+def test_refinement_keeps_one_round_in_memory():
+    # 7 rounds on a 5000-vertex tree; a table kept across rounds holds a
+    # key per vertex and round, a 5.2 MB peak, and one table per round 0.8 MB
+    g = random_tree(5000, seed=1)
+    base = list(solve(g).coloring.values)
+    tracemalloc.start()
+    try:
+        rounds = 0
+        for _ in _wl_rounds(g, base):
+            rounds += 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rounds == 7
+    assert peak < 2_000_000
 
 
 @settings(max_examples=300, deadline=None)
