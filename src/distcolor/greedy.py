@@ -11,14 +11,15 @@ Callers can override single vertices (forced colors or a chooser picking from
 the available candidates) and forbid colors at specific vertices; the plain
 rules are what the color-count guarantees below are about.
 
-``greedy_extend`` and ``greedy_extend_traced`` run the same loop; only the
-traced call builds a GreedyStep per vertex, so the constructions, which
-discard the trace, never pay for one.
+The loop keeps no record of its steps. A vertex's rule can be read off the
+tree and the finished coloring: its neighbors before it in the tree's order
+are the ones colored at its turn, so it followed rule ii when only its parent
+is among them and rule i when more are. Criterion 6 of the acceptance corpus
+checks the color bounds that way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .coloring import Coloring, ListAssignment
@@ -31,31 +32,7 @@ from .graph import Graph, has_cycle_shorter_than_five
 from .symmetry import certify
 from .tree import BfsTree, bfs_tree
 
-RULE_PREFIX = "prefix"
-RULE_NEIGHBORS = "i"
-RULE_SIBLINGS = "ii"
-RULE_FORCED = "forced"
-RULE_CHOOSER = "chooser"
-
 Chooser = Callable[[int, tuple[int, ...], tuple[int | None, ...]], int]
-
-
-@dataclass(frozen=True)
-class GreedyStep:
-    """What happened when one vertex was colored.
-
-    ``all_neighbors_colored`` and ``neighbor_colors_distinct`` describe the
-    moment just before the color was assigned; ``constrained`` is True when
-    anything beyond the two plain rules (forbidden colors, lists, a forced
-    color, a chooser) influenced the choice.
-    """
-
-    vertex: int
-    rule: str
-    color: int
-    all_neighbors_colored: bool
-    neighbor_colors_distinct: bool
-    constrained: bool
 
 
 def greedy_extend(
@@ -85,35 +62,7 @@ def greedy_extend(
     resume where the last one stopped, O(1) per vertex amortized. So the
     whole extension is O(n + m) at any degree. A list, a forbidden set or a
     chooser adds a scan of that vertex's palette; the input checks add O(n).
-    Builds no trace; greedy_extend_traced runs the same loop and records
-    every step.
     """
-    return _extend(g, tree, root_color, k, forced, forbidden, choosers, lists, None)
-
-
-def greedy_extend_traced(
-    g: Graph,
-    tree: BfsTree,
-    root_color: int,
-    *,
-    k: int | None = None,
-    forced: Mapping[int, int] | None = None,
-    forbidden: Mapping[int, frozenset[int] | set[int]] | None = None,
-    choosers: Mapping[int, Chooser] | None = None,
-    lists: ListAssignment | None = None,
-) -> tuple[Coloring, tuple[GreedyStep, ...]]:
-    """greedy_extend, plus one GreedyStep per vertex in the tree's order."""
-    steps: list[GreedyStep] = []
-    coloring = _extend(g, tree, root_color, k, forced, forbidden, choosers, lists, steps)
-    return coloring, tuple(steps)
-
-
-def _extend(g, tree, root_color, k, forced, forbidden, choosers, lists, steps):
-    # The loop of both public functions; ``steps`` is a list to record into,
-    # or None. Unrecorded, a vertex costs its colored-neighbor count and its
-    # rule's scan: the full-and-distinct neighborhood stats are
-    # worked out only for a recorded step or for a color above the max
-    # degree, the only case in which _check_color_bounds can raise.
     n = g.n
     if len(tree.order) != n:
         raise PreconditionError("tree does not cover the graph")
@@ -138,8 +87,6 @@ def _extend(g, tree, root_color, k, forced, forbidden, choosers, lists, steps):
     adj = g.adj
     values: list[int | None] = [None] * n
     values[root] = root_color
-    if steps is not None:
-        steps.append(GreedyStep(root, RULE_PREFIX, root_color, False, False, False))
 
     # Sigma lists the children of each vertex in turn, so walking the child
     # groups visits sigma. Every vertex before v in sigma is colored when v's
@@ -163,7 +110,6 @@ def _extend(g, tree, root_color, k, forced, forbidden, choosers, lists, steps):
         least = 1
         for v in group:
             around = list(map(color_of, adj[v]))
-            count = len(around) - around.count(None)
             banned = no_ban
             if v in special:
                 banned = forbidden.get(v, no_ban)
@@ -171,14 +117,12 @@ def _extend(g, tree, root_color, k, forced, forbidden, choosers, lists, steps):
                     seen = set(around)
                     seen.discard(None)
                     if v in forced:
-                        rule = RULE_FORCED
                         c = forced[v]
                         if c in seen:
                             raise PreconditionError(
                                 f"forced color {c} on vertex {v} breaks properness"
                             )
                     else:
-                        rule = RULE_CHOOSER
                         palette = lists[v] if listed else range(1, k + 1)
                         candidates = tuple(
                             c for c in palette if c not in banned and c not in seen
@@ -190,22 +134,16 @@ def _extend(g, tree, root_color, k, forced, forbidden, choosers, lists, steps):
                             raise InternalConsistencyError(f"chooser picked unavailable color {c}")
                     values[v] = c
                     block.add(c)
-                    if steps is not None:
-                        steps.append(GreedyStep(
-                            v, rule, c, count == len(around), len(seen) == count, True
-                        ))
                     continue
 
+            count = len(around) - around.count(None)
             if count > 1:
-                rule = RULE_NEIGHBORS
                 blocked = set(around)
                 c = 1
             else:
-                rule = RULE_SIBLINGS
                 blocked = block
                 c = least
-            constrained = listed or bool(banned)
-            if constrained:
+            if listed or banned:
                 for c in lists[v] if listed else range(1, k + 1):
                     if c not in blocked and c not in banned:
                         break
@@ -218,37 +156,41 @@ def _extend(g, tree, root_color, k, forced, forbidden, choosers, lists, steps):
                     raise PaletteExhaustedError(f"no available color for vertex {v}")
                 if blocked is block:
                     least = c
-            bounded = c > delta and not constrained and v not in near_root
-            if bounded or steps is not None:
-                # rule i's ``blocked`` is the set of neighbor colors, None
-                # for an uncolored neighbor; one colored neighbor or none
-                # are trivially distinct
-                distinct = count < 2 or len(blocked) - (None in blocked) == count
-                stats = (count == len(around), distinct)
-                if bounded:
-                    _check_color_bounds(v, rule, c, delta, stats)
-                if steps is not None:
-                    steps.append(GreedyStep(v, rule, c, *stats, constrained))
+                if c > delta and v not in near_root:
+                    # the only case in which _check_color_bounds can raise,
+                    # so the only one that works out the neighborhood stats;
+                    # rule i's ``blocked`` is the set of neighbor colors, None
+                    # for an uncolored neighbor, and one colored neighbor or
+                    # none are trivially distinct
+                    distinct = count < 2 or len(blocked) - (None in blocked) == count
+                    stats = (count == len(around), distinct)
+                    _check_color_bounds(v, count > 1, c, delta, stats)
             values[v] = c
             block.add(c)
 
     return Coloring(values)
 
 
-def _check_color_bounds(v, rule, c, delta, stats):
+# The name under which the benchmark tracer (benchmarks/tracing.py) wraps
+# greedy; bound to greedy_extend, its span counts every greedy call.
+greedy_extend_traced = greedy_extend
+
+
+def _check_color_bounds(v, neighbor_rule, c, delta, stats):
     # guaranteed bounds for unconstrained rules away from the root's closed
-    # neighborhood: rule ii stays below delta+1; rule i reaches delta+1 only
-    # when every neighbor is colored, all distinctly
+    # neighborhood: rule ii (``neighbor_rule`` False) stays below delta+1;
+    # rule i reaches delta+1 only when every neighbor is colored, all
+    # distinctly
     all_colored, distinct = stats
-    if rule == RULE_SIBLINGS and c > delta:
-        raise InternalConsistencyError(f"sibling rule used color {c} at vertex {v}")
-    if rule == RULE_NEIGHBORS:
-        if c > delta + 1:
-            raise InternalConsistencyError(f"neighbor rule used color {c} at vertex {v}")
-        if c == delta + 1 and not (all_colored and distinct):
-            raise InternalConsistencyError(
-                f"vertex {v} used color {c} without distinctly colored full neighborhood"
-            )
+    if not neighbor_rule:
+        if c > delta:
+            raise InternalConsistencyError(f"sibling rule used color {c} at vertex {v}")
+    elif c > delta + 1:
+        raise InternalConsistencyError(f"neighbor rule used color {c} at vertex {v}")
+    elif c == delta + 1 and not (all_colored and distinct):
+        raise InternalConsistencyError(
+            f"vertex {v} used color {c} without distinctly colored full neighborhood"
+        )
 
 
 def color_delta_plus_2(g: Graph, w: int = 0) -> Coloring:

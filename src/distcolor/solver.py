@@ -88,9 +88,9 @@ class SolveResult:
 # What a case builds: the BFS tree and the coloring to certify along it.
 Parts = tuple[BfsTree, Coloring]
 
-# What the geodesic scan finds: the first configuration with the distances
-# from its root or, in a graph without one, the diameter (at most 3).
-GeodesicScan = tuple[GeodesicConfig, list[int | float]] | int
+# What the geodesic scan finds: the first configuration or, in a graph
+# without one, the diameter (at most 3).
+GeodesicScan = GeodesicConfig | int
 
 
 def render_result(result: SolveResult) -> str:
@@ -233,8 +233,8 @@ def _neighborhood_split_chooser(
 
 
 def _first_geodesic_config(g: Graph) -> GeodesicScan:
-    """First (smallest root, then smallest pair) geodesic configuration, if any,
-    with the distances from its root; otherwise the diameter of g.
+    """First (smallest root, then smallest pair) geodesic configuration, if any;
+    otherwise the diameter of g.
 
     g must be connected. A graph without a configuration has diameter at most
     3: were some vertex at distance 4 or more from w, the distance-3 vertex of
@@ -267,11 +267,11 @@ def _first_geodesic_config(g: Graph) -> GeodesicScan:
         x3, x = min(pairs)
         x2 = min(u for u in g.adj[x3] if dist[u] == 2)
         x1 = min(u for u in g.adj[x2] if dist[u] == 1)
-        return GeodesicConfig(w, x1, x2, x3, x), dist
+        return GeodesicConfig(w, x1, x2, x3, x)
     return diam
 
 
-def _geodesic_parts(g: Graph, cfg: GeodesicConfig, dist: list[int | float]) -> Parts:
+def _geodesic_parts(g: Graph, cfg: GeodesicConfig) -> Parts:
     """Top color on w and x2, 1 on their first children; x3 splits the pair.
 
     The two top-colored vertices are the only ones that can carry a repeated
@@ -280,12 +280,12 @@ def _geodesic_parts(g: Graph, cfg: GeodesicConfig, dist: list[int | float]) -> P
     """
     w, x1, x2, x3 = cfg.w, cfg.x1, cfg.x2, cfg.x3
     y1 = min(u for u in g.adj[w] if u != x1)
-    # x2 first at level 2 and x3 the last of its children, with every level-3
-    # neighbor of x2 pulled into that child group: when x3's turn comes, all
-    # other neighbors of x2 are colored and x3's far neighbor x is not.
-    parents = {u: x2 for u in g.adj[x2] if dist[u] == 3}
+    # x1 first among w's children and x2 first among x1's puts x2 first on
+    # level 2, so the BFS gives x2 every level-3 neighbor as a child; with x3
+    # the last of them, all other neighbors of x2 are colored when x3's turn
+    # comes and x3's far neighbor x is not.
     slots: dict[int, int | str] = {x1: 0, y1: 1, x2: 0, x3: LAST}
-    tree = bfs_tree(g, w, parents=parents, slots=slots)
+    tree = bfs_tree(g, w, slots=slots)
     k = g.max_degree() + 1
     chooser = _neighborhood_split_chooser(g, tree, hub=x2, anchor=w)
     coloring = greedy_extend(
@@ -303,7 +303,7 @@ def _geodesic_case(
     g: Graph, delta: int, scan: Callable[[], GeodesicScan]
 ) -> Parts | None:
     found = scan()
-    return None if isinstance(found, int) else _geodesic_parts(g, *found)
+    return None if isinstance(found, int) else _geodesic_parts(g, found)
 
 
 def _diam3_configs(g: Graph) -> Iterator[tuple[DiameterThreeConfig, list[int | float]]]:

@@ -266,14 +266,6 @@ def _connected_order(g: Graph, start: int) -> list[int]:
     return order
 
 
-def _auto_candidates(g: Graph, coloring: Coloring | None) -> list[list[int]]:
-    base: list[object] = (
-        list(coloring.values) if coloring is not None else [0] * g.n
-    )
-    labels = _wl_labels(g, base)
-    return _candidate_lists(labels, labels)
-
-
 def _assert_automorphism(g: Graph, f: Permutation, coloring: Coloring | None) -> None:
     # replay check on every return; cheap insurance against search bugs
     if not f.preserves_adjacency(g):
@@ -300,7 +292,8 @@ def automorphisms(
     _check_bound(g)
     if coloring is not None and len(coloring) != g.n:
         raise PreconditionError("coloring length does not match the graph")
-    cand = _auto_candidates(g, coloring)
+    labels = _wl_labels(g, list(coloring.values) if coloring is not None else [0] * g.n)
+    cand = _candidate_lists(labels, labels)
     gens: list[Permutation] = []
     order = 1
     for b in range(g.n - 1, -1, -1):
@@ -374,21 +367,12 @@ def _search_verdict(g: Graph, coloring: Coloring) -> SymmetryVerdict:
 
 # No library code calls this; the benchmark tracer (benchmarks/tracing.py) wraps it.
 def exists_automorphism_mapping(g: Graph, u: int, v: int) -> bool:
-    """True iff some automorphism of g maps u to v."""
+    """True iff some automorphism of g maps u to v: v lies in u's orbit under
+    the generators of ``automorphisms``."""
     _check_bound(g)
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise PreconditionError("vertex out of range")
-    if u == v:
-        return True
-    cand = _auto_candidates(g, None)
-    if v not in cand[u]:
-        return False
-    cand[u] = [v]
-    found = next(_search(g, g, _connected_order(g, u), cand), None)
-    if found is None:
-        return False
-    _assert_automorphism(g, Permutation(found), None)
-    return True
+    return v in _orbit(u, automorphisms(g)[0])
 
 
 def find_isomorphism(g: Graph, h: Graph) -> Permutation | None:

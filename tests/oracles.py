@@ -4,7 +4,9 @@ Each one is the straightforward form that the library's version replaced:
 
 * ``bfs_tree_by_min_parent`` gives every vertex its sigma-first neighbor one
   level up with a ``min`` and arranges every child group;
-* ``greedy_extend_by_rules`` restates rules i and ii literally per vertex;
+* ``greedy_extend_by_rules`` restates rules i and ii literally per vertex
+  and records a ``GreedyStep``, with its rule name, for each one, where the
+  library keeps no record of its steps;
 * ``propagate_by_rounds`` rescans the whole order every round until nothing
   changes, and ``shortest_certifying_prefix_by_loop`` runs it once per
   prefix length, shortest first, where ``certify`` takes its prefix in one
@@ -36,11 +38,15 @@ Each one is the straightforward form that the library's version replaced:
 * ``automorphisms_forward_base`` walks the base 0, 1, ..., n-1 forward, grows
   each orbit under that base point's own generators only, and tries every
   candidate image, those below the base point included, where
-  ``automorphisms`` walks it from n-1 down and reuses every deeper generator.
+  ``automorphisms`` walks it from n-1 down and reuses every deeper generator;
+* ``exists_automorphism_mapping_pinned`` pins u to v and runs one search
+  along a BFS order from u, where ``exists_automorphism_mapping`` looks v up
+  in u's orbit under the automorphism group.
 
 They must return exactly what the library returns, errors included; the
 automorphism oracle returns other generators of the same group with the same
-order. ``group_closure`` lists the group that generators generate.
+order. ``auto_candidates`` gives each vertex the images its stable
+refinement label allows. ``group_closure`` lists the group that generators generate.
 ``check_tree`` replays the structural invariants of a BFS tree.
 ``enumerate_automorphisms`` lists a whole automorphism group, the reference
 for properties of the library's searches. ``girth5_graphs``,
@@ -56,6 +62,7 @@ for them.
 
 import random
 from collections import Counter, deque
+from dataclasses import dataclass
 from itertools import combinations
 
 from hypothesis import strategies as st
@@ -71,24 +78,17 @@ from distcolor.errors import (
 )
 from distcolor.generators import cycle, path, random_girth5, random_tree
 from distcolor.graph import INFINITY, Graph, _bfs_levels, distances
-from distcolor.greedy import (
-    RULE_CHOOSER,
-    RULE_FORCED,
-    RULE_NEIGHBORS,
-    RULE_PREFIX,
-    RULE_SIBLINGS,
-    GreedyStep,
-    _check_color_bounds,
-)
+from distcolor.greedy import _check_color_bounds
 from distcolor.symmetry import (
     EXACT_BOUND,
     Permutation,
     _assert_automorphism,
-    _auto_candidates,
     _candidate_lists,
     _check_bound,
+    _connected_order,
     _orbit,
     _search,
+    _wl_labels,
     is_distinguishing,
 )
 from distcolor.tree import LAST, BfsTree, _arrange
@@ -187,6 +187,31 @@ def check_tree(g, t):
         assert vs == expected
 
 
+RULE_PREFIX = "prefix"
+RULE_NEIGHBORS = "i"
+RULE_SIBLINGS = "ii"
+RULE_FORCED = "forced"
+RULE_CHOOSER = "chooser"
+
+
+@dataclass(frozen=True)
+class GreedyStep:
+    """What happened when one vertex was colored.
+
+    ``all_neighbors_colored`` and ``neighbor_colors_distinct`` describe the
+    moment just before the color was assigned; ``constrained`` is True when
+    anything beyond the two plain rules (forbidden colors, lists, a forced
+    color, a chooser) influenced the choice.
+    """
+
+    vertex: int
+    rule: str
+    color: int
+    all_neighbors_colored: bool
+    neighbor_colors_distinct: bool
+    constrained: bool
+
+
 def greedy_extend_by_rules(
     g, tree, prefix, *, k=None, forced=None, forbidden=None, choosers=None, lists=None
 ):
@@ -273,7 +298,7 @@ def greedy_extend_by_rules(
             raise PaletteExhaustedError(f"no available color for vertex {v}")
         constrained = bool(banned) or lists is not None
         if not constrained and v != root and not g.has_edge(v, root):
-            _check_color_bounds(v, rule, c, delta, stats)
+            _check_color_bounds(v, rule == RULE_NEIGHBORS, c, delta, stats)
         values[v] = c
         steps.append(GreedyStep(v, rule, c, *stats, constrained))
 
@@ -332,13 +357,35 @@ def shortest_certifying_prefix_by_loop(g, tree, coloring):
     raise PreconditionError("the graph has no vertices")
 
 
+def auto_candidates(g, coloring):
+    labels = _wl_labels(g, list(coloring.values) if coloring is not None else [0] * g.n)
+    return _candidate_lists(labels, labels)
+
+
+def exists_automorphism_mapping_pinned(g, u, v):
+    _check_bound(g)
+    if not (0 <= u < g.n and 0 <= v < g.n):
+        raise PreconditionError("vertex out of range")
+    if u == v:
+        return True
+    cand = auto_candidates(g, None)
+    if v not in cand[u]:
+        return False
+    cand[u] = [v]
+    found = next(_search(g, g, _connected_order(g, u), cand), None)
+    if found is None:
+        return False
+    _assert_automorphism(g, Permutation(found), None)
+    return True
+
+
 def enumerate_automorphisms(g, coloring=None):
     """Every (color-preserving) automorphism, in lexicographic order.
 
     Exponential in the group size; for small graphs only.
     """
     _check_bound(g)
-    cand = _auto_candidates(g, coloring)
+    cand = auto_candidates(g, coloring)
     out = []
     for image in _search(g, g, list(range(g.n)), cand):
         f = Permutation(image)
@@ -351,7 +398,7 @@ def automorphisms_forward_base(g, coloring=None):
     _check_bound(g)
     if coloring is not None and len(coloring) != g.n:
         raise PreconditionError("coloring length does not match the graph")
-    cand = _auto_candidates(g, coloring)
+    cand = auto_candidates(g, coloring)
     gens = []
     order = 1
     for b in range(g.n):

@@ -5,8 +5,11 @@ from functools import partial
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distcolor import corpus, symmetry
+from distcolor.coloring import Coloring
 from distcolor.corpus import (
     LISTS_PER_GRAPH,
     PROPERTY_RUNS,
@@ -33,7 +36,15 @@ from distcolor.errors import PreconditionError
 from distcolor.generators import path, petersen
 from distcolor.graph import Graph, girth, is_connected
 from distcolor.symmetry import automorphisms, find_isomorphism
-from oracles import girth5_extensions_unpruned
+from distcolor.tree import bfs_tree
+from oracles import (
+    RULE_NEIGHBORS,
+    RULE_SIBLINGS,
+    girth5_extensions_unpruned,
+    girth5_graphs,
+    greedy_extend_by_rules,
+    hub_trees,
+)
 
 # isomorphism classes of connected graphs with girth >= 5 on 1..9 vertices
 CLASS_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 4, 6: 8, 7: 18, 8: 47, 9: 137}
@@ -224,6 +235,41 @@ def test_property_checks_take_the_tree_of_each_run(monkeypatch):
     assert check_propagation_soundness(runs) == (
         "20 of 20 instances certified all vertices, all sound"
     )
+
+
+def test_criterion_6_checks_the_coloring_greedy_returns(monkeypatch):
+    # the check reads each rule off the tree and the coloring, not off
+    # anything the greedy reports: vertex 3 of the path, two steps from the
+    # root with only its parent colored before it, holds Δ+1 = 3 in a proper
+    # coloring, which rule ii never does
+    g = path(5)
+    bad = Coloring((1, 2, 1, 3, 1))
+    assert bad.is_proper(g)
+    monkeypatch.setattr(corpus, "greedy_extend", lambda *args, **kwargs: bad)
+    with pytest.raises(CriterionFailure, match="^run 0: sibling rule used color 3 > 2$"):
+        check_greedy_bounds([(g, bfs_tree(g, 0), 0)])
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(girth5_graphs(), hub_trees()), st.integers(min_value=0, max_value=10_000))
+def test_criterion_6_counts_the_rule_steps_of_the_oracle(g, i):
+    # one plain run: criterion 6 checks exactly the rule i and ii steps the
+    # literal oracle records away from the root's closed neighborhood, and
+    # the neighbors before a vertex in the order are the colored ones the
+    # oracle's rule was chosen by
+    tree = bfs_tree(g, i % g.n)
+    _, steps = greedy_extend_by_rules(g, tree, {tree.root: 1 + i % (g.max_degree() + 2)})
+    near = {tree.root, *g.adj[tree.root]}
+    ruled = [
+        s for s in steps if s.rule in (RULE_NEIGHBORS, RULE_SIBLINGS) and s.vertex not in near
+    ]
+    detail = check_greedy_bounds([(g, tree, i)])
+    assert detail == f"1 greedy runs, {len(ruled)} unconstrained steps within bounds"
+    rank = {v: position for position, v in enumerate(tree.order)}
+    for s in ruled:
+        before = [u for u in g.adj[s.vertex] if rank[u] < rank[s.vertex]]
+        assert s.rule == (RULE_SIBLINGS if len(before) == 1 else RULE_NEIGHBORS)
+        assert s.all_neighbors_colored == (len(before) == g.degree(s.vertex))
 
 
 def test_run_all_builds_each_input_once(monkeypatch):

@@ -17,28 +17,27 @@ from distcolor.errors import (
 )
 from distcolor.generators import (
     cycle,
-    dodecahedron,
     path,
     petersen,
     random_girth5,
     random_tree,
     star,
 )
-from distcolor.greedy import (
+from distcolor.greedy import color_delta_plus_2, greedy_extend, list_color_delta_plus_2
+from distcolor.symmetry import is_distinguishing
+from distcolor.tree import bfs_tree
+from oracles import (
     RULE_CHOOSER,
     RULE_FORCED,
     RULE_NEIGHBORS,
     RULE_PREFIX,
     RULE_SIBLINGS,
-    color_delta_plus_2,
-    greedy_extend,
-    greedy_extend_traced,
-    list_color_delta_plus_2,
+    girth5_graphs,
+    greedy_extend_by_rules,
+    hub_tree,
+    hub_trees,
+    outcome,
 )
-from distcolor.solver import solve
-from distcolor.symmetry import is_distinguishing
-from distcolor.tree import bfs_tree
-from oracles import girth5_graphs, greedy_extend_by_rules, hub_tree, hub_trees, outcome
 
 PROPERTY_SETTINGS = settings(max_examples=50, deadline=None)
 
@@ -56,9 +55,12 @@ def test_path_rolls_out_from_the_end():
 
 
 def test_five_cycle_trace_uses_both_rules():
+    # the library keeps no trace; the rule oracle records one per vertex
     g = cycle(5)
-    coloring, steps = greedy_extend_traced(g, bfs_tree(g, 0), 3)
+    tree = bfs_tree(g, 0)
+    coloring, steps = greedy_extend_by_rules(g, tree, {0: 3})
     assert coloring.values == (3, 1, 2, 1, 2)
+    assert greedy_extend(g, tree, 3) == coloring
     assert [s.rule for s in steps] == [
         RULE_PREFIX,
         RULE_SIBLINGS,
@@ -81,10 +83,10 @@ def test_forced_colors_are_validated_for_properness():
 
 def test_forced_step_is_marked():
     g = path(3)
-    coloring, steps = greedy_extend_traced(
-        g, bfs_tree(g, 0), 1, forced={1: 3}
-    )
+    tree = bfs_tree(g, 0)
+    coloring, steps = greedy_extend_by_rules(g, tree, {0: 1}, forced={1: 3})
     assert coloring.values == (1, 3, 1)
+    assert greedy_extend(g, tree, 1, forced={1: 3}) == coloring
     assert steps[1].rule == RULE_FORCED
     assert steps[1].constrained
 
@@ -97,10 +99,10 @@ def test_palette_can_run_out():
 
 def test_forbidden_colors_are_skipped():
     g = path(4)
-    coloring, steps = greedy_extend_traced(
-        g, bfs_tree(g, 0), 1, forbidden={1: {2}}
-    )
+    tree = bfs_tree(g, 0)
+    coloring, steps = greedy_extend_by_rules(g, tree, {0: 1}, forbidden={1: {2}})
     assert coloring.values == (1, 3, 1, 2)
+    assert greedy_extend(g, tree, 1, forbidden={1: {2}}) == coloring
     assert steps[1].constrained
     assert not steps[2].constrained
 
@@ -113,11 +115,13 @@ def test_chooser_picks_among_legal_candidates():
         seen[v] = candidates
         return max(candidates)
 
-    coloring, steps = greedy_extend_traced(
-        g, bfs_tree(g, 0), 3, choosers={3: pick_largest}
-    )
+    tree = bfs_tree(g, 0)
+    coloring = greedy_extend(g, tree, 3, choosers={3: pick_largest})
     assert seen[3] == (1, 3, 4)
     assert coloring[3] == 4
+    seen.clear()
+    traced, steps = greedy_extend_by_rules(g, tree, {0: 3}, choosers={3: pick_largest})
+    assert traced == coloring and seen[3] == (1, 3, 4)
     chooser_steps = [s for s in steps if s.rule == RULE_CHOOSER]
     assert [s.vertex for s in chooser_steps] == [3]
     assert chooser_steps[0].constrained
@@ -130,22 +134,17 @@ def test_chooser_answer_is_checked():
         greedy_extend(g, bfs_tree(g, 0), 3, choosers={3: lambda *a: 2})
 
 
-@pytest.mark.parametrize(
-    "extend",
-    [greedy_extend, lambda *args, **kwargs: greedy_extend_traced(*args, **kwargs)[0]],
-    ids=["untraced", "traced"],
-)
-def test_the_root_takes_only_its_own_positive_color(extend):
+def test_the_root_takes_only_its_own_positive_color():
     g = path(4)
     tree = bfs_tree(g, 1)
     with pytest.raises(PreconditionError, match="root 1 cannot be forced or chosen"):
-        extend(g, tree, 2, forced={1: 3})
+        greedy_extend(g, tree, 2, forced={1: 3})
     with pytest.raises(PreconditionError, match="root 1 cannot be forced or chosen"):
-        extend(g, tree, 2, choosers={1: pick_last})
+        greedy_extend(g, tree, 2, choosers={1: pick_last})
     for bad in (0, "1"):
         with pytest.raises(PreconditionError, match="root 1 colored with"):
-            extend(g, tree, bad)
-    assert extend(g, tree, 2).values == (1, 2, 3, 1)
+            greedy_extend(g, tree, bad)
+    assert greedy_extend(g, tree, 2).values == (1, 2, 3, 1)
 
 
 def test_lists_replace_the_palette():
@@ -232,7 +231,8 @@ def test_rule_bounds_hold_away_from_the_root(seed):
     delta = g.max_degree()
     root = seed % g.n
     tree = bfs_tree(g, root)
-    _, steps = greedy_extend_traced(g, tree, delta + 2)
+    coloring, steps = greedy_extend_by_rules(g, tree, {root: delta + 2})
+    assert greedy_extend(g, tree, delta + 2) == coloring
     for step in steps:
         if step.constrained or step.vertex == root or g.has_edge(step.vertex, root):
             continue
@@ -281,10 +281,10 @@ def test_greedy_matches_the_rule_oracle(g, seed):
     kwargs = dict(
         k=None if lists else k, forced=forced, forbidden=forbidden, choosers=choosers, lists=lists
     )
-    fast = outcome(greedy_extend_traced, g, tree, root_color, **kwargs)
-    assert fast == outcome(greedy_extend_by_rules, g, tree, {tree.root: root_color}, **kwargs)
-    untraced = fast[0] if isinstance(fast[0], Coloring) else fast
-    assert outcome(greedy_extend, g, tree, root_color, **kwargs) == untraced
+    expected = outcome(greedy_extend_by_rules, g, tree, {tree.root: root_color}, **kwargs)
+    if isinstance(expected[0], Coloring):
+        expected = expected[0]
+    assert outcome(greedy_extend, g, tree, root_color, **kwargs) == expected
 
 
 @pytest.mark.parametrize(
@@ -406,31 +406,3 @@ def test_root_certificates_build_no_refinement_labels(monkeypatch):
         tree = bfs_tree(g, w)
         for coloring in colorings:
             assert symmetry.certify(g, tree, coloring) == (w,)
-
-
-def test_untraced_paths_build_no_trace(monkeypatch):
-    def no_trace(*args, **kwargs):
-        raise AssertionError("a GreedyStep was built on an untraced path")
-
-    graphs = [path(40), random_tree(60, seed=2), random_girth5(50, max_degree=4, seed=7)]
-    listed = []
-    for g in graphs:
-        rng = random.Random(g.n)
-        size = g.max_degree() + 2
-        lists = ListAssignment([rng.sample(range(1, 2 * size + 1), size) for _ in g.vertices()])
-        listed.append((g, lists))
-    # petersen and the dodecahedron are regular; the girth-5 graph is not
-    solved = [petersen(), dodecahedron(), random_girth5(40, max_degree=4, seed=1)]
-    assert len(set(map(len, solved[-1].adj))) > 1
-    expected = (
-        [color_delta_plus_2(g) for g in graphs],
-        [list_color_delta_plus_2(g, lists) for g, lists in listed],
-        [solve(g).coloring for g in solved],
-    )
-
-    monkeypatch.setattr(greedy, "GreedyStep", no_trace)
-    assert (
-        [color_delta_plus_2(g) for g in graphs],
-        [list_color_delta_plus_2(g, lists) for g, lists in listed],
-        [solve(g).coloring for g in solved],
-    ) == expected

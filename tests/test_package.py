@@ -24,45 +24,62 @@ def _used_names(node: ast.AST) -> Counter[str]:
 
 
 # Public names kept only because the benchmark names them: the tracer wraps
-# exists_automorphism_mapping and diameter (its LAYERS), and run.py reports
-# a count for every solver.BRANCH_* constant. The next change to
-# benchmarks/ can drop those entries and then the names.
+# exists_automorphism_mapping, diameter and greedy_extend_traced (its
+# LAYERS), and run.py reports a count for every solver.BRANCH_* constant.
+# greedy_extend_traced is a second name for greedy_extend, under which the
+# tracer wraps every greedy call. The next change to benchmarks/ can drop
+# those entries and then the names.
 BENCHMARK_ONLY = {
     "symmetry.exists_automorphism_mapping",
     "solver.BRANCH_DISSIMILAR",
     "graph.diameter",
+    "greedy.greedy_extend_traced",
 }
 
 
-def _public_constants(node: ast.AST) -> list[str]:
-    # the UPPER_CASE names a module-level assignment binds
+def _public_bindings(node: ast.AST, functions: set[str]) -> list[str]:
+    # the UPPER_CASE names a module-level assignment binds, and the names it
+    # binds to a library function under another name
     if isinstance(node, ast.Assign):
         targets = node.targets
     elif isinstance(node, ast.AnnAssign):
         targets = [node.target]
     else:
         return []
+    value = node.value
+    alias = isinstance(value, ast.Name) and value.id in functions
     return [
         target.id
         for target in targets
-        if isinstance(target, ast.Name) and target.id.isupper() and not target.id.startswith("_")
+        if isinstance(target, ast.Name)
+        and not target.id.startswith("_")
+        and (target.id.isupper() or alias and target.id != value.id)
     ]
 
 
 def test_every_public_function_is_used_or_exported():
-    # a public function or UPPER_CASE constant that nothing else in the
-    # library uses and the package does not export exists only for the
-    # tests; it belongs in tests/
+    # a public function, UPPER_CASE constant or second name of a function
+    # that nothing else in the library uses and the package does not export
+    # exists only for the tests; it belongs in tests/
+    modules = {
+        source.stem: ast.parse(source.read_text(encoding="utf-8"))
+        for source in sorted(SOURCES.glob("*.py"))
+    }
+    functions = {
+        node.name
+        for module in modules.values()
+        for node in module.body
+        if isinstance(node, ast.FunctionDef)
+    }
     defined: list[tuple[str, str, ast.AST]] = []
     statements: list[ast.AST] = []
-    for source in sorted(SOURCES.glob("*.py")):
-        module = ast.parse(source.read_text(encoding="utf-8"))
+    for stem, module in modules.items():
         for node in module.body:
             statements.append(node)
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                defined.append((source.stem, node.name, node))
-            for name in _public_constants(node):
-                defined.append((source.stem, name, node))
+                defined.append((stem, node.name, node))
+            for name in _public_bindings(node, functions):
+                defined.append((stem, name, node))
     unused = []
     for module_name, name, definition in defined:
         if name in distcolor.__all__ or f"{module_name}.{name}" in BENCHMARK_ONLY:

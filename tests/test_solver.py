@@ -198,9 +198,9 @@ def test_solve_is_deterministic():
 
 def test_geodesic_configuration_on_the_dodecahedron():
     g = dodecahedron()
-    cfg, dist = _first_geodesic_config(g)
+    cfg = _first_geodesic_config(g)
     assert cfg == GeodesicConfig(w=0, x1=1, x2=2, x3=3, x=4)
-    tree, coloring = _geodesic_parts(g, cfg, dist)
+    tree, coloring = _geodesic_parts(g, cfg)
     # the construction pins w through x2; the shortest prefix is shorter
     r = _verified_result(g, tree, coloring, BRANCH_GEODESIC)
     assert r.prefix == (0, 1)
@@ -335,9 +335,8 @@ def test_the_geodesic_scan_answers_with_the_diameter(g):
     if isinstance(found, int):
         assert found == diameter(g) <= 3
     else:
-        cfg, dist = found
-        assert dist == distances(g, cfg.w)
-        assert dist[cfg.x3] == 3 and dist[cfg.x] >= 3
+        dist = distances(g, found.w)
+        assert dist[found.x3] == 3 and dist[found.x] >= 3
 
 
 def test_solve_takes_the_diameter_from_the_geodesic_scan(monkeypatch):
@@ -405,6 +404,27 @@ def test_every_small_cubic_girth5_graph_takes_geodesic_or_special(n, branches):
             if all(find_isomorphism(g, seen) is None for seen in distinct):
                 distinct.append(g)
         assert len(distinct) == CUBIC_GIRTH5_CLASSES[n]
+
+
+@pytest.mark.parametrize("n", [12, 14])
+def test_the_plain_bfs_gives_x2_every_level_3_neighbor(n):
+    # x2 is the first child of w's first child x1, so it is the first vertex
+    # on level 2, and each level-3 neighbor takes it as parent with no
+    # directive; checked on every labelled cubic girth-5 graph that has a
+    # geodesic configuration (those on 10 vertices are Petersen graphs, of
+    # diameter 2, and have none)
+    configured = 0
+    for g in cubic_girth5_completions(n):
+        cfg = _first_geodesic_config(g)
+        if isinstance(cfg, int):
+            continue
+        configured += 1
+        tree, _ = _geodesic_parts(g, cfg)
+        dist = distances(g, cfg.w)
+        assert tree.order[1 + g.degree(cfg.w)] == cfg.x2
+        assert set(tree.children[cfg.x2]) == {u for u in g.adj[cfg.x2] if dist[u] == 3}
+        assert tree.children[cfg.x2][-1] == cfg.x3
+    assert configured > 0
 
 
 def test_special_branch_transports_through_isomorphisms():

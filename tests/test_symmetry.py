@@ -59,6 +59,7 @@ from oracles import (
     connected_order_by_pop,
     enumerate_automorphisms,
     exact_chi_D_by_enumeration,
+    exists_automorphism_mapping_pinned,
     find_isomorphism_joint,
     girth5_graphs,
     group_closure,
@@ -162,6 +163,20 @@ def test_similar_and_dissimilar_vertices():
     assert exists_automorphism_mapping(g, 0, 3)
     assert not exists_automorphism_mapping(g, 0, 2)
     assert not exists_automorphism_mapping(g, 0, 1)
+
+
+def test_automorphism_mapping_matches_the_pinned_search():
+    # every pair on the 82 connected girth-5 classes up to 8 vertices and
+    # on the small named graphs and the star; vertex 0 against every vertex
+    # on the dodecahedron and cycle(40), whose groups each call rebuilds
+    everywhere = [*connected_girth5_graphs(8), petersen(), heawood(), star(12)]
+    assert len(everywhere) == 85
+    pairs = [(g, u, v) for g in everywhere for u in g.vertices() for v in g.vertices()]
+    pairs += [(g, 0, v) for g in (dodecahedron(), cycle(40)) for v in g.vertices()]
+    for g, u, v in pairs:
+        assert exists_automorphism_mapping(g, u, v) == exists_automorphism_mapping_pinned(
+            g, u, v
+        ), (g.edges(), u, v)
 
 
 def test_isomorphism_found_under_relabeling():
