@@ -9,7 +9,7 @@ an internal consistency failure, which is always a bug worth reporting.
 import argparse
 import sys
 
-from .coloring import parse_coloring, parse_lists, render_coloring
+from .coloring import Coloring, parse_coloring, parse_lists, render_coloring
 from .corpus import PROPERTY_RUNS, run_all
 from .errors import DimacsError, DistcolorError, InternalConsistencyError
 from .generators import GENERATORS, generate
@@ -63,21 +63,20 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _emit_certified(coloring: Coloring, out: str | None) -> int:
+    _emit(f"c colors={coloring.num_colors()} certified=1\n" + render_coloring(coloring), out)
+    return 0
+
+
 def _cmd_color2(args: argparse.Namespace) -> int:
     g = parse_graph(_read_text(args.graph))
-    coloring = color_delta_plus_2(g)
-    header = f"c colors={coloring.num_colors()} certified=1\n"
-    _emit(header + render_coloring(coloring), args.out)
-    return 0
+    return _emit_certified(color_delta_plus_2(g), args.out)
 
 
 def _cmd_listcolor(args: argparse.Namespace) -> int:
     g = parse_graph(_read_text(args.graph))
     lists = parse_lists(_read_text(args.lists), g.n)
-    coloring = list_color_delta_plus_2(g, lists)
-    header = f"c colors={coloring.num_colors()} certified=1\n"
-    _emit(header + render_coloring(coloring), args.out)
-    return 0
+    return _emit_certified(list_color_delta_plus_2(g, lists), args.out)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

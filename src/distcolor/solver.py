@@ -477,9 +477,9 @@ def solve(g: Graph) -> SolveResult:
     diameter 3 (Δ ≥ 4); diameter 2 (Δ ≥ 4, a Moore graph, handled
     recursively); and the Petersen and Heawood graphs, which get stored
     colorings. Every other cubic graph of girth five has a geodesic
-    configuration, so a graph that no case takes is a bug. The geodesic scan runs one BFS per
-    vertex at most once per call, and the two diameter cases read the
-    diameter off it rather than running a second all-sources BFS.
+    configuration, so a graph that no case takes is a bug. The geodesic scan
+    runs at most once per call, with at most one BFS per vertex, and the two
+    diameter cases read the diameter off it.
     """
     _validate(g)
     if is_c6(g):

@@ -1,11 +1,12 @@
 """Exact symmetry machinery.
 
-Backtracking search over vertex images with (color, degree, neighborhood
-signature) pruning drives everything here: automorphism generators and exact
-group order, the distinguishing-coloring verifier, pinned-image and
-isomorphism searches, and the exhaustive search for the exact distinguishing
-chromatic number, pruned by the automorphism group. Fixedness propagation replays the local certification rules
-that the greedy constructions are built around.
+One backtracking search state over vertex images, with refinement classes as
+candidates, drives every search: walked up from the identity it gives
+automorphism generators and the group order, its first generator is the
+verifier's witness, and one completion is an isomorphism. The search for the
+exact distinguishing chromatic number is pruned by the automorphism group.
+Fixedness propagation replays the local certification rules of the greedy
+constructions.
 
 ``certify`` is the one certification path of every construction (``solve``,
 Δ+2 and list): it checks the coloring once, finds in one propagation pass the
@@ -13,16 +14,16 @@ shortest sigma-prefix from which propagation certifies every vertex, and
 proves that prefix fixed by color refinement seeded by the coloring. There is
 no search fallback: a prefix that refinement leaves unfixed is a bug.
 
-All searches are deterministic: vertices and candidate images are always
-scanned in ascending order, except that ``automorphisms`` takes its base
-points from the last vertex down.
+All searches are deterministic: candidate images are always tried in
+ascending order, and vertices assigned in ascending order except in
+``find_isomorphism``, which goes breadth-first from its rarest vertex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .coloring import Coloring
 from .errors import (
@@ -199,15 +200,14 @@ def _candidate_lists(label_g: list[int], label_h: list[int]) -> list[list[int]]:
     return [list(by_label.get(l, ())) for l in label_g]
 
 
-def _search(
-    g: Graph, h: Graph, order: list[int], cand: list[list[int]]
-) -> Iterator[tuple[int, ...]]:
-    """Yield every label- and adjacency-consistent bijection g -> h.
-
-    ``cand[v]`` lists the images v may take; a pin is a one-element list.
-    Vertices are assigned along ``order`` with candidate images ascending, so
-    with order = 0..n-1 the image tuples come out in lexicographic order.
-    """
+def _search_state(
+    g: Graph, h: Graph, order: Sequence[int], cand: list[list[int]]
+) -> tuple[list[int], Callable[[int], None], Callable[[int], bool]]:
+    """One search for label- and adjacency-consistent bijections g -> h: a
+    partial map ``f``, -1 where unassigned. ``complete(i)`` extends f along
+    ``order[i:]``, each vertex trying ``cand[v]`` in order: True with f
+    total, or False with f as it was. ``unpin(v)`` takes v's image back;
+    unpinning in the reverse of the pinning order restores the state."""
     n = g.n
     hbits = h.neighbor_masks
     f = [-1] * n
@@ -215,33 +215,38 @@ def _search(
     used = 0
     adj = g.adj
 
-    def rec(i: int) -> Iterator[tuple[int, ...]]:
+    def unpin(v: int) -> None:
+        nonlocal used
+        bit = 1 << f[v]
+        f[v] = -1
+        used &= ~bit
+        for w in adj[v]:
+            if f[w] < 0:
+                req[w] &= ~bit
+
+    def complete(i: int) -> bool:
         nonlocal used
         if i == n:
-            yield tuple(f)
-            return
+            return True
         v = order[i]
         req_v = req[v]
         for u in cand[v]:
-            if used >> u & 1:
-                continue
-            # images of v's assigned neighbors must be exactly the assigned
-            # neighbors of u; this checks adjacency and non-adjacency at once
-            if hbits[u] & used != req_v:
+            # u is free, and the images of v's assigned neighbors are exactly
+            # u's assigned neighbors: adjacency and non-adjacency at once
+            if used >> u & 1 or hbits[u] & used != req_v:
                 continue
             f[v] = u
-            used |= 1 << u
             bit = 1 << u
+            used |= bit
             for w in adj[v]:
                 if f[w] < 0:
                     req[w] |= bit
-            yield from rec(i + 1)
-            f[v] = -1
-            used &= ~bit
-            for w in adj[v]:
-                if f[w] < 0:
-                    req[w] &= ~bit
-    yield from rec(0)
+            if complete(i + 1):
+                return True
+            unpin(v)
+        return False
+
+    return f, unpin, complete
 
 
 def _connected_order(g: Graph, start: int) -> list[int]:
@@ -274,42 +279,53 @@ def _assert_automorphism(g: Graph, f: Permutation, coloring: Coloring | None) ->
         raise InternalConsistencyError("search returned a color-breaking map")
 
 
-def automorphisms(
-    g: Graph, coloring: Coloring | None = None
-) -> tuple[list[Permutation], int]:
-    """Generators and exact order of the (color-preserving) automorphism group.
-
-    Orbit-stabilizer counting along the base 0, 1, ..., n-1, walked from its
-    deepest point n-1 up to 0. Let G_b be the stabilizer of 0, ..., b-1 and
-    G_n the trivial group. Every generator found at a deeper point c > b
-    fixes 0, ..., c-1, so it lies in G_b, and the ones found so far generate
-    G_{b+1}. The orbit of b under G_b is grown under all of them: a pinned
-    search starts only for a candidate image u > b that is not yet in that
-    orbit (an image below b is pinned to itself), and each witness it finds
-    becomes a generator and grows the orbit. The group order is the product
-    of the orbit sizes, and the witnesses generate the whole group.
-    """
+def automorphisms(g: Graph, coloring: Coloring | None = None) -> tuple[list[Permutation], int]:
+    """Generators and exact order of the (color-preserving) automorphism group."""
     _check_bound(g)
     if coloring is not None and len(coloring) != g.n:
         raise PreconditionError("coloring length does not match the graph")
-    labels = _wl_labels(g, list(coloring.values) if coloring is not None else [0] * g.n)
+    return _group_walk(g, coloring, first=False)
+
+
+def _group_walk(g: Graph, coloring: Coloring | None, first: bool) -> tuple[list[Permutation], int]:
+    """Generators and order of the group, each generator replayed.
+
+    Orbit-stabilizer counting along the base 0, ..., n-1: the walk pins the
+    identity, then unpins b = n-1, ..., 0 in turn. The generators found so
+    far fix b; from depth b the search tries, ascending, each u > b not yet
+    in b's orbit under them, and each completion is a generator that grows
+    the orbit. The order is the product of the orbit sizes. The first
+    generator is the lexicographically least non-identity automorphism: it
+    fixes 0, ..., b-1 for the deepest b that an automorphism fixing them
+    moves, maps b to its least image and completes in lexicographic order.
+    With ``first`` the walk returns it alone, with order 0.
+    """
+    n = g.n
+    labels = _wl_labels(g, list(coloring.values) if coloring is not None else [0] * n)
+    if len(set(labels)) == n:
+        return [], 1  # discrete: every vertex is fixed
     cand = _candidate_lists(labels, labels)
+    f, unpin, complete = _search_state(g, g, list(range(n)), cand)
+    complete(0)  # the identity, the least completion of the class lists
     gens: list[Permutation] = []
     order = 1
-    for b in range(g.n - 1, -1, -1):
+    for b in range(n - 1, -1, -1):
+        unpin(b)
         # the deeper generators all fix b, so its orbit starts alone
         orbit = {b}
-        for u in cand[b]:
-            if u <= b or u in orbit:
-                continue
-            pinned = [[v] for v in range(b)] + [[u]] + cand[b + 1:]
-            found = next(_search(g, g, list(range(g.n)), pinned), None)
-            if found is None:
-                continue
-            f = Permutation(found)
-            _assert_automorphism(g, f, coloring)
-            gens.append(f)
+        images = cand[b]
+        cand[b] = images[images.index(b) + 1:]
+        while complete(b):
+            gens.append(Permutation(tuple(f)))
+            _assert_automorphism(g, gens[-1], coloring)
+            if first:
+                return gens, 0
+            u = f[b]
+            for v in range(n - 1, b - 1, -1):
+                unpin(v)
             orbit = _orbit(b, gens)
+            cand[b] = [w for w in images if w > u and w not in orbit]
+        cand[b] = images
         order *= len(orbit)
     return gens, order
 
@@ -344,25 +360,10 @@ def is_distinguishing(g: Graph, coloring: Coloring) -> SymmetryVerdict:
 
 
 def _search_verdict(g: Graph, coloring: Coloring) -> SymmetryVerdict:
-    """``is_distinguishing`` without its checks, for it and ``exact_chi_D``.
-
-    The caller has checked the bound and that the coloring is total and
-    proper.
-    """
-    labels = _wl_labels(g, list(coloring.values))
-    if len(set(labels)) == g.n:
-        # discrete: every vertex is alone in its class, so fixed by every
-        # color-preserving automorphism
-        return SymmetryVerdict(True, None)
-    cand = _candidate_lists(labels, labels)
-    identity = tuple(range(g.n))
-    for image in _search(g, g, list(range(g.n)), cand):
-        if image == identity:
-            continue
-        f = Permutation(image)
-        _assert_automorphism(g, f, coloring)
-        return SymmetryVerdict(False, f)
-    return SymmetryVerdict(True, None)
+    """``is_distinguishing`` without its checks, for it and ``exact_chi_D``;
+    the witness is the first generator of the group walk."""
+    gens, _ = _group_walk(g, coloring, first=True)
+    return SymmetryVerdict(not gens, gens[0] if gens else None)
 
 
 # No library code calls this; the benchmark tracer (benchmarks/tracing.py) wraps it.
@@ -398,10 +399,10 @@ def find_isomorphism(g: Graph, h: Graph) -> Permutation | None:
     cand = _candidate_lists(label_g, label_h)
     rarest = min(range(n), key=lambda v: (len(cand[v]), v)) if n else 0
     order = _connected_order(g, rarest) if n else []
-    found = next(_search(g, h, order, cand), None)
-    if found is None:
+    image, _, complete = _search_state(g, h, order, cand)
+    if not complete(0):
         return None
-    f = Permutation(found)
+    f = Permutation(tuple(image))
     if not f.preserves_adjacency(g, h):
         raise InternalConsistencyError("search returned a non-isomorphism")
     return f

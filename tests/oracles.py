@@ -41,7 +41,18 @@ Each one is the straightforward form that the library's version replaced:
   ``automorphisms`` walks it from n-1 down and reuses every deeper generator;
 * ``exists_automorphism_mapping_pinned`` pins u to v and runs one search
   along a BFS order from u, where ``exists_automorphism_mapping`` looks v up
-  in u's orbit under the automorphism group.
+  in u's orbit under the automorphism group;
+* ``search_all`` enumerates every bijection that the symmetry searches
+  accept, in one generator, where the library keeps one search state that
+  stops at its first completion;
+* ``automorphisms_by_pinned_searches`` starts a fresh pinned ``search_all``
+  from depth 0 for every candidate image of every base point, where
+  ``automorphisms`` walks one search state back up the identity and searches
+  from the base point's own depth;
+* ``search_verdict_by_enumeration`` enumerates the color-preserving
+  automorphisms in lexicographic order and returns the first that is not
+  the identity, where ``_search_verdict`` takes the first generator of the
+  group walk.
 
 They must return exactly what the library returns, errors included; the
 automorphism oracle returns other generators of the same group with the same
@@ -55,12 +66,14 @@ inputs, ``hub_tree`` builds a tree with one high-degree vertex,
 ``CONSTRUCTION_GRAPHS`` holds a few at construction sizes, and
 ``cubic_girth5_completions`` lists cubic girth-5 graphs exhaustively.
 ``relabel`` renames a graph's vertices, and ``is_identity`` tests a
-permutation. ``STORED_SPECIAL_COLORINGS`` holds the Petersen and Heawood
-graphs as the solver once numbered them, with the four-colorings it stored
-for them.
+permutation. ``line_events`` counts the lines of Python a call runs, the
+work guard of tests that must not depend on the host's speed.
+``STORED_SPECIAL_COLORINGS`` holds the Petersen and Heawood graphs as the
+solver once numbered them, with the four-colorings it stored for them.
 """
 
 import random
+import sys
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import combinations
@@ -82,12 +95,12 @@ from distcolor.greedy import _check_color_bounds
 from distcolor.symmetry import (
     EXACT_BOUND,
     Permutation,
+    SymmetryVerdict,
     _assert_automorphism,
     _candidate_lists,
     _check_bound,
     _connected_order,
     _orbit,
-    _search,
     _wl_labels,
     is_distinguishing,
 )
@@ -357,6 +370,87 @@ def shortest_certifying_prefix_by_loop(g, tree, coloring):
     raise PreconditionError("the graph has no vertices")
 
 
+def search_all(g, h, order, cand):
+    """Yield every label- and adjacency-consistent bijection g -> h.
+
+    ``cand[v]`` lists the images v may take; a pin is a one-element list.
+    Vertices are assigned along ``order`` with candidate images ascending, so
+    with order = 0..n-1 the image tuples come out in lexicographic order.
+    """
+    n = g.n
+    hbits = h.neighbor_masks
+    f = [-1] * n
+    req = [0] * n
+    used = 0
+    adj = g.adj
+
+    def rec(i):
+        nonlocal used
+        if i == n:
+            yield tuple(f)
+            return
+        v = order[i]
+        req_v = req[v]
+        for u in cand[v]:
+            if used >> u & 1:
+                continue
+            if hbits[u] & used != req_v:
+                continue
+            f[v] = u
+            used |= 1 << u
+            bit = 1 << u
+            for w in adj[v]:
+                if f[w] < 0:
+                    req[w] |= bit
+            yield from rec(i + 1)
+            f[v] = -1
+            used &= ~bit
+            for w in adj[v]:
+                if f[w] < 0:
+                    req[w] &= ~bit
+
+    yield from rec(0)
+
+
+def automorphisms_by_pinned_searches(g, coloring=None):
+    _check_bound(g)
+    if coloring is not None and len(coloring) != g.n:
+        raise PreconditionError("coloring length does not match the graph")
+    cand = auto_candidates(g, coloring)
+    gens = []
+    order = 1
+    for b in range(g.n - 1, -1, -1):
+        orbit = {b}
+        for u in cand[b]:
+            if u <= b or u in orbit:
+                continue
+            pinned = [[v] for v in range(b)] + [[u]] + cand[b + 1:]
+            found = next(search_all(g, g, list(range(g.n)), pinned), None)
+            if found is None:
+                continue
+            f = Permutation(found)
+            _assert_automorphism(g, f, coloring)
+            gens.append(f)
+            orbit = _orbit(b, gens)
+        order *= len(orbit)
+    return gens, order
+
+
+def search_verdict_by_enumeration(g, coloring):
+    labels = _wl_labels(g, list(coloring.values))
+    if len(set(labels)) == g.n:
+        return SymmetryVerdict(True, None)
+    cand = _candidate_lists(labels, labels)
+    identity = tuple(range(g.n))
+    for image in search_all(g, g, list(range(g.n)), cand):
+        if image == identity:
+            continue
+        f = Permutation(image)
+        _assert_automorphism(g, f, coloring)
+        return SymmetryVerdict(False, f)
+    return SymmetryVerdict(True, None)
+
+
 def auto_candidates(g, coloring):
     labels = _wl_labels(g, list(coloring.values) if coloring is not None else [0] * g.n)
     return _candidate_lists(labels, labels)
@@ -372,7 +466,7 @@ def exists_automorphism_mapping_pinned(g, u, v):
     if v not in cand[u]:
         return False
     cand[u] = [v]
-    found = next(_search(g, g, _connected_order(g, u), cand), None)
+    found = next(search_all(g, g, _connected_order(g, u), cand), None)
     if found is None:
         return False
     _assert_automorphism(g, Permutation(found), None)
@@ -387,7 +481,7 @@ def enumerate_automorphisms(g, coloring=None):
     _check_bound(g)
     cand = auto_candidates(g, coloring)
     out = []
-    for image in _search(g, g, list(range(g.n)), cand):
+    for image in search_all(g, g, list(range(g.n)), cand):
         f = Permutation(image)
         _assert_automorphism(g, f, coloring)
         out.append(f)
@@ -408,7 +502,7 @@ def automorphisms_forward_base(g, coloring=None):
             if u == b or u in orbit:
                 continue
             pinned = [[v] for v in range(b)] + [[u]] + cand[b + 1:]
-            found = next(_search(g, g, list(range(g.n)), pinned), None)
+            found = next(search_all(g, g, list(range(g.n)), pinned), None)
             if found is None:
                 continue
             f = Permutation(found)
@@ -707,8 +801,30 @@ def find_isomorphism_joint(g, h):
     cand = _candidate_lists(label_g, label_h)
     rarest = min(range(g.n), key=lambda v: (len(cand[v]), v)) if g.n else 0
     order = connected_order_by_pop(g, rarest) if g.n else []
-    found = next(_search(g, h, order, cand), None)
+    found = next(search_all(g, h, order, cand), None)
     return None if found is None else Permutation(found)
+
+
+def line_events(call, path=None):
+    """How many lines of Python ``call()`` executes, only those of the source
+    file ``path`` when one is given."""
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        if path is not None and frame.f_code.co_filename != path:
+            return None
+        if event == "line":
+            count += 1
+        return trace
+
+    before = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        call()
+    finally:
+        sys.settrace(before)
+    return count
 
 
 def outcome(fn, *args, **kwargs):

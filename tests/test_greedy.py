@@ -1,7 +1,6 @@
 """Greedy color extension rules and the two extra-color constructions."""
 
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +35,7 @@ from oracles import (
     greedy_extend_by_rules,
     hub_tree,
     hub_trees,
+    line_events,
     outcome,
 )
 
@@ -308,25 +308,6 @@ def test_large_inputs_are_certified_by_propagation_alone(build):
         assert all(listed[v] in lists[v] for v in g.vertices())
         for coloring in (plain, listed):
             assert symmetry.certify(g, tree, coloring) == (w,)
-
-
-def line_events(call):
-    """How many lines of Python ``call()`` executes."""
-    count = 0
-
-    def trace(frame, event, arg):
-        nonlocal count
-        if event == "line":
-            count += 1
-        return trace
-
-    before = sys.gettrace()
-    sys.settrace(trace)
-    try:
-        call()
-    finally:
-        sys.settrace(before)
-    return count
 
 
 @pytest.mark.parametrize("build", [star, lambda n: hub_tree(n - 9, 9)], ids=["star", "hub-tree"])

@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from functools import lru_cache
 from itertools import permutations, product
 from unittest.mock import patch
 
@@ -54,6 +55,7 @@ from distcolor.symmetry import (
 from distcolor.tree import bfs_tree
 from oracles import (
     CONSTRUCTION_GRAPHS,
+    automorphisms_by_pinned_searches,
     automorphisms_forward_base,
     canonical_colorings,
     connected_order_by_pop,
@@ -64,11 +66,13 @@ from oracles import (
     girth5_graphs,
     group_closure,
     is_identity,
+    line_events,
     outcome,
     prefix_is_fixed_plain,
     propagate_by_rounds,
     random_proper_coloring,
     relabel,
+    search_verdict_by_enumeration,
     shortest_certifying_prefix_by_loop,
     small_graphs,
     wl_labels_plain,
@@ -255,27 +259,102 @@ def _group_inputs():
 
 
 def test_automorphisms_match_the_forward_base_oracle():
-    # the same order and the same generated group as the forward walk; and
-    # since base points 0..b-1 are pinned, an image u < b is taken, so a
-    # pinned search reads [[0], ..., [b - 1], [u], ...] and must have u > b
-    pins = []
-    search = symmetry._search
-
-    def recorded(g, h, order, cand):
-        b = next(i for i, c in enumerate(cand) if c != [i])
-        pins.append((b, cand[b]))
-        return search(g, h, order, cand)
-
+    # the same order and the same generated group as the forward walk
     for g, coloring in list(_group_inputs()):
-        with patch.object(symmetry, "_search", recorded):
-            gens, order = automorphisms(g, coloring)
+        gens, order = automorphisms(g, coloring)
         old_gens, old_order = automorphisms_forward_base(g, coloring)
         assert order == old_order
         closure = group_closure(gens, g.n)
         assert len(closure) == order
         assert closure == group_closure(old_gens, g.n)
-    assert pins
-    assert all(len(c) == 1 and c[0] > b for b, c in pins)
+
+
+@lru_cache(maxsize=1)
+def _differential_inputs():
+    # the 219 classes on up to 9 vertices, the named graphs and four cycles,
+    # each uncolored, with two random proper colorings and with a proper
+    # coloring that a non-identity automorphism preserves: periodic on a
+    # cycle, else constant on the orbits of one generator of the group
+    rng = random.Random(26)
+    graphs = connected_girth5_graphs(9) + [build() for _, build in NAMED_GRAPHS]
+    cycles = [cycle(n) for n in (12, 40, 90, 128)]
+    inputs = []
+    for g in graphs + cycles:
+        inputs.append((g, None))
+        for k in (g.max_degree() + 1, g.max_degree() + 2):
+            inputs.append((g, random_proper_coloring(g, rng, k)))
+        if g in cycles:
+            step = rng.choice([p for p in range(2, g.n // 2 + 1) if g.n % p == 0])
+            inputs.append((g, Coloring(tuple(v % step + 1 for v in g.vertices()))))
+            continue
+        gens, _ = automorphisms(g)
+        if gens:
+            symmetric = _orbit_constant(g, rng.choice(gens))
+            if symmetric is not None:
+                inputs.append((g, symmetric))
+    return inputs
+
+
+def _orbit_constant(g, f):
+    """A proper coloring constant on the orbits of f, each orbit taking the
+    least color its neighbors leave, or None when an orbit holds an edge."""
+    values = [0] * g.n
+    for v in g.vertices():
+        if values[v]:
+            continue
+        orbit = _orbit(v, [f])
+        taken = {u for w in orbit for u in g.adj[w]}
+        if taken & orbit:
+            return None
+        color = min(set(range(1, len(taken) + 2)) - {values[u] for u in taken})
+        for w in orbit:
+            values[w] = color
+    return Coloring(tuple(values))
+
+
+def test_automorphisms_match_the_pinned_searches():
+    # the same generators in the same order, and the same group order, as a
+    # fresh pinned search from depth 0 per candidate image
+    for g, coloring in _differential_inputs():
+        assert automorphisms(g, coloring) == automorphisms_by_pinned_searches(g, coloring), (
+            g.edges(),
+            coloring,
+        )
+
+
+def test_verdicts_match_the_enumeration():
+    # the same verdict and witness as the first non-identity automorphism of
+    # the lexicographic enumeration; the symmetric colorings make sure that
+    # both answers occur
+    verdicts = []
+    for g, coloring in _differential_inputs():
+        if coloring is None:
+            continue
+        verdict = is_distinguishing(g, coloring)
+        assert verdict == search_verdict_by_enumeration(g, coloring), (g.edges(), coloring)
+        verdicts.append(verdict.distinguishing)
+    assert True in verdicts and False in verdicts
+
+
+def test_witness_is_the_second_automorphism_in_lexicographic_order():
+    for g, coloring in _differential_inputs():
+        if coloring is None or g.n > 8:
+            continue
+        everything = enumerate_automorphisms(g, coloring)
+        assert everything[0].image == tuple(g.vertices())
+        verdict = is_distinguishing(g, coloring)
+        assert verdict.witness == (everything[1] if len(everything) > 1 else None)
+
+
+def test_automorphisms_work_is_quadratic_on_cycles():
+    # the walk unpins one base point at a time and searches from its depth, so
+    # doubling a cycle about quadruples the lines run in symmetry.py (x3.5);
+    # a fresh pinned search per candidate image, each re-descending every
+    # pinned point, made it cubic (x7.9)
+    counts = [
+        line_events(lambda g=cycle(n): automorphisms(g), symmetry.__file__) for n in (40, 80)
+    ]
+    assert counts[1] / counts[0] <= 4.5
 
 
 @pytest.mark.parametrize(
