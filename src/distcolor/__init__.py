@@ -30,7 +30,6 @@ from .errors import (
     PreconditionError,
     PropernessError,
     SearchBoundError,
-    TreeConstraintError,
 )
 from .generators import generate
 from .graph import Graph, girth, is_connected, parse_graph, render_graph
@@ -67,7 +66,6 @@ __all__ = [
     "SearchBoundError",
     "SolveResult",
     "SymmetryVerdict",
-    "TreeConstraintError",
     "automorphisms",
     "color_delta_plus_2",
     "connected_girth5_graphs",

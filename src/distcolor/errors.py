@@ -1,4 +1,9 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+The command line exits 2 on InternalConsistencyError, a library bug, and 1
+on any other, bad input. A bad directive to ``tree.bfs_tree`` or
+``greedy.greedy_extend`` comes from a construction, so it is the former.
+"""
 
 
 class DistcolorError(Exception):
@@ -13,13 +18,9 @@ class PreconditionError(DistcolorError):
     """Input violates a documented precondition (caller error)."""
 
 
-class TreeConstraintError(PreconditionError):
-    """A search-tree ordering directive is infeasible or conflicting."""
-
-
 class PropernessError(PreconditionError):
-    """A coloring (or a forced color) puts the same color on both ends of an edge,
-    or a total/proper coloring was required and not supplied."""
+    """A coloring puts the same color on both ends of an edge, or a
+    total/proper coloring was required and not supplied."""
 
 
 class PaletteExhaustedError(DistcolorError):

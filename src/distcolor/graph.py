@@ -163,7 +163,8 @@ def parse_graph(text: str) -> Graph:
     expected_m = None
     adj: list[set[int]] = []
     is_number = number_test(text)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         fields = raw.split()
         if not fields:
             continue
@@ -204,8 +205,9 @@ def parse_graph(text: str) -> Graph:
                 raise DimacsError(f"line {lineno}: malformed problem line: {line!r}") from None
             # more than 2m+1 vertices leave the graph disconnected, which
             # solve, color2 and listcolor refuse, and more than SEARCH_BOUND
-            # are beyond verify and exact: refuse before allocating them
-            limit = max(2 * expected_m + 1, SEARCH_BOUND)
+            # are beyond verify and exact: refuse before allocating them. A
+            # valid text has m edge lines, so m is at most its line count
+            limit = max(2 * min(expected_m, len(lines)) + 1, SEARCH_BOUND)
             if n > limit:
                 raise DimacsError(
                     f"line {lineno}: {n} vertices with {expected_m} edges"

@@ -7,9 +7,9 @@ gets the smallest color available under one of two local rules:
   the colors of all colored neighbors;
 * rule "ii", otherwise: avoid the colors of its parent and its siblings.
 
-Callers can override single vertices (forced colors or a chooser picking from
-the available candidates) and forbid colors at specific vertices; the plain
-rules are what the color-count guarantees below are about.
+Callers can pick single vertices' colors (a fixed color or a chooser's
+answer) and forbid colors at specific vertices; the plain rules are what
+the color-count guarantees below are about.
 
 The loop keeps no record of its steps. A vertex's rule can be read off the
 tree and the finished coloring: its neighbors before it in the tree's order
@@ -41,27 +41,28 @@ def greedy_extend(
     root_color: int,
     *,
     k: int | None = None,
-    forced: Mapping[int, int] | None = None,
+    picks: Mapping[int, int | Chooser] | None = None,
     forbidden: Mapping[int, frozenset[int] | set[int]] | None = None,
-    choosers: Mapping[int, Chooser] | None = None,
     lists: ListAssignment | None = None,
 ) -> Coloring:
     """Color the tree's root with ``root_color``, then every other vertex along
     the tree's order.
 
-    ``root_color`` must be a positive integer, and the root can be neither
-    forced nor chosen. Palette is 1..k (default max degree plus 2) unless
-    ``lists`` gives per-vertex palettes. Raises PaletteExhaustedError when a
-    vertex has no available color. ``tree`` must be a BFS tree of ``g``.
-    Every rule avoids the colors of the vertex's colored neighbors, so the
-    result is proper.
+    ``root_color`` must be a positive integer, and the root cannot be
+    picked. Palette is 1..k (default max degree plus 2) unless ``lists``
+    gives per-vertex palettes; a vertex's candidates are its palette minus
+    its ``forbidden`` and its colored neighbors' colors. A pick, a color or
+    a chooser's answer, must be a candidate, or the construction has a bug:
+    InternalConsistencyError. Raises PaletteExhaustedError when another
+    vertex has no candidate. ``tree`` must be a BFS tree of
+    ``g``. The result is proper.
 
     The vertices are taken child group by child group, which is sigma's
     order. With the plain palette a vertex costs O(deg v): rule i's scan
     stops within deg v + 1 colors, and rule ii's scans over one child group
     resume where the last one stopped, O(1) per vertex amortized. So the
     whole extension is O(n + m) at any degree. A list, a forbidden set or a
-    chooser adds a scan of that vertex's palette; the input checks add O(n).
+    pick adds a scan of that vertex's palette; the input checks add O(n).
     """
     n = g.n
     if len(tree.order) != n:
@@ -71,13 +72,10 @@ def greedy_extend(
     root = tree.root
     if not isinstance(root_color, int) or root_color < 1:
         raise PreconditionError(f"root {root} colored with {root_color!r}")
-    forced = dict(forced) if forced else {}
+    picks = picks or {}
     forbidden = {v: frozenset(cs) for v, cs in forbidden.items()} if forbidden else {}
-    choosers = dict(choosers) if choosers else {}
-    if root in forced or root in choosers:
-        raise PreconditionError(f"the root {root} cannot be forced or chosen")
-    if forced and choosers and not forced.keys().isdisjoint(choosers):
-        raise PreconditionError("a vertex has both a forced color and a chooser")
+    if root in picks:
+        raise PreconditionError(f"the root {root} cannot be picked")
     delta = g.max_degree()
     if lists is None:
         k = delta + 2 if k is None else k
@@ -100,7 +98,7 @@ def greedy_extend(
     children = tree.children
     near_root = frozenset(adj[root])
     listed = lists is not None
-    special = forced.keys() | choosers.keys() | forbidden.keys()
+    special = picks.keys() | forbidden.keys()
     no_ban: frozenset[int] = frozenset()
     for parent in tree.order:
         group = children[parent]
@@ -113,25 +111,18 @@ def greedy_extend(
             banned = no_ban
             if v in special:
                 banned = forbidden.get(v, no_ban)
-                if v in forced or v in choosers:
-                    seen = set(around)
-                    seen.discard(None)
-                    if v in forced:
-                        c = forced[v]
-                        if c in seen:
-                            raise PreconditionError(
-                                f"forced color {c} on vertex {v} breaks properness"
-                            )
-                    else:
-                        palette = lists[v] if listed else range(1, k + 1)
-                        candidates = tuple(
-                            c for c in palette if c not in banned and c not in seen
+                if v in picks:
+                    palette = lists[v] if listed else range(1, k + 1)
+                    candidates = tuple(
+                        c for c in palette if c not in banned and c not in around
+                    )
+                    c = picks[v]
+                    if callable(c):
+                        c = c(v, candidates, tuple(values)) if candidates else None
+                    if c not in candidates:
+                        raise InternalConsistencyError(
+                            f"picked color {c} is not available at vertex {v}"
                         )
-                        if not candidates:
-                            raise PaletteExhaustedError(f"no available color for vertex {v}")
-                        c = choosers[v](v, candidates, tuple(values))
-                        if c not in candidates:
-                            raise InternalConsistencyError(f"chooser picked unavailable color {c}")
                     values[v] = c
                     block.add(c)
                     continue

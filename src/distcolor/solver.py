@@ -284,19 +284,11 @@ def _geodesic_parts(g: Graph, cfg: GeodesicConfig) -> Parts:
     # level 2, so the BFS gives x2 every level-3 neighbor as a child; with x3
     # the last of them, all other neighbors of x2 are colored when x3's turn
     # comes and x3's far neighbor x is not.
-    slots: dict[int, int | str] = {x1: 0, y1: 1, x2: 0, x3: LAST}
-    tree = bfs_tree(g, w, slots=slots)
+    tree = bfs_tree(g, w, slots={x1: 0, y1: 1, x2: 0, x3: LAST})
     k = g.max_degree() + 1
     chooser = _neighborhood_split_chooser(g, tree, hub=x2, anchor=w)
-    coloring = greedy_extend(
-        g,
-        tree,
-        k,
-        k=k,
-        forced={x1: 1, y1: 1, x2: k},
-        choosers={x3: chooser},
-    )
-    return tree, coloring
+    picks = {x1: 1, y1: 1, x2: k, x3: chooser}
+    return tree, greedy_extend(g, tree, k, k=k, picks=picks)
 
 
 def _geodesic_case(
@@ -354,7 +346,7 @@ def _diam3_parts(
     if f_x is None or f_y is None:
         raise InternalConsistencyError("no admissible first child beside the spine")
     parents = {u: z2 for u in g.adj[z2] if dist[u] == 3}
-    slots: dict[int, int | str] = {
+    slots = {
         x1: 0, y1: 1, z1: 2,
         f_x: 0, x2: 1,
         f_y: 0, y2: 1,
@@ -371,18 +363,9 @@ def _diam3_parts(
     for u in children_y1:
         if u != y2 and g.has_edge(u, z2):
             forbidden[u] = {1}
-    forced = {x1: delta + 1, z1: delta + 1, z2: 1, x2: 3, y2: 3}
     chooser = _neighborhood_split_chooser(g, tree, hub=z2, anchor=w, avoid=delta + 1)
-    coloring = greedy_extend(
-        g,
-        tree,
-        1,
-        k=delta + 1,
-        forced=forced,
-        forbidden=forbidden,
-        choosers={z3: chooser},
-    )
-    return tree, coloring
+    picks = {x1: delta + 1, z1: delta + 1, z2: 1, x2: 3, y2: 3, z3: chooser}
+    return tree, greedy_extend(g, tree, 1, k=delta + 1, picks=picks, forbidden=forbidden)
 
 
 def _diameter3_case(
@@ -407,7 +390,8 @@ def _moore_case(
     collar vertex is the sole common neighbor of any two of its fixed ones.
     The reduced graph is an induced subgraph of a girth-five graph and
     (Δ−1)-regular with Δ ≥ 4, so not the six-cycle: once it is found
-    connected, the case table runs on it without ``solve``'s validation.
+    connected, the case table runs on it without ``solve``'s validation or
+    certification: ``solve`` certifies the whole coloring.
     """
     if delta < 4 or scan() != 2:
         return None
@@ -424,12 +408,12 @@ def _moore_case(
         )
     if any(sub.degree(v) != delta - 1 for v in sub.vertices()):
         raise InternalConsistencyError("reduced graph is not regular one degree down")
-    inner = _run_cases(sub)
-    if inner.coloring.max_color() > delta:
+    _, _, inner = _run_cases(sub)
+    if inner.max_color() > delta:
         raise InternalConsistencyError("recursive coloring exceeded its palette")
     values: list[int | None] = [None] * g.n
     for old in keep:
-        values[old] = inner.coloring.values[old_to_new[old]]
+        values[old] = inner.values[old_to_new[old]]
     for u in g.adj[w]:
         values[u] = delta + 1
     values[w] = 1
@@ -486,18 +470,20 @@ def solve(g: Graph) -> SolveResult:
         raise PreconditionError(
             "the six-cycle needs four colors; use solve_c6_extension"
         )
-    return _run_cases(g)
+    branch, tree, coloring = _run_cases(g)
+    return _verified_result(g, tree, coloring, branch)
 
 
-def _run_cases(g: Graph) -> SolveResult:
-    """``solve`` on a graph already known connected, of girth at least five
-    and not the six-cycle: the first case of ``_CASES`` that applies."""
+def _run_cases(g: Graph) -> tuple[str, BfsTree, Coloring]:
+    """The first case of ``_CASES`` that applies to g, a graph already known
+    connected, of girth at least five and not the six-cycle: its branch and
+    the tree and coloring it built, not yet certified."""
     delta = g.max_degree()
     scan = cache(lambda: _first_geodesic_config(g))
     for branch, case in _CASES:
         parts = case(g, delta, scan)
         if parts is not None:
-            return _verified_result(g, *parts, branch)
+            return (branch, *parts)
     raise InternalConsistencyError("dispatcher found no applicable case")
 
 

@@ -87,7 +87,6 @@ from distcolor.errors import (
     PreconditionError,
     PropernessError,
     SearchBoundError,
-    TreeConstraintError,
 )
 from distcolor.generators import cycle, path, random_girth5, random_tree
 from distcolor.graph import INFINITY, Graph, _bfs_levels, distances
@@ -104,10 +103,14 @@ from distcolor.symmetry import (
     _wl_labels,
     is_distinguishing,
 )
-from distcolor.tree import LAST, BfsTree, _arrange
+from distcolor.tree import LAST, BfsTree
 
 
 def bfs_tree_by_min_parent(g, root, parents=None, slots=None):
+    """The BFS tree from the levels: each vertex hangs under its parent
+    directive or else its sigma-first neighbor one level up, and a child
+    group with a ranked child comes in ascending (rank, id), unranked
+    children after every finite rank and before LAST."""
     if not 0 <= root < g.n:
         raise PreconditionError(f"root {root} out of range")
     parents = dict(parents or {})
@@ -120,20 +123,13 @@ def bfs_tree_by_min_parent(g, root, parents=None, slots=None):
 
     for v, p in parents.items():
         if not 0 <= v < g.n or not 0 <= p < g.n:
-            raise TreeConstraintError(f"parent directive names unknown vertex ({v}, {p})")
+            raise InternalConsistencyError(f"parent directive names unknown vertex ({v}, {p})")
         if v == root:
-            raise TreeConstraintError("the root has no parent")
+            raise InternalConsistencyError("the root has no parent")
         if not g.has_edge(v, p):
-            raise TreeConstraintError(f"{p} is not a neighbor of {v}")
+            raise InternalConsistencyError(f"{p} is not a neighbor of {v}")
         if level[p] != level[v] - 1:
-            raise TreeConstraintError(f"{p} is not one level above {v}")
-    for v, s in slots.items():
-        if not 0 <= v < g.n:
-            raise TreeConstraintError(f"slot directive names unknown vertex {v}")
-        if v == root:
-            raise TreeConstraintError("the root occupies no child slot")
-        if s != LAST and (not isinstance(s, int) or s < 0):
-            raise TreeConstraintError(f"bad slot {s!r} for vertex {v}")
+            raise InternalConsistencyError(f"{p} is not one level above {v}")
 
     parent = [None] * g.n
     order = [root]
@@ -156,7 +152,12 @@ def bfs_tree_by_min_parent(g, root, parents=None, slots=None):
             group[p].append(v)
         nxt = []
         for p in current:
-            kids = _arrange(p, group[p], slots)
+            ranked = sorted((slots[v], v) for v in group[p] if v in slots)
+            kids = (
+                [v for rank, v in ranked if rank != LAST]
+                + sorted(v for v in group[p] if v not in slots)
+                + [v for rank, v in ranked if rank == LAST]
+            )
             children[p] = kids
             for c in kids:
                 parent[c] = p
@@ -203,6 +204,7 @@ def check_tree(g, t):
 RULE_PREFIX = "prefix"
 RULE_NEIGHBORS = "i"
 RULE_SIBLINGS = "ii"
+# a picked vertex: a fixed color, or a chooser's answer
 RULE_FORCED = "forced"
 RULE_CHOOSER = "chooser"
 
@@ -213,8 +215,8 @@ class GreedyStep:
 
     ``all_neighbors_colored`` and ``neighbor_colors_distinct`` describe the
     moment just before the color was assigned; ``constrained`` is True when
-    anything beyond the two plain rules (forbidden colors, lists, a forced
-    color, a chooser) influenced the choice.
+    anything beyond the two plain rules (forbidden colors, lists, a pick)
+    influenced the choice.
     """
 
     vertex: int
@@ -226,7 +228,7 @@ class GreedyStep:
 
 
 def greedy_extend_by_rules(
-    g, tree, prefix, *, k=None, forced=None, forbidden=None, choosers=None, lists=None
+    g, tree, prefix, *, k=None, picks=None, forbidden=None, lists=None
 ):
     n = g.n
     if len(tree.order) != n:
@@ -237,14 +239,11 @@ def greedy_extend_by_rules(
         raise PreconditionError("prefix is empty")
     if set(prefix) != set(tree.order[: len(prefix)]):
         raise PreconditionError("prefix does not color a prefix of the vertex order")
-    forced = dict(forced or {})
+    picks = dict(picks or {})
     forbidden = {v: frozenset(cs) for v, cs in (forbidden or {}).items()}
-    choosers = dict(choosers or {})
-    for v in list(forced) + list(choosers):
+    for v in picks:
         if v in prefix:
-            raise PreconditionError(f"vertex {v} is in the prefix and cannot be overridden")
-    if set(forced) & set(choosers):
-        raise PreconditionError("a vertex has both a forced color and a chooser")
+            raise PreconditionError(f"vertex {v} is in the prefix and cannot be picked")
     if lists is None:
         k = g.max_degree() + 2 if k is None else k
         if k < 1:
@@ -275,25 +274,21 @@ def greedy_extend_by_rules(
         banned = forbidden.get(v, frozenset())
         parent = tree.parent[v]
 
-        if v in forced:
-            c = forced[v]
-            if c in neighbor_colors:
-                raise PreconditionError(f"forced color {c} on vertex {v} breaks properness")
-            values[v] = c
-            steps.append(GreedyStep(v, RULE_FORCED, c, *stats, True))
-            continue
-
-        if v in choosers:
-            candidates = tuple(
-                c for c in palette if c not in banned and c not in neighbor_colors
-            )
-            if not candidates:
-                raise PaletteExhaustedError(f"no available color for vertex {v}")
-            c = choosers[v](v, candidates, tuple(values))
+        if v in picks:
+            # a fixed color and a chooser's answer pass the same test
+            candidates = [c for c in palette if c not in banned and c not in neighbor_colors]
+            pick = picks[v]
+            if callable(pick):
+                rule = RULE_CHOOSER
+                c = pick(v, tuple(candidates), tuple(values)) if candidates else None
+            else:
+                rule, c = RULE_FORCED, pick
             if c not in candidates:
-                raise InternalConsistencyError(f"chooser picked unavailable color {c}")
+                raise InternalConsistencyError(
+                    f"picked color {c} is not available at vertex {v}"
+                )
             values[v] = c
-            steps.append(GreedyStep(v, RULE_CHOOSER, c, *stats, True))
+            steps.append(GreedyStep(v, rule, c, *stats, True))
             continue
 
         if any(values[u] is not None for u in g.adj[v] if u != parent):

@@ -17,7 +17,7 @@ import distcolor
 from distcolor import solver
 from distcolor.cli import main
 from distcolor.coloring import Coloring, parse_coloring
-from distcolor.generators import cycle, path, petersen, random_tree, star
+from distcolor.generators import cycle, dodecahedron, path, petersen, random_tree, star
 from distcolor.graph import parse_graph, render_graph
 from distcolor.solver import render_result, solve
 from distcolor.tree import bfs_tree
@@ -335,16 +335,59 @@ def test_an_uncertifiable_coloring_exits_two_at_any_size(tmp_path, capsys, monke
     assert "internal consistency failure: path_or_cycle: refinement" in err
 
 
+def misdirect_the_tree(build):
+    # a parent directive from the construction's root to the last vertex
+    # not next to it, injected into each call with slots
+    def misdirected(g, root, parents=None, slots=None):
+        if slots:
+            far = max(v for v in g.vertices() if v != root and v not in g.adj[root])
+            parents = {**(parents or {}), far: root}
+        return build(g, root, parents, slots)
+
+    return misdirected
+
+
+def unavailable_picks(extend):
+    # every fixed color the construction picks becomes 0, outside any palette
+    def extend_with_color_0(*args, picks=None, **kwargs):
+        if picks:
+            picks = {v: c if callable(c) else 0 for v, c in picks.items()}
+        return extend(*args, picks=picks, **kwargs)
+
+    return extend_with_color_0
+
+
+@pytest.mark.parametrize(
+    "step, wrap, message",
+    [
+        ("bfs_tree", misdirect_the_tree, "0 is not a neighbor of 19"),
+        ("greedy_extend", unavailable_picks, "picked color 0 is not available at vertex 1"),
+    ],
+    ids=["parent-directive", "pick"],
+)
+def test_a_bad_construction_directive_exits_two(
+    tmp_path, capsys, monkeypatch, step, wrap, message
+):
+    # directives come from the library, not the input: the geodesic case on
+    # the dodecahedron, handed a bad one, is a bug
+    monkeypatch.setattr(solver, step, wrap(getattr(solver, step)))
+    code, out, err = run_cli(["solve", write_graph(tmp_path, dodecahedron())], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"distcolor: internal consistency failure: {message}\n"
+
+
 def test_hostile_problem_line_exits_one(capsys, monkeypatch):
     def refuse_huge(n, edges):
         raise AssertionError(f"a graph of {n} vertices was allocated")
 
     monkeypatch.setattr("distcolor.graph.Graph", refuse_huge)
-    text = "p edge 1000000000 0\n"
-    code, out, err = run_cli(["solve", "-"], capsys, monkeypatch, stdin_text=text)
-    assert code == 1
-    assert out == ""
-    assert "exceeds the limit of 128" in err
+    # the second text promises more edges than it has lines
+    for text in ("p edge 1000000000 0\n", "p edge 200000 200000\ne 1 2\n"):
+        code, out, err = run_cli(["solve", "-"], capsys, monkeypatch, stdin_text=text)
+        assert code == 1
+        assert out == ""
+        assert "exceeds the limit of 128" in err
 
 
 def test_module_entry_point(tmp_path):

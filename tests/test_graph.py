@@ -266,7 +266,14 @@ def test_parse_refuses_more_vertices_than_edges_or_searches_use(monkeypatch):
         return set(*args)
 
     monkeypatch.setattr(graph_module, "set", small_only, raising=False)
-    for text in ("p edge 1000000000 0\n", "p edge 129 0\n", "p edge 200 3\ne 1 2\n"):
+    # the last text promises more edges than it has lines, which m edges need
+    texts = (
+        "p edge 1000000000 0\n",
+        "p edge 129 0\n",
+        "p edge 200 3\ne 1 2\n",
+        "p edge 200000 200000\ne 1 2\n",
+    )
+    for text in texts:
         with pytest.raises(DimacsError, match="exceeds the limit"):
             parse_graph(text)
     # up to max(2m+1, SEARCH_BOUND) vertices are still read

@@ -76,19 +76,46 @@ def test_five_cycle_trace_uses_both_rules():
 
 
 def test_forced_colors_are_validated_for_properness():
+    # only a construction picks colors, so a clash is a library bug
     g = path(3)
-    with pytest.raises(PreconditionError):
-        greedy_extend(g, bfs_tree(g, 0), 1, forced={1: 1})
+    with pytest.raises(
+        InternalConsistencyError, match="picked color 1 is not available at vertex 1"
+    ):
+        greedy_extend(g, bfs_tree(g, 0), 1, picks={1: 1})
 
 
 def test_forced_step_is_marked():
     g = path(3)
     tree = bfs_tree(g, 0)
-    coloring, steps = greedy_extend_by_rules(g, tree, {0: 1}, forced={1: 3})
+    coloring, steps = greedy_extend_by_rules(g, tree, {0: 1}, picks={1: 3})
     assert coloring.values == (1, 3, 1)
-    assert greedy_extend(g, tree, 1, forced={1: 3}) == coloring
+    assert greedy_extend(g, tree, 1, picks={1: 3}) == coloring
     assert steps[1].rule == RULE_FORCED
     assert steps[1].constrained
+
+
+@pytest.mark.parametrize(
+    "pick, forbidden, color",
+    [
+        (2, None, 2),
+        (6, None, 6),
+        (4, {3: {4}}, 4),
+        (lambda *a: 4, {3: {4}}, 4),
+        (lambda *a: 6, None, 6),
+    ],
+    ids=["neighbor-color", "past-palette", "forbidden", "chooser-forbidden", "chooser-past-palette"],
+)
+def test_a_pick_must_be_an_available_color(pick, forbidden, color):
+    # a fixed color and a chooser's answer pass one test: the palette minus
+    # the vertex's forbidden colors and its colored neighbors' colors; on
+    # the five-cycle, vertex 3 comes last and both its neighbors hold 2
+    g = cycle(5)
+    tree = bfs_tree(g, 0)
+    assert greedy_extend(g, tree, 3, k=5).values == (3, 1, 2, 1, 2)
+    expected = (InternalConsistencyError, f"picked color {color} is not available at vertex 3")
+    kwargs = dict(k=5, picks={3: pick}, forbidden=forbidden)
+    assert outcome(greedy_extend, g, tree, 3, **kwargs) == expected
+    assert outcome(greedy_extend_by_rules, g, tree, {0: 3}, **kwargs) == expected
 
 
 def test_palette_can_run_out():
@@ -116,11 +143,11 @@ def test_chooser_picks_among_legal_candidates():
         return max(candidates)
 
     tree = bfs_tree(g, 0)
-    coloring = greedy_extend(g, tree, 3, choosers={3: pick_largest})
+    coloring = greedy_extend(g, tree, 3, picks={3: pick_largest})
     assert seen[3] == (1, 3, 4)
     assert coloring[3] == 4
     seen.clear()
-    traced, steps = greedy_extend_by_rules(g, tree, {0: 3}, choosers={3: pick_largest})
+    traced, steps = greedy_extend_by_rules(g, tree, {0: 3}, picks={3: pick_largest})
     assert traced == coloring and seen[3] == (1, 3, 4)
     chooser_steps = [s for s in steps if s.rule == RULE_CHOOSER]
     assert [s.vertex for s in chooser_steps] == [3]
@@ -131,16 +158,16 @@ def test_chooser_answer_is_checked():
     # an illegal answer is a bug in the caller's chooser, not bad input
     g = cycle(5)
     with pytest.raises(InternalConsistencyError):
-        greedy_extend(g, bfs_tree(g, 0), 3, choosers={3: lambda *a: 2})
+        greedy_extend(g, bfs_tree(g, 0), 3, picks={3: lambda *a: 2})
 
 
 def test_the_root_takes_only_its_own_positive_color():
     g = path(4)
     tree = bfs_tree(g, 1)
-    with pytest.raises(PreconditionError, match="root 1 cannot be forced or chosen"):
-        greedy_extend(g, tree, 2, forced={1: 3})
-    with pytest.raises(PreconditionError, match="root 1 cannot be forced or chosen"):
-        greedy_extend(g, tree, 2, choosers={1: pick_last})
+    with pytest.raises(PreconditionError, match="root 1 cannot be picked"):
+        greedy_extend(g, tree, 2, picks={1: 3})
+    with pytest.raises(PreconditionError, match="root 1 cannot be picked"):
+        greedy_extend(g, tree, 2, picks={1: pick_last})
     for bad in (0, "1"):
         with pytest.raises(PreconditionError, match="root 1 colored with"):
             greedy_extend(g, tree, bad)
@@ -270,16 +297,17 @@ def test_greedy_matches_the_rule_oracle(g, seed):
     root_color = rng.randint(1, k)
     rest = list(tree.order[1:])
     picked = rng.sample(rest, min(len(rest), rng.randint(0, 6)))
-    forced = {v: rng.randint(1, k) for v in picked[:1] if rng.random() < 0.5}
-    choosers = {v: pick_last for v in picked[1:2]}
-    forbidden = {v: set(rng.sample(range(1, k + 1), rng.randint(1, 2))) for v in picked[2:]}
+    # a fixed color or a chooser on the first two, forbidden colors from the
+    # second on, so one pick may meet a forbidden set
+    picks = {v: rng.choice([rng.randint(1, k + 1), pick_last]) for v in picked[:2]}
+    forbidden = {v: set(rng.sample(range(1, k + 1), rng.randint(1, 2))) for v in picked[1:]}
     lists = None
     if rng.random() < 0.5:
         lists = ListAssignment(
             [rng.sample(range(1, 2 * k + 1), k - rng.randint(0, 1)) for _ in range(g.n)]
         )
     kwargs = dict(
-        k=None if lists else k, forced=forced, forbidden=forbidden, choosers=choosers, lists=lists
+        k=None if lists else k, picks=picks, forbidden=forbidden, lists=lists
     )
     expected = outcome(greedy_extend_by_rules, g, tree, {tree.root: root_color}, **kwargs)
     if isinstance(expected[0], Coloring):

@@ -279,8 +279,53 @@ def test_every_diameter_three_configuration_certifies():
 
 def test_the_diameter_three_case_on_its_one_input():
     g = hoffman_singleton_minus_a_closed_neighborhood()
-    assert run_case(_diameter3_case, g) == _diam3_parts(g, *next(_diam3_configs(g)))
-    assert solver._run_cases(g).branch == BRANCH_DIAMETER3
+    parts = _diam3_parts(g, *next(_diam3_configs(g)))
+    assert run_case(_diameter3_case, g) == parts
+    assert solver._run_cases(g) == (BRANCH_DIAMETER3, *parts)
+
+
+def geodesic_configs(g):
+    """Every geodesic configuration at every root, x1 and x2 included."""
+    for w in g.vertices():
+        dist = distances(g, w)
+        for x3 in g.vertices():
+            if dist[x3] != 3:
+                continue
+            for x in (u for u in g.adj[x3] if dist[u] >= 3):
+                for x2 in (u for u in g.adj[x3] if dist[u] == 2):
+                    for x1 in (u for u in g.adj[x2] if dist[u] == 1):
+                        yield GeodesicConfig(w, x1, x2, x3, x)
+
+
+# sha256 over the (tree order, coloring) pairs that the two directive-driven
+# constructions build on 4,736 configurations: every diameter-three one of
+# the Robertson graph, the first 2,000 of Hoffman-Singleton minus a closed
+# neighborhood, and every geodesic one of six cubic and quartic graphs
+CONFIGURATIONS_GOLDEN = "121b75455aa4fa2c3aaff8def0f7334ce8778d16f6f25402d9bf4b55d2a4d181"
+
+
+def test_the_constructions_build_the_same_trees_and_colorings():
+    digest = hashlib.sha256()
+    count = 0
+    robertson_graph = robertson()
+    reduced = hoffman_singleton_minus_a_closed_neighborhood()
+    diameter_three = (
+        (robertson_graph, _diam3_configs(robertson_graph)),
+        (reduced, islice(_diam3_configs(reduced), 2000)),
+    )
+    for g, configs in diameter_three:
+        for cfg, dist in configs:
+            tree, coloring = _diam3_parts(g, cfg, dist)
+            digest.update(repr((tree.order, coloring.values)).encode())
+            count += 1
+    for build in (dodecahedron, desargues, mcgee, tutte_coxeter, robertson, pappus):
+        g = build()
+        for cfg in geodesic_configs(g):
+            tree, coloring = _geodesic_parts(g, cfg)
+            digest.update(repr((tree.order, coloring.values)).encode())
+            count += 1
+    assert count == 4736
+    assert digest.hexdigest() == CONFIGURATIONS_GOLDEN
 
 
 @pytest.mark.parametrize(
@@ -544,6 +589,8 @@ def test_a_broken_case_is_an_internal_failure(values, monkeypatch):
 
 
 def test_solve_checks_properness_once_per_call(monkeypatch):
+    # the Moore case solves Hoffman-Singleton minus a closed neighborhood,
+    # and only the whole coloring is certified
     checked = []
     check = Coloring.is_proper
 
@@ -560,13 +607,12 @@ def test_solve_checks_properness_once_per_call(monkeypatch):
 
     monkeypatch.setattr(Coloring, "is_proper", counted_check)
     monkeypatch.setattr(solver, "_run_cases", counted_cases)
-    # the Moore case solves Hoffman-Singleton minus a closed neighborhood
     for build, calls in ((petersen, 1), (hoffman_singleton, 2)):
         checked.clear()
         solved.clear()
         solver.solve(build())
         assert len(solved) == calls
-        assert sorted(map(id, checked)) == sorted(map(id, solved))
+        assert checked == solved[:1]
 
 
 def test_corpus_is_certified_by_propagation():

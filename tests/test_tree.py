@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distcolor.errors import PreconditionError, TreeConstraintError
+from distcolor import tree as tree_module
+from distcolor.errors import InternalConsistencyError, PreconditionError
 from distcolor.generators import cycle, path, petersen, random_girth5, star
 from distcolor.graph import Graph, distances
 from distcolor.tree import LAST, bfs_tree
@@ -70,11 +71,30 @@ def test_siblings_share_a_parent():
     assert tree.siblings(0) == ()
 
 
-def test_slot_directives_pin_child_order():
+def test_slot_directives_pin_child_order(monkeypatch):
+    # any ranking is an order: tied and gapped ranks sort by (rank, id), the
+    # unranked children follow in ascending id and LAST comes after them; a
+    # slot on the root or an unknown vertex ranks nothing. Slots alone need
+    # no distance BFS.
+    def refuse(*_):
+        raise AssertionError("a slots-only call ran a distance BFS")
+
+    monkeypatch.setattr(tree_module, "distances", refuse)
     g = star(5)
-    tree = bfs_tree(g, 0, slots={3: 0, 1: LAST})
-    assert tree.children[0] == (3, 2, 4, 1)
-    assert tree.order == (0, 3, 2, 4, 1)
+    cases = (
+        ({3: 0, 1: LAST}, (3, 2, 4, 1)),
+        ({1: 0, 2: 0}, (1, 2, 3, 4)),
+        ({4: 0, 2: 0}, (2, 4, 1, 3)),
+        ({3: 7, 1: 5}, (1, 3, 2, 4)),
+        ({1: LAST, 2: LAST}, (3, 4, 1, 2)),
+        ({4: LAST, 2: 9}, (2, 1, 3, 4)),
+        ({0: 0, 99: 0}, (1, 2, 3, 4)),
+    )
+    for slots, children in cases:
+        tree = bfs_tree(g, 0, slots=slots)
+        assert tree.children[0] == children
+        assert tree.order == (0, *children)
+        assert tree == bfs_tree_by_min_parent(g, 0, slots=slots)
 
 
 def test_parent_directive_reroutes_an_edge():
@@ -108,26 +128,19 @@ def test_disconnected_graph_is_rejected():
 
 
 def test_bad_directives_are_rejected():
+    # only a construction writes directives, so a bad one is a library bug
     g = star(5)
-    with pytest.raises(TreeConstraintError):
+    with pytest.raises(InternalConsistencyError, match="the root has no parent"):
         bfs_tree(g, 0, parents={0: 1})
-    with pytest.raises(TreeConstraintError):
+    with pytest.raises(InternalConsistencyError, match="2 is not a neighbor of 1"):
         bfs_tree(g, 0, parents={1: 2})
-    with pytest.raises(TreeConstraintError):
-        bfs_tree(g, 0, slots={0: 0})
-    with pytest.raises(TreeConstraintError):
-        bfs_tree(g, 0, slots={1: 0, 2: 0})
-    with pytest.raises(TreeConstraintError):
-        bfs_tree(g, 0, slots={1: LAST, 2: LAST})
-    with pytest.raises(TreeConstraintError):
-        bfs_tree(g, 0, slots={99: 0})
-    with pytest.raises(TreeConstraintError):
-        bfs_tree(g, 0, slots={1: "middle"})
+    with pytest.raises(InternalConsistencyError, match="unknown vertex"):
+        bfs_tree(g, 0, parents={99: 0})
 
 
 def test_parent_directive_must_sit_one_level_up():
     g = path(5)
-    with pytest.raises(TreeConstraintError):
+    with pytest.raises(InternalConsistencyError, match="4 is not one level above 3"):
         bfs_tree(g, 0, parents={3: 4})
 
 
@@ -170,26 +183,20 @@ def _matches_the_min_parent_oracle(g, rng):
         above = [u for u in g.adj[v] if dist[u] == dist[v] - 1]
         if above:
             parents[v] = rng.choice(above)
-    # slots reorder a child group and so can change the parents one level
-    # further down: pick them level by level on the tree they leave
-    expected = bfs_tree_by_min_parent(g, root, parents)
+    # ranks, tied, gapped or LAST, on some children of a few parents in the
+    # tree the parent directives leave
+    plain = bfs_tree_by_min_parent(g, root, parents)
     slots = {}
-    chosen_parents = rng.sample(range(g.n), min(g.n, rng.randint(0, 6)))
-    for p in sorted(chosen_parents, key=lambda v: dist[v]):
-        kids = expected.children[p]
-        if len(kids) < 2:
-            continue
-        chosen = rng.sample(kids, rng.randint(1, len(kids)))
-        last = rng.random() < 0.5
-        if last:
-            slots[chosen.pop()] = LAST
-        # pinned slots stay clear of the last one
-        for c, s in zip(chosen, rng.sample(range(len(kids) - last), len(chosen))):
-            slots[c] = s
-        expected = bfs_tree_by_min_parent(g, root, parents, slots)
+    with_kids = [p for p in plain.order if plain.children[p]]
+    for p in rng.sample(with_kids, min(len(with_kids), rng.randint(0, 6))):
+        kids = plain.children[p]
+        for c in rng.sample(kids, rng.randint(0, len(kids))):
+            slots[c] = rng.choice([0, 0, 1, 2, 5, LAST])
+    expected = bfs_tree_by_min_parent(g, root, parents, slots)
     assert bfs_tree(g, root, parents=parents, slots=slots) == expected
-    # one arbitrary extra slot, often infeasible: both raise alike
-    slots[rng.randrange(g.n)] = rng.choice([LAST, 0, 1, 2, 5])
+    # one arbitrary extra parent directive, often not an edge one level up:
+    # both raise alike
+    parents[rng.randrange(g.n)] = rng.randrange(g.n)
     assert outcome(bfs_tree, g, root, parents, slots) == outcome(
         bfs_tree_by_min_parent, g, root, parents, slots
     )
