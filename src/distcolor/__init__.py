@@ -2,7 +2,7 @@
 
 A proper coloring is distinguishing when the identity is the only color
 preserving automorphism.  ``solve`` builds one with at most one color more
-than the maximum degree (the six-cycle alone needs ``solve_c6_extension``),
+than the maximum degree (the six-cycle alone gets two more, four colors),
 ``color_delta_plus_2`` and ``list_color_delta_plus_2`` trade one extra color
 for a much simpler construction, and every returned coloring is certified
 before it reaches the caller, in one way: fixedness propagation from the

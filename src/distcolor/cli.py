@@ -15,7 +15,7 @@ from .errors import DimacsError, DistcolorError, InternalConsistencyError
 from .generators import GENERATORS, generate
 from .graph import parse_graph, render_graph
 from .greedy import color_delta_plus_2, list_color_delta_plus_2
-from .solver import is_c6, render_result, solve, solve_c6_extension
+from .solver import BRANCH_C6, render_result, solve
 from .symmetry import exact_chi_D, is_distinguishing
 
 
@@ -50,15 +50,13 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    g = parse_graph(_read_text(args.graph))
-    if is_c6(g):
+    result = solve(parse_graph(_read_text(args.graph)))
+    text = render_result(result)
+    if result.branch == BRANCH_C6:
         text = (
             "c six-cycle input: three colors cannot break its symmetries,"
-            " using the four-color construction\n"
-            + render_result(solve_c6_extension(g))
+            " using the four-color construction\n" + text
         )
-    else:
-        text = render_result(solve(g))
     _emit(text, args.out)
     return 0
 

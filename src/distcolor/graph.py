@@ -277,7 +277,7 @@ def diameter(g: Graph) -> int:
     for v in range(g.n):
         ecc = max(distances(g, v))
         if ecc is INFINITY:
-            raise PreconditionError("graph is disconnected")
+            raise PreconditionError("graph must be connected")
         best = max(best, int(ecc))
     return best
 

@@ -184,17 +184,26 @@ def _check_color_bounds(v, neighbor_rule, c, delta, stats):
         )
 
 
-def color_delta_plus_2(g: Graph, w: int = 0) -> Coloring:
+def _rooted_tree(g: Graph) -> BfsTree:
+    """The BFS tree at vertex 0, after ``solve``'s input checks in its order
+    and words: some vertex, connected (the tree spans g), girth at least five."""
+    if g.n == 0:
+        raise PreconditionError("graph has no vertices")
+    tree = bfs_tree(g, 0)
+    if has_cycle_shorter_than_five(g):
+        raise PreconditionError("girth must be at least five")
+    return tree
+
+
+def color_delta_plus_2(g: Graph) -> Coloring:
     """Distinguishing proper coloring with at most max degree + 2 colors.
 
-    The root w takes the top color; nobody else can reach it, so color
-    refinement isolates w in one round and propagation from w certifies
-    everything else level by level.
+    The root, vertex 0, takes the top color; nobody else can reach it, so
+    color refinement isolates the root in one round and propagation from it
+    certifies everything else level by level.
     """
-    if has_cycle_shorter_than_five(g):
-        raise PreconditionError("girth below five")
+    tree = _rooted_tree(g)
     k = g.max_degree() + 2
-    tree = bfs_tree(g, w)
     coloring = greedy_extend(g, tree, k, k=k)
     # the root holds k, so any second k is a leak
     if coloring.values.count(k) > 1:
@@ -203,31 +212,27 @@ def color_delta_plus_2(g: Graph, w: int = 0) -> Coloring:
     return coloring
 
 
-def list_color_delta_plus_2(g: Graph, lists: ListAssignment, w: int = 0) -> Coloring:
+def list_color_delta_plus_2(g: Graph, lists: ListAssignment) -> Coloring:
     """Distinguishing proper coloring from per-vertex lists.
 
-    Works like color_delta_plus_2: w takes the smallest color alpha from its
-    own list, alpha is deleted from every other list, and the rest is greedy.
-    Lists of size max degree + 2 always suffice; one color smaller is accepted
-    and may raise PaletteExhaustedError.
+    Works like color_delta_plus_2: the root, vertex 0, takes the smallest
+    color alpha from its own list, alpha is deleted from every other list,
+    and the rest is greedy. Lists of size max degree + 2 always suffice; one
+    color smaller is accepted and may raise PaletteExhaustedError. The lists
+    are checked after the graph.
 
     Messages about a list number its vertex from 1, as a list file does, so
-    ``distcolor listcolor`` names the file's vertex; a w out of range is
-    quoted as given.
+    ``distcolor listcolor`` names the file's vertex.
     """
-    if has_cycle_shorter_than_five(g):
-        raise PreconditionError("girth below five")
+    tree = _rooted_tree(g)
     if len(lists) != g.n:
         raise PreconditionError("list assignment length does not match the graph")
-    if not (0 <= w < g.n):
-        raise PreconditionError(f"vertex {w} out of range")
     need = g.max_degree() + 1
     for v, colors in enumerate(lists.lists):
-        if v != w and len(colors) < need:
+        if v > 0 and len(colors) < need:
             raise PreconditionError(f"list for vertex {v + 1} has fewer than {need} colors")
-    alpha = min(lists[w])
-    pruned = lists.without(alpha, keep=w)
-    tree = bfs_tree(g, w)
+    alpha = min(lists[0])
+    pruned = lists.without(alpha, keep=0)
     coloring = greedy_extend(g, tree, alpha, lists=pruned)
     if coloring.values.count(alpha) > 1:
         raise InternalConsistencyError("root color leaked into another list")

@@ -1,21 +1,20 @@
 """Distinguishing proper colorings within one color of the maximum degree.
 
-``solve`` covers every connected graph of girth at least five except the
-six-cycle, which needs a fourth color and has its own entry point. The
-structural cases of the proof form one ordered table, ``_CASES``, and
-``solve`` runs the first that applies. Each case finds its witness (a vertex
-of deficient degree, a geodesic or diameter-three configuration), pins a BFS
-tree, colors its root, overrides a handful of vertices and lets the greedy
-rules do the rest; the Petersen and Heawood graphs get stored colorings
-instead. The paper's last cubic case, a vertex with two dissimilar
-neighbors, has no code: a cubic girth-five graph with no geodesic
-configuration has at most 14 vertices, and the tests solve every one of
-them through the cases above. Every case returns its tree and coloring, and
-``solve`` certifies them with ``symmetry.certify``, the path the Δ+2 and list
-constructions share: fixedness propagation from the shortest sigma-prefix
-that certifies every vertex, which color refinement must pin down. An
-improper or uncertifiable coloring is reported as an internal bug rather
-than a user error.
+``solve`` covers every connected graph of girth at least five, the six-cycle
+with a fourth color. The structural cases of the proof form one ordered
+table, ``_CASES``, and ``solve`` runs the first that applies. Each case
+finds its witness (a vertex of deficient degree, a geodesic or
+diameter-three configuration), pins a BFS tree, colors its root, overrides a
+handful of vertices and lets the greedy rules do the rest; the Petersen and
+Heawood graphs get stored colorings instead. The paper's last cubic case, a
+vertex with two dissimilar neighbors, has no code: a cubic girth-five graph
+with no geodesic configuration has at most 14 vertices, and the tests solve
+every one of them through the cases above. Every case returns its tree and
+coloring, and ``solve`` certifies them with ``symmetry.certify``, the path
+the Δ+2 and list constructions share: fixedness propagation from the
+shortest sigma-prefix that certifies every vertex, which color refinement
+must pin down. An improper or uncertifiable coloring is reported as an
+internal bug rather than a user error.
 """
 
 from __future__ import annotations
@@ -121,7 +120,7 @@ def _validate(g: Graph) -> None:
 
 
 def is_c6(g: Graph) -> bool:
-    """True when g is a six-cycle, the one graph solve refuses."""
+    """True when g is a six-cycle, the one graph ``solve`` gives Δ+2 colors."""
     return (
         g.n == 6
         and all(g.degree(v) == 2 for v in g.vertices())
@@ -152,6 +151,18 @@ def _walk_from(g: Graph, start: int) -> list[int]:
         prev, v = v, min(step)
         order.append(v)
     return order
+
+
+def _c6_case(
+    g: Graph, delta: int, scan: Callable[[], GeodesicScan]
+) -> Parts | None:
+    """1,2,3,1,2,4 along the six-cycle from vertex 0, which three colors
+    cannot distinguish. g is connected, so Δ = 2 with six vertices and six
+    edges is the six-cycle."""
+    if delta != 2 or g.n != 6 or g.m != 6:
+        return None
+    color = dict(zip(_walk_from(g, 0), (1, 2, 3, 1, 2, 4)))
+    return bfs_tree(g, 0), Coloring([color[v] for v in g.vertices()])
 
 
 def _path_or_cycle_case(
@@ -444,6 +455,7 @@ def _special_case(
 # geodesic one run only when the scan found no configuration, so they read
 # the diameter off it.
 _CASES = (
+    (BRANCH_C6, _c6_case),
     (BRANCH_PATH_OR_CYCLE, _path_or_cycle_case),
     (BRANCH_NONREGULAR, _nonregular_case),
     (BRANCH_GEODESIC, _geodesic_case),
@@ -454,30 +466,26 @@ _CASES = (
 
 
 def solve(g: Graph) -> SolveResult:
-    """Certified proper distinguishing coloring with at most Δ+1 colors.
+    """Certified proper distinguishing coloring, at most Δ+1 colors (C6: 4).
 
-    The first case of ``_CASES`` that applies builds the coloring: paths and
-    cycles (Δ ≤ 2); a vertex of deficient degree; a geodesic configuration;
-    diameter 3 (Δ ≥ 4); diameter 2 (Δ ≥ 4, a Moore graph, handled
-    recursively); and the Petersen and Heawood graphs, which get stored
-    colorings. Every other cubic graph of girth five has a geodesic
-    configuration, so a graph that no case takes is a bug. The geodesic scan
-    runs at most once per call, with at most one BFS per vertex, and the two
-    diameter cases read the diameter off it.
+    The first case of ``_CASES`` that applies builds the coloring: the
+    six-cycle (Δ+2 = 4 colors); paths and cycles (Δ ≤ 2); a vertex of
+    deficient degree; a geodesic configuration; diameter 3 (Δ ≥ 4); diameter 2
+    (Δ ≥ 4, a Moore graph, handled recursively); and the Petersen and Heawood
+    graphs, which get stored colorings. Every other cubic graph of girth five
+    has a geodesic configuration, so a graph that no case takes is a bug. The
+    geodesic scan runs at most once per call, with at most one BFS per vertex,
+    and the two diameter cases read the diameter off it.
     """
     _validate(g)
-    if is_c6(g):
-        raise PreconditionError(
-            "the six-cycle needs four colors; use solve_c6_extension"
-        )
     branch, tree, coloring = _run_cases(g)
     return _verified_result(g, tree, coloring, branch)
 
 
 def _run_cases(g: Graph) -> tuple[str, BfsTree, Coloring]:
     """The first case of ``_CASES`` that applies to g, a graph already known
-    connected, of girth at least five and not the six-cycle: its branch and
-    the tree and coloring it built, not yet certified."""
+    connected and of girth at least five: its branch and the tree and
+    coloring it built, not yet certified."""
     delta = g.max_degree()
     scan = cache(lambda: _first_geodesic_config(g))
     for branch, case in _CASES:
@@ -488,12 +496,10 @@ def _run_cases(g: Graph) -> tuple[str, BfsTree, Coloring]:
 
 
 def solve_c6_extension(g: Graph) -> SolveResult:
-    """Four colors for the six-cycle: 1,2,3,1,2,4 around the cycle."""
+    """``solve``'s six-cycle case alone: four colors, 1,2,3,1,2,4 around
+    the cycle. Raises PreconditionError for any other graph."""
     if not is_c6(g):
         raise PreconditionError("input is not a six-cycle")
-    order = _walk_from(g, 0)
-    pattern = (1, 2, 3, 1, 2, 4)
-    values: list[int | None] = [None] * 6
-    for idx, v in enumerate(order):
-        values[v] = pattern[idx]
-    return _verified_result(g, bfs_tree(g, 0), Coloring(values), BRANCH_C6)
+    # a connected six-cycle passes solve's checks; its case reads no scan
+    tree, coloring = _c6_case(g, 2, None)
+    return _verified_result(g, tree, coloring, BRANCH_C6)

@@ -438,7 +438,7 @@ def fixed_propagation(
     O(n + m) input checks.
     """
     if has_cycle_shorter_than_five(g):
-        raise PreconditionError("girth below five")
+        raise PreconditionError("girth must be at least five")
     if len(coloring) != g.n or len(tree.order) != g.n:
         raise PreconditionError("graph, tree and coloring sizes disagree")
     if not coloring.is_total():
@@ -603,7 +603,7 @@ def exact_chi_D(g: Graph) -> int:
     if g.n > EXACT_BOUND:
         raise SearchBoundError(f"graph has {g.n} vertices, exact bound is {EXACT_BOUND}")
     if g.n == 0:
-        raise PreconditionError("empty graph")
+        raise PreconditionError("graph has no vertices")
     return _exact_chi_D(g, automorphisms(g))
 
 

@@ -73,7 +73,7 @@ def bfs_tree(
     if parents:
         dist = distances(g, root)
         if INFINITY in dist:
-            raise PreconditionError("graph is disconnected")
+            raise PreconditionError("graph must be connected")
         for v, p in parents.items():
             if not 0 <= v < g.n or not 0 <= p < g.n:
                 raise InternalConsistencyError(f"parent directive names unknown vertex ({v}, {p})")
@@ -110,7 +110,7 @@ def bfs_tree(
             children[p] = tuple(kids)
             order.extend(kids)
     if len(order) != g.n:
-        raise PreconditionError("graph is disconnected")
+        raise PreconditionError("graph must be connected")
 
     return BfsTree(
         root=root,

@@ -118,7 +118,7 @@ def bfs_tree_by_min_parent(g, root, parents=None, slots=None):
 
     dist = distances(g, root)
     if any(d == INFINITY for d in dist):
-        raise PreconditionError("graph is disconnected")
+        raise PreconditionError("graph must be connected")
     level = [int(d) for d in dist]
 
     for v, p in parents.items():
@@ -549,7 +549,7 @@ def exact_chi_D_by_enumeration(g):
     if g.n > EXACT_BOUND:
         raise SearchBoundError(f"graph has {g.n} vertices, exact bound is {EXACT_BOUND}")
     if g.n == 0:
-        raise PreconditionError("empty graph")
+        raise PreconditionError("graph has no vertices")
     for k in range(1, g.n + 1):
         for values in canonical_colorings(g, k):
             if is_distinguishing(g, Coloring(values)).distinguishing:
@@ -936,6 +936,14 @@ def random_proper_coloring(g, rng: random.Random, k: int) -> Coloring:
 def relabel(g, image):
     """g with vertex v renamed to image[v]; image must be a bijection on V."""
     return Graph(g.n, [(image[u], image[v]) for u, v in g.edges()])
+
+
+def rooted_at(g, w):
+    """g with w and 0 swapping names, so that a construction rooted at
+    vertex 0 starts from the vertex that was w."""
+    image = list(g.vertices())
+    image[0], image[w] = w, 0
+    return relabel(g, image)
 
 
 def is_identity(p: Permutation) -> bool:

@@ -4,7 +4,7 @@ at most eleven vertices, up to isomorphism: 2,476 classes.
 Each class gets its exact distinguishing chromatic number from
 ``symmetry._exact_chi_D``, with the automorphism group that grew the class
 in the enumeration (a new one for the classes on eleven vertices), and a
-coloring from ``solve`` (``solve_c6_extension`` for the six-cycle). The
+coloring from ``solve`` (four colors on the six-cycle). The
 private entry point skips ``EXACT_BOUND``, which stays at ten for
 ``exact_chi_D`` and ``distcolor exact``. The paper's bound, χ_D ≤ Δ+1
 except for the six-cycle, is checked against both, and the distributions
@@ -19,7 +19,7 @@ import pytest
 from distcolor.corpus import _grown_classes
 from distcolor.generators import cycle, path, petersen, star
 from distcolor.graph import Graph
-from distcolor.solver import is_c6, solve, solve_c6_extension
+from distcolor.solver import is_c6, solve
 from distcolor.symmetry import _exact_chi_D, automorphisms, find_isomorphism
 
 MAX_N = 11
@@ -92,7 +92,7 @@ def census():
     rows = []
     for g, group in _grown_classes(MAX_N):
         chi = _exact_chi_D(g, automorphisms(g) if group is None else group)
-        result = solve_c6_extension(g) if is_c6(g) else solve(g)
+        result = solve(g)
         rows.append((g, chi, result.colors_used))
     return rows
 

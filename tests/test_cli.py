@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 import distcolor
 from distcolor import solver
 from distcolor.cli import main
-from distcolor.coloring import Coloring, parse_coloring
+from distcolor.coloring import Coloring, parse_coloring, parse_lists
+from distcolor.errors import PreconditionError
 from distcolor.generators import cycle, dodecahedron, path, petersen, random_tree, star
 from distcolor.graph import parse_graph, render_graph
 from distcolor.solver import render_result, solve
@@ -178,15 +179,20 @@ def test_listcolor_names_the_short_list_by_the_files_vertex(tmp_path, capsys):
 
 
 def test_listcolor_names_an_emptied_list_by_the_files_vertex(tmp_path, capsys):
-    # no edges, so one color per list passes the size check, and deleting
-    # the root's color empties the other list
+    # with no edges one color per list would pass the size check, but the
+    # graph is checked first; a connected graph on two or more vertices
+    # needs two colors in every list but the root's, so deleting the root's
+    # color can no longer empty one through listcolor
     graph_file = tmp_path / "graph.col"
     graph_file.write_text("p edge 2 0\n")
     lists_file = tmp_path / "lists.txt"
     lists_file.write_text("l 1 1\nl 2 1\n")
     code, out, err = run_cli(["listcolor", str(graph_file), str(lists_file)], capsys)
     assert (code, out) == (1, "")
-    assert err == "distcolor: list of vertex 2 is empty\n"
+    assert err == "distcolor: graph must be connected\n"
+    # the emptied-list message still numbers the vertex as the file does
+    with pytest.raises(PreconditionError, match="^list of vertex 2 is empty$"):
+        parse_lists(lists_file.read_text(), 2).without(1, keep=0)
 
 
 def test_gen_named_graph_round_trip(capsys):
@@ -280,6 +286,33 @@ def test_girth_precondition_exits_one(capsys, monkeypatch):
     code, _, err = run_cli(["solve", "-"], capsys, monkeypatch, stdin_text=triangle)
     assert code == 1
     assert "girth" in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p edge 0 0\n", "graph has no vertices"),
+        ("p edge 4 2\ne 1 2\ne 3 4\n", "graph must be connected"),
+        ("p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n", "girth must be at least five"),
+        ("p edge 4 4\ne 1 2\ne 2 3\ne 3 4\ne 1 4\n", "girth must be at least five"),
+        # connectivity is checked before girth
+        ("p edge 5 4\ne 1 2\ne 2 3\ne 1 3\ne 4 5\n", "graph must be connected"),
+    ],
+    ids=["no-vertices", "two-edges", "triangle", "four-cycle", "triangle-and-edge"],
+)
+def test_every_construction_refuses_a_bad_graph_in_the_same_words(
+    tmp_path, capsys, text, message
+):
+    graph_file = tmp_path / "graph.col"
+    graph_file.write_text(text)
+    n = int(text.split()[2])
+    # lists long enough for any graph on n vertices, so only the graph is at fault
+    colors = " ".join(map(str, range(1, n + 2)))
+    lists_file = tmp_path / "lists.txt"
+    lists_file.write_text("".join(f"l {v} {colors}\n" for v in range(1, n + 1)))
+    graph = str(graph_file)
+    for argv in (["solve", graph], ["color2", graph], ["listcolor", graph, str(lists_file)]):
+        assert run_cli(argv, capsys) == (1, "", f"distcolor: {message}\n"), argv[0]
 
 
 CORPUS_COUNT_10 = """\

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distcolor import greedy, symmetry
+from distcolor import graph, greedy, symmetry
 from distcolor.coloring import Coloring, ListAssignment
 from distcolor.corpus import corpus_graphs
 from distcolor.errors import (
@@ -37,6 +37,7 @@ from oracles import (
     hub_trees,
     line_events,
     outcome,
+    rooted_at,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=50, deadline=None)
@@ -276,7 +277,8 @@ def test_rule_bounds_hold_away_from_the_root(seed):
 @given(st.integers(min_value=0, max_value=10_000))
 def test_two_extra_colors_certified_everywhere(seed):
     g = random_girth5(6 + seed % 12, max_degree=3 + seed % 3, seed=seed)
-    coloring = color_delta_plus_2(g, w=seed % g.n)
+    g = rooted_at(g, seed % g.n)
+    coloring = color_delta_plus_2(g)
     delta = g.max_degree()
     assert coloring.is_proper(g)
     assert coloring.max_color() <= delta + 2
@@ -328,14 +330,15 @@ def test_large_inputs_are_certified_by_propagation_alone(build):
         [rng.sample(range(1, 2 * (delta + 2) + 1), delta + 2) for _ in range(g.n)]
     )
     for w in (0, g.n // 2):
-        tree = bfs_tree(g, w)
-        plain = color_delta_plus_2(g, w)
-        assert plain.is_proper(g) and plain.max_color() <= delta + 2
-        listed = list_color_delta_plus_2(g, lists, w)
-        assert listed.is_proper(g)
-        assert all(listed[v] in lists[v] for v in g.vertices())
+        h = rooted_at(g, w)
+        tree = bfs_tree(h, 0)
+        plain = color_delta_plus_2(h)
+        assert plain.is_proper(h) and plain.max_color() <= delta + 2
+        listed = list_color_delta_plus_2(h, lists)
+        assert listed.is_proper(h)
+        assert all(listed[v] in lists[v] for v in h.vertices())
         for coloring in (plain, listed):
-            assert symmetry.certify(g, tree, coloring) == (w,)
+            assert symmetry.certify(h, tree, coloring) == (0,)
 
 
 @pytest.mark.parametrize("build", [star, lambda n: hub_tree(n - 9, 9)], ids=["star", "hub-tree"])
@@ -367,6 +370,30 @@ def test_each_construction_checks_properness_once(monkeypatch):
     lists = ListAssignment([range(1, g.max_degree() + 3)] * g.n)
     list_color_delta_plus_2(g, lists)
     assert len(calls) == 2
+
+
+def test_each_construction_builds_one_tree_and_no_distance_bfs(monkeypatch):
+    # connectivity is read off the BFS tree the construction needs anyway
+    calls = []
+
+    def counted(module, name):
+        run = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(graph, "_bfs_levels")
+    counted(symmetry, "_bfs_levels")
+    counted(greedy, "bfs_tree")
+    g = random_girth5(200, 4, seed=3)
+    lists = ListAssignment([range(1, g.max_degree() + 3)] * g.n)
+    for construct in (color_delta_plus_2, lambda g: list_color_delta_plus_2(g, lists)):
+        calls.clear()
+        construct(g)
+        assert calls == ["bfs_tree"]
 
 
 def test_corpus_is_certified_from_the_root_by_propagation(monkeypatch):
@@ -403,15 +430,12 @@ def test_root_certificates_build_no_refinement_labels(monkeypatch):
         size = g.max_degree() + 2
         lists = ListAssignment([rng.sample(range(1, 2 * size + 1), size) for _ in g.vertices()])
         for w in (0, g.n // 2):
-            cases.append((g, lists, w))
-    expected = [
-        (color_delta_plus_2(g, w), list_color_delta_plus_2(g, lists, w))
-        for g, lists, w in cases
-    ]
+            cases.append((rooted_at(g, w), lists))
+    expected = [(color_delta_plus_2(g), list_color_delta_plus_2(g, lists)) for g, lists in cases]
 
     monkeypatch.setattr(symmetry, "_wl_rounds", no_refinement)
-    for (g, lists, w), colorings in zip(cases, expected):
-        assert (color_delta_plus_2(g, w), list_color_delta_plus_2(g, lists, w)) == colorings
-        tree = bfs_tree(g, w)
+    for (g, lists), colorings in zip(cases, expected):
+        assert (color_delta_plus_2(g), list_color_delta_plus_2(g, lists)) == colorings
+        tree = bfs_tree(g, 0)
         for coloring in colorings:
-            assert symmetry.certify(g, tree, coloring) == (w,)
+            assert symmetry.certify(g, tree, coloring) == (0,)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from distcolor import graph as graph_module
 from distcolor import solver
+from distcolor.cli import main
 from distcolor.coloring import Coloring, ListAssignment
 from distcolor.corpus import connected_girth5_graphs, corpus_graphs
 from distcolor.errors import InternalConsistencyError, PreconditionError
@@ -31,7 +32,7 @@ from distcolor.generators import (
     star,
     tutte_coxeter,
 )
-from distcolor.graph import Graph, diameter, distances, girth, is_connected
+from distcolor.graph import Graph, diameter, distances, girth, is_connected, render_graph
 from distcolor.greedy import color_delta_plus_2, list_color_delta_plus_2
 from distcolor.solver import (
     BRANCH_C6,
@@ -43,6 +44,7 @@ from distcolor.solver import (
     BRANCH_SPECIAL,
     DiameterThreeConfig,
     GeodesicConfig,
+    _CASES,
     _diam3_configs,
     _diam3_parts,
     _diameter3_case,
@@ -52,7 +54,6 @@ from distcolor.solver import (
     _nonregular_case,
     _special_case,
     _verified_result,
-    is_c6,
     render_result,
     solve,
     solve_c6_extension,
@@ -125,15 +126,27 @@ def test_cycles_get_three_colors():
     check(cycle(29), r, 3)
 
 
-def test_six_cycle_is_refused_and_rerouted():
+# what ``distcolor solve`` printed on the six-cycle when it was routed
+# around ``solve``, notice line included
+C6_SOLVE_OUTPUT = (
+    "c six-cycle input: three colors cannot break its symmetries,"
+    " using the four-color construction\n"
+    "c branch=c6 colors=4 certified=1\n"
+    "v 1 1\nv 2 2\nv 3 3\nv 4 1\nv 5 2\nv 6 4\n"
+)
+
+
+def test_solve_takes_the_six_cycle_in_its_first_case(tmp_path, capsys):
     g = cycle(6)
-    assert is_c6(g)
-    with pytest.raises(PreconditionError):
-        solve(g)
-    r = solve_c6_extension(g)
-    assert r.branch == BRANCH_C6
+    r = solve(g)
+    assert r.branch == BRANCH_C6 == _CASES[0][0]
     assert r.coloring.values == (1, 2, 3, 1, 2, 4)
     check(g, r, 4)
+    assert solve_c6_extension(g) == r
+    graph_file = tmp_path / "c6.col"
+    graph_file.write_text(render_graph(g))
+    assert main(["solve", str(graph_file)]) == 0
+    assert capsys.readouterr() == (C6_SOLVE_OUTPUT, "")
 
 
 def test_c6_entry_point_rejects_everything_else():
@@ -617,7 +630,7 @@ def test_solve_checks_properness_once_per_call(monkeypatch):
 
 def test_corpus_is_certified_by_propagation():
     for label, g in corpus_graphs(0, trees=20, randoms=40):
-        r = solve_c6_extension(g) if is_c6(g) else solve(g)
+        r = solve(g)
         assert fixed_propagation(g, r.tree, r.coloring, r.prefix) == frozenset(g.vertices())
         assert prefix_is_fixed(g, r.coloring, r.prefix), label
         assert is_distinguishing(g, r.coloring).distinguishing, label
@@ -634,10 +647,8 @@ def test_every_small_girth5_class_certifies_under_relabelling():
             image = list(g.vertices())
             rng.shuffle(image)
             h = relabel(g, image)
-            if is_c6(h):
-                check(h, solve_c6_extension(h), 4)
-            else:
-                check(h, solve(h), h.max_degree() + 1)
+            r = solve(h)
+            check(h, r, 4 if r.branch == BRANCH_C6 else h.max_degree() + 1)
 
 
 # sha256 over the full seed-0 corpus: each result's rendering and its
@@ -650,7 +661,7 @@ def test_corpus_output_is_unchanged():
     digest = hashlib.sha256()
     count = 0
     for label, g in corpus_graphs(0):
-        r = solve_c6_extension(g) if is_c6(g) else solve(g)
+        r = solve(g)
         digest.update(
             f"{label}\n{render_result(r)}c prefix={' '.join(map(str, r.prefix))}\n".encode()
         )

@@ -34,7 +34,7 @@ from distcolor.generators import (
 )
 from distcolor.graph import Graph, distances
 from distcolor.greedy import color_delta_plus_2, list_color_delta_plus_2
-from distcolor.solver import is_c6, solve, solve_c6_extension
+from distcolor.solver import solve
 from distcolor.symmetry import (
     Permutation,
     _connected_order,
@@ -72,6 +72,7 @@ from oracles import (
     propagate_by_rounds,
     random_proper_coloring,
     relabel,
+    rooted_at,
     search_verdict_by_enumeration,
     shortest_certifying_prefix_by_loop,
     small_graphs,
@@ -499,9 +500,9 @@ def test_certify_refuses_what_it_cannot_prove():
 @given(st.integers(min_value=0, max_value=10_000))
 def test_propagation_is_sound(seed):
     g = random_girth5(6 + seed % 9, max_degree=3 + seed % 3, seed=seed)
-    w = seed % g.n
-    tree = bfs_tree(g, w)
-    coloring = color_delta_plus_2(g, w=w)
+    g = rooted_at(g, seed % g.n)
+    tree = bfs_tree(g, 0)
+    coloring = color_delta_plus_2(g)
     fixed = fixed_propagation(g, tree, coloring, tree.order[:1])
     if len(fixed) == g.n:
         assert is_distinguishing(g, coloring).distinguishing
@@ -647,31 +648,31 @@ def test_propagation_re_examines_a_parent_whose_child_is_certified_elsewhere():
 @given(girth5_graphs(), st.integers(min_value=0, max_value=10_000))
 def test_propagation_matches_the_round_robin_oracle(g, seed):
     rng = random.Random(seed)
-    w = rng.randrange(g.n)
-    colorings = _delta_plus_2_colorings(g, w, rng) + (
+    g = rooted_at(g, rng.randrange(g.n))
+    colorings = _delta_plus_2_colorings(g, rng) + (
         random_proper_coloring(g, rng, g.max_degree() + rng.randint(1, 3)),
     )
-    _matches_the_round_robin_oracle(g, bfs_tree(g, w), colorings)
+    _matches_the_round_robin_oracle(g, bfs_tree(g, 0), colorings)
 
 
 @pytest.mark.parametrize("g", CONSTRUCTION_GRAPHS, ids=repr)
 def test_propagation_matches_the_round_robin_oracle_at_construction_sizes(g):
     rng = random.Random(g.n)
     for w in (0, rng.randrange(g.n)):
-        colorings = _delta_plus_2_colorings(g, w, rng)
-        _matches_the_round_robin_oracle(g, bfs_tree(g, w), colorings)
+        h = rooted_at(g, w)
+        _matches_the_round_robin_oracle(h, bfs_tree(h, 0), _delta_plus_2_colorings(h, rng))
 
 
 def _certifies_the_loops_prefix(g, rng):
     # solve's coloring along its own tree, and the Δ+2 and list colorings
     # rooted at a random vertex
-    r = solve_c6_extension(g) if is_c6(g) else solve(g)
+    r = solve(g)
     assert r.prefix == shortest_certifying_prefix_by_loop(g, r.tree, r.coloring)
-    w = rng.randrange(g.n)
-    tree = bfs_tree(g, w)
-    for coloring in _delta_plus_2_colorings(g, w, rng):
-        assert certify(g, tree, coloring) == shortest_certifying_prefix_by_loop(
-            g, tree, coloring
+    h = rooted_at(g, rng.randrange(g.n))
+    tree = bfs_tree(h, 0)
+    for coloring in _delta_plus_2_colorings(h, rng):
+        assert certify(h, tree, coloring) == shortest_certifying_prefix_by_loop(
+            h, tree, coloring
         )
 
 
@@ -692,13 +693,14 @@ def test_certify_finds_the_prefix_of_the_per_length_loop_on_the_corpus():
         _certifies_the_loops_prefix(g, rng)
 
 
-def _delta_plus_2_colorings(g, w, rng):
-    """The Δ+2 coloring rooted at w and a list coloring from random lists."""
+def _delta_plus_2_colorings(g, rng):
+    """The Δ+2 coloring and a list coloring from random lists, both rooted
+    at vertex 0."""
     size = g.max_degree() + 2
     lists = ListAssignment(
         [rng.sample(range(1, 2 * size + 1), size) for _ in range(g.n)]
     )
-    return color_delta_plus_2(g, w=w), list_color_delta_plus_2(g, lists, w=w)
+    return color_delta_plus_2(g), list_color_delta_plus_2(g, lists)
 
 
 def _matches_the_round_robin_oracle(g, tree, colorings):

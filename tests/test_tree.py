@@ -123,7 +123,7 @@ def test_disconnected_graph_is_rejected():
     g = Graph(4, [(0, 1), (2, 3)])
     for parents, slots in (({}, {99: 0}), ({}, {0: 0}), ({5: 0}, {}), ({1: 0}, {1: "x"})):
         assert outcome(bfs_tree, g, 0, parents, slots) == (
-            PreconditionError, "graph is disconnected"
+            PreconditionError, "graph must be connected"
         ) == outcome(bfs_tree_by_min_parent, g, 0, parents, slots)
 
 
