@@ -34,13 +34,7 @@ from .errors import (
 from .generators import generate
 from .graph import Graph, girth, is_connected, parse_graph, render_graph
 from .greedy import color_delta_plus_2, list_color_delta_plus_2
-from .solver import (
-    SolveResult,
-    is_c6,
-    render_result,
-    solve,
-    solve_c6_extension,
-)
+from .solver import SolveResult, is_c6, render_result, solve
 from .symmetry import (
     Permutation,
     SymmetryVerdict,
@@ -83,5 +77,4 @@ __all__ = [
     "render_graph",
     "render_result",
     "solve",
-    "solve_c6_extension",
 ]

@@ -24,7 +24,8 @@ class PropernessError(PreconditionError):
 
 
 class PaletteExhaustedError(DistcolorError):
-    """Greedy coloring ran out of admissible colors for some vertex."""
+    """Greedy coloring ran out of some vertex's list, as lists of Δ+1 colors
+    may; running out of a construction's palette 1..k is a bug instead."""
 
 
 class SearchBoundError(PreconditionError):

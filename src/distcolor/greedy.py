@@ -5,11 +5,12 @@ gets the smallest color available under one of two local rules:
 
 * rule "i", when the vertex has a colored neighbor besides its parent: avoid
   the colors of all colored neighbors;
-* rule "ii", otherwise: avoid the colors of its parent and its siblings.
+* rule "ii", otherwise: avoid the colors of its parent and the siblings
+  before it.
 
-Callers can pick single vertices' colors (a fixed color or a chooser's
-answer) and forbid colors at specific vertices; the plain rules are what
-the color-count guarantees below are about.
+Callers can pin single vertices: a fixed color, which need only be proper,
+or a chooser, which picks among the colors the vertex's rule allows; the
+plain rules are what the color-count guarantees below are about.
 
 The loop keeps no record of its steps. A vertex's rule can be read off the
 tree and the finished coloring: its neighbors before it in the tree's order
@@ -32,7 +33,7 @@ from .graph import Graph, has_cycle_shorter_than_five
 from .symmetry import certify
 from .tree import BfsTree, bfs_tree
 
-Chooser = Callable[[int, tuple[int, ...], tuple[int | None, ...]], int]
+Chooser = Callable[[int, tuple[int, ...], tuple[int | None, ...]], int | None]
 
 
 def greedy_extend(
@@ -42,7 +43,6 @@ def greedy_extend(
     *,
     k: int | None = None,
     picks: Mapping[int, int | Chooser] | None = None,
-    forbidden: Mapping[int, frozenset[int] | set[int]] | None = None,
     lists: ListAssignment | None = None,
 ) -> Coloring:
     """Color the tree's root with ``root_color``, then every other vertex along
@@ -50,19 +50,21 @@ def greedy_extend(
 
     ``root_color`` must be a positive integer, and the root cannot be
     picked. Palette is 1..k (default max degree plus 2) unless ``lists``
-    gives per-vertex palettes; a vertex's candidates are its palette minus
-    its ``forbidden`` and its colored neighbors' colors. A pick, a color or
-    a chooser's answer, must be a candidate, or the construction has a bug:
-    InternalConsistencyError. Raises PaletteExhaustedError when another
-    vertex has no candidate. ``tree`` must be a BFS tree of
-    ``g``. The result is proper.
+    gives per-vertex palettes. ``picks`` pins a vertex to a fixed color,
+    which must be in its palette and differ from its colored neighbors'
+    colors, or to a chooser, which gets the palette colors the vertex's rule
+    allows (no call when there are none) and must answer one of them.
+    Anything else is a bug in the construction: InternalConsistencyError.
+    So is running out of the palette 1..k, which every construction sizes
+    to fit; an exhausted list raises PaletteExhaustedError. ``tree`` must be
+    a BFS tree of ``g``. The result is proper.
 
     The vertices are taken child group by child group, which is sigma's
     order. With the plain palette a vertex costs O(deg v): rule i's scan
     stops within deg v + 1 colors, and rule ii's scans over one child group
     resume where the last one stopped, O(1) per vertex amortized. So the
-    whole extension is O(n + m) at any degree. A list, a forbidden set or a
-    pick adds a scan of that vertex's palette; the input checks add O(n).
+    whole extension is O(n + m) at any degree. A list or a pick adds a
+    scan of that vertex's palette; the input checks add O(n).
     """
     n = g.n
     if len(tree.order) != n:
@@ -73,7 +75,6 @@ def greedy_extend(
     if not isinstance(root_color, int) or root_color < 1:
         raise PreconditionError(f"root {root} colored with {root_color!r}")
     picks = picks or {}
-    forbidden = {v: frozenset(cs) for v, cs in forbidden.items()} if forbidden else {}
     if root in picks:
         raise PreconditionError(f"the root {root} cannot be picked")
     delta = g.max_degree()
@@ -93,13 +94,12 @@ def greedy_extend(
     # the siblings before v: the group's ``block``, which gains each color as
     # it is assigned. Every color below ``least`` is in it, so with the plain
     # palette rule ii's scan starts there and, the set only growing, the
-    # group's scans take O(group size) steps in all.
+    # group's scans take O(group size) steps in all. A chooser is handed
+    # the palette minus the same blocked set.
     color_of = values.__getitem__
     children = tree.children
     near_root = frozenset(adj[root])
     listed = lists is not None
-    special = picks.keys() | forbidden.keys()
-    no_ban: frozenset[int] = frozenset()
     for parent in tree.order:
         group = children[parent]
         if not group:
@@ -108,25 +108,6 @@ def greedy_extend(
         least = 1
         for v in group:
             around = list(map(color_of, adj[v]))
-            banned = no_ban
-            if v in special:
-                banned = forbidden.get(v, no_ban)
-                if v in picks:
-                    palette = lists[v] if listed else range(1, k + 1)
-                    candidates = tuple(
-                        c for c in palette if c not in banned and c not in around
-                    )
-                    c = picks[v]
-                    if callable(c):
-                        c = c(v, candidates, tuple(values)) if candidates else None
-                    if c not in candidates:
-                        raise InternalConsistencyError(
-                            f"picked color {c} is not available at vertex {v}"
-                        )
-                    values[v] = c
-                    block.add(c)
-                    continue
-
             count = len(around) - around.count(None)
             if count > 1:
                 blocked = set(around)
@@ -134,9 +115,22 @@ def greedy_extend(
             else:
                 blocked = block
                 c = least
-            if listed or banned:
-                for c in lists[v] if listed else range(1, k + 1):
-                    if c not in blocked and c not in banned:
+            if v in picks:
+                palette = lists[v] if listed else range(1, k + 1)
+                c = picks[v]
+                if callable(c):
+                    allowed = tuple(x for x in palette if x not in blocked)
+                    c = c(v, allowed, tuple(values)) if allowed else None
+                    ok = c in allowed
+                else:
+                    ok = c in palette and c not in around
+                if not ok:
+                    raise InternalConsistencyError(
+                        f"picked color {c} is not available at vertex {v}"
+                    )
+            elif listed:
+                for c in lists[v]:
+                    if c not in blocked:
                         break
                 else:
                     raise PaletteExhaustedError(f"no available color for vertex {v}")
@@ -144,7 +138,7 @@ def greedy_extend(
                 while c in blocked:
                     c += 1
                 if c > k:
-                    raise PaletteExhaustedError(f"no available color for vertex {v}")
+                    raise InternalConsistencyError(f"no available color for vertex {v}")
                 if blocked is block:
                     least = c
                 if c > delta and v not in near_root:

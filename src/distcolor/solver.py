@@ -201,26 +201,21 @@ def _nonregular_case(
 
 
 def _neighborhood_split_chooser(
-    g: Graph, tree: BfsTree, hub: int, anchor: int, avoid: int | None = None
+    g: Graph, hub: int, anchor: int, avoid: int | None = None
 ) -> Chooser:
     """Chooser keeping hub's neighborhood color multiset distinct from anchor's.
 
-    When the vertex has no colored neighbor besides its parent the pool also
-    excludes the colors of its siblings, preserving their pairwise-distinct
-    pattern. Two candidates always survive that cut, and at most one of them
-    can equalize the two neighborhood multisets. ``avoid`` names a color to
-    dodge when any other candidate works.
+    Its candidates are the colors the vertex's greedy rule allows, so under
+    rule ii they already skip the siblings' colors and keep their
+    pairwise-distinct pattern. At least two candidates are left, and at most
+    one of them can equalize the two neighborhood multisets. ``avoid`` names
+    a color to dodge when any other candidate works.
     """
 
     def choose(v: int, candidates: tuple[int, ...], values: tuple[int | None, ...]) -> int:
-        pool = list(candidates)
-        parent = tree.parent[v]
-        if not any(values[u] is not None for u in g.adj[v] if u != parent):
-            taken = {values[u] for u in tree.siblings(v)} - {None}
-            pool = [c for c in pool if c not in taken]
-        if len(pool) < 2:
+        if len(candidates) < 2:
             raise InternalConsistencyError(
-                f"vertex {v} should have at least two color options, has {pool}"
+                f"vertex {v} should have at least two color options, has {candidates}"
             )
         rest = [values[u] for u in g.adj[hub] if u != v]
         anchor_colors = [values[u] for u in g.adj[anchor]]
@@ -229,7 +224,7 @@ def _neighborhood_split_chooser(
                 "the compared neighborhoods are not fully colored"
             )
         target = sorted(anchor_colors)
-        ok = [c for c in pool if sorted(rest + [c]) != target]
+        ok = [c for c in candidates if sorted(rest + [c]) != target]
         if not ok:
             raise InternalConsistencyError(
                 f"no candidate color separates vertices {hub} and {anchor}"
@@ -297,7 +292,7 @@ def _geodesic_parts(g: Graph, cfg: GeodesicConfig) -> Parts:
     # comes and x3's far neighbor x is not.
     tree = bfs_tree(g, w, slots={x1: 0, y1: 1, x2: 0, x3: LAST})
     k = g.max_degree() + 1
-    chooser = _neighborhood_split_chooser(g, tree, hub=x2, anchor=w)
+    chooser = _neighborhood_split_chooser(g, hub=x2, anchor=w)
     picks = {x1: 1, y1: 1, x2: k, x3: chooser}
     return tree, greedy_extend(g, tree, k, k=k, picks=picks)
 
@@ -333,8 +328,9 @@ def _diam3_parts(
     """Two top-colored spine vertices over a shared 1-colored pair.
 
     z1 ends up the only top-colored vertex with two neighbors colored 1 (w and
-    z2), z3's color separates those two by neighborhood multiset, and the
-    forbidden-1 rules keep every competing child distinct.
+    z2), z3's color separates those two by neighborhood multiset, and
+    keeping color 1 off the other children of x1 and z1, and off those of y1
+    next to z2, keeps every competing child distinct.
     """
     delta = g.max_degree()
     w, x1, x2, y1, y2, z1, z2, z3 = (
@@ -364,19 +360,18 @@ def _diam3_parts(
         z2: 0, z3: LAST,
     }
     tree = bfs_tree(g, w, parents=parents, slots=slots)
-    forbidden: dict[int, set[int]] = {}
-    for u in children_x1:
-        if u != x2:
-            forbidden[u] = {1}
-    for u in children_z1:
-        if u != z2:
-            forbidden[u] = {1}
-    for u in children_y1:
-        if u != y2 and g.has_edge(u, z2):
-            forbidden[u] = {1}
-    chooser = _neighborhood_split_chooser(g, tree, hub=z2, anchor=w, avoid=delta + 1)
-    picks = {x1: delta + 1, z1: delta + 1, z2: 1, x2: 3, y2: 3, z3: chooser}
-    return tree, greedy_extend(g, tree, 1, k=delta + 1, picks=picks, forbidden=forbidden)
+    # color 1 stays off the children of x1 and z1 and off those of y1 next
+    # to z2; the pins below replace the entries of x2 and z2
+    picks: dict[int, int | Chooser] = dict.fromkeys(children_x1 + children_z1, _avoid_one)
+    picks.update((u, _avoid_one) for u in children_y1 if g.has_edge(u, z2))
+    chooser = _neighborhood_split_chooser(g, hub=z2, anchor=w, avoid=delta + 1)
+    picks.update({x1: delta + 1, z1: delta + 1, z2: 1, x2: 3, y2: 3, z3: chooser})
+    return tree, greedy_extend(g, tree, 1, k=delta + 1, picks=picks)
+
+
+def _avoid_one(v: int, candidates: tuple[int, ...], values: tuple[int | None, ...]) -> int | None:
+    """The least candidate other than 1, or None when there is none."""
+    return next((c for c in candidates if c != 1), None)
 
 
 def _diameter3_case(

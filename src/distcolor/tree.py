@@ -37,13 +37,6 @@ class BfsTree:
     order: tuple[int, ...]
     children: tuple[tuple[int, ...], ...]
 
-    def siblings(self, v: int) -> tuple[int, ...]:
-        """The other children of v's parent (empty for the root)."""
-        p = self.parent[v]
-        if p is None:
-            return ()
-        return tuple(c for c in self.children[p] if c != v)
-
 
 def bfs_tree(
     g: Graph,

@@ -215,8 +215,8 @@ class GreedyStep:
 
     ``all_neighbors_colored`` and ``neighbor_colors_distinct`` describe the
     moment just before the color was assigned; ``constrained`` is True when
-    anything beyond the two plain rules (forbidden colors, lists, a pick)
-    influenced the choice.
+    anything beyond the two plain rules (lists, a pick) influenced the
+    choice.
     """
 
     vertex: int
@@ -227,9 +227,7 @@ class GreedyStep:
     constrained: bool
 
 
-def greedy_extend_by_rules(
-    g, tree, prefix, *, k=None, picks=None, forbidden=None, lists=None
-):
+def greedy_extend_by_rules(g, tree, prefix, *, k=None, picks=None, lists=None):
     n = g.n
     if len(tree.order) != n:
         raise PreconditionError("tree does not cover the graph")
@@ -240,7 +238,6 @@ def greedy_extend_by_rules(
     if set(prefix) != set(tree.order[: len(prefix)]):
         raise PreconditionError("prefix does not color a prefix of the vertex order")
     picks = dict(picks or {})
-    forbidden = {v: frozenset(cs) for v, cs in (forbidden or {}).items()}
     for v in picks:
         if v in prefix:
             raise PreconditionError(f"vertex {v} is in the prefix and cannot be picked")
@@ -271,18 +268,26 @@ def greedy_extend_by_rules(
             len(set(neighbor_colors)) == len(neighbor_colors),
         )
         palette = lists[v] if lists is not None else range(1, k + 1)
-        banned = forbidden.get(v, frozenset())
         parent = tree.parent[v]
+        if any(values[u] is not None for u in g.adj[v] if u != parent):
+            rule = RULE_NEIGHBORS
+            blocked = set(neighbor_colors)
+        else:
+            rule = RULE_SIBLINGS
+            # the parent and its children colored so far: the siblings before v
+            blocked = {values[u] for u in tree.children[parent] + (parent,)} - {None}
 
         if v in picks:
-            # a fixed color and a chooser's answer pass the same test
-            candidates = [c for c in palette if c not in banned and c not in neighbor_colors]
+            # a fixed color need only be proper; a chooser picks among the
+            # colors the rule allows
             pick = picks[v]
             if callable(pick):
                 rule = RULE_CHOOSER
+                candidates = [x for x in palette if x not in blocked]
                 c = pick(v, tuple(candidates), tuple(values)) if candidates else None
             else:
                 rule, c = RULE_FORCED, pick
+                candidates = [x for x in palette if x not in neighbor_colors]
             if c not in candidates:
                 raise InternalConsistencyError(
                     f"picked color {c} is not available at vertex {v}"
@@ -291,20 +296,11 @@ def greedy_extend_by_rules(
             steps.append(GreedyStep(v, rule, c, *stats, True))
             continue
 
-        if any(values[u] is not None for u in g.adj[v] if u != parent):
-            rule = RULE_NEIGHBORS
-            blocked = set(neighbor_colors)
-        else:
-            rule = RULE_SIBLINGS
-            blocked = {
-                values[u]
-                for u in tree.siblings(v) + (parent,)
-                if values[u] is not None
-            }
-        c = next((c for c in palette if c not in blocked and c not in banned), None)
+        c = next((c for c in palette if c not in blocked), None)
         if c is None:
-            raise PaletteExhaustedError(f"no available color for vertex {v}")
-        constrained = bool(banned) or lists is not None
+            error = PaletteExhaustedError if lists is not None else InternalConsistencyError
+            raise error(f"no available color for vertex {v}")
+        constrained = lists is not None
         if not constrained and v != root and not g.has_edge(v, root):
             _check_color_bounds(v, rule == RULE_NEIGHBORS, c, delta, stats)
         values[v] = c

@@ -178,6 +178,18 @@ def test_listcolor_names_the_short_list_by_the_files_vertex(tmp_path, capsys):
     assert err == "distcolor: list for vertex 2 has fewer than 3 colors\n"
 
 
+def test_listcolor_exits_one_when_short_lists_run_out(tmp_path, capsys):
+    # lists of Δ+1 colors are accepted and may run out: bad input, not a bug;
+    # on the five-cycle the last vertex meets 3 and 4, the whole of its list
+    # once the root's color 1 is gone
+    graph_file = write_graph(tmp_path, cycle(5))
+    lists_file = tmp_path / "lists.txt"
+    lists_file.write_text("l 1 1 2 3\nl 2 1 2 3\nl 3 1 3 4\nl 4 1 3 4\nl 5 1 2 4\n")
+    code, out, err = run_cli(["listcolor", graph_file, str(lists_file)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("distcolor: no available color for vertex ")
+
+
 def test_listcolor_names_an_emptied_list_by_the_files_vertex(tmp_path, capsys):
     # with no edges one color per list would pass the size check, but the
     # graph is checked first; a connected graph on two or more vertices
@@ -390,13 +402,22 @@ def unavailable_picks(extend):
     return extend_with_color_0
 
 
+def palette_of_one(extend):
+    # the construction's palette bound becomes 1, too small for any case
+    def extend_with_k_1(*args, **kwargs):
+        return extend(*args, **{**kwargs, "k": 1})
+
+    return extend_with_k_1
+
+
 @pytest.mark.parametrize(
     "step, wrap, message",
     [
         ("bfs_tree", misdirect_the_tree, "0 is not a neighbor of 19"),
         ("greedy_extend", unavailable_picks, "picked color 0 is not available at vertex 1"),
+        ("greedy_extend", palette_of_one, "no available color for vertex 10"),
     ],
-    ids=["parent-directive", "pick"],
+    ids=["parent-directive", "pick", "palette"],
 )
 def test_a_bad_construction_directive_exits_two(
     tmp_path, capsys, monkeypatch, step, wrap, message

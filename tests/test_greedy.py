@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distcolor import graph, greedy, symmetry
+from distcolor import graph, greedy, solver, symmetry
 from distcolor.coloring import Coloring, ListAssignment
 from distcolor.corpus import corpus_graphs
 from distcolor.errors import (
@@ -95,44 +95,88 @@ def test_forced_step_is_marked():
     assert steps[1].constrained
 
 
+def avoiding(colors):
+    # a chooser that takes the least allowed color outside ``colors``
+    def choose(v, candidates, values):
+        return next((c for c in candidates if c not in colors), None)
+
+    return choose
+
+
 @pytest.mark.parametrize(
-    "pick, forbidden, color",
+    "vertex, pick, color",
     [
-        (2, None, 2),
-        (6, None, 6),
-        (4, {3: {4}}, 4),
-        (lambda *a: 4, {3: {4}}, 4),
-        (lambda *a: 6, None, 6),
+        (3, 2, 2),
+        (3, 6, 6),
+        (3, lambda *a: 6, 6),
+        (4, lambda *a: 1, 1),
     ],
-    ids=["neighbor-color", "past-palette", "forbidden", "chooser-forbidden", "chooser-past-palette"],
+    ids=["neighbor-color", "past-palette", "chooser-past-palette", "chooser-sibling-color"],
 )
-def test_a_pick_must_be_an_available_color(pick, forbidden, color):
-    # a fixed color and a chooser's answer pass one test: the palette minus
-    # the vertex's forbidden colors and its colored neighbors' colors; on
-    # the five-cycle, vertex 3 comes last and both its neighbors hold 2
+def test_a_pick_must_be_an_available_color(vertex, pick, color):
+    # a fixed color must be in the palette and proper; a chooser's answer
+    # must be among the colors its vertex's rule allows. On the five-cycle,
+    # vertex 3 comes last and both its neighbors hold 2; vertex 4 follows
+    # its sibling 1, so rule ii keeps 1 from it although 1 would be proper
     g = cycle(5)
     tree = bfs_tree(g, 0)
     assert greedy_extend(g, tree, 3, k=5).values == (3, 1, 2, 1, 2)
-    expected = (InternalConsistencyError, f"picked color {color} is not available at vertex 3")
-    kwargs = dict(k=5, picks={3: pick}, forbidden=forbidden)
+    expected = (
+        InternalConsistencyError,
+        f"picked color {color} is not available at vertex {vertex}",
+    )
+    kwargs = dict(k=5, picks={vertex: pick})
     assert outcome(greedy_extend, g, tree, 3, **kwargs) == expected
     assert outcome(greedy_extend_by_rules, g, tree, {0: 3}, **kwargs) == expected
 
 
 def test_palette_can_run_out():
+    # only a construction colors from the plain palette 1..k, and each sizes
+    # k to fit, so running out is a bug; a list can run out on bad input
     g = star(4)
-    with pytest.raises(PaletteExhaustedError):
-        greedy_extend(g, bfs_tree(g, 0), 1, k=2)
+    tree = bfs_tree(g, 0)
+    with pytest.raises(InternalConsistencyError, match="no available color for vertex 2"):
+        greedy_extend(g, tree, 1, k=2)
+    lists = ListAssignment([(1, 2)] * 4)
+    with pytest.raises(PaletteExhaustedError, match="no available color for vertex 2"):
+        greedy_extend(g, tree, 1, lists=lists)
 
 
 def test_forbidden_colors_are_skipped():
+    # a chooser that avoids 2 at vertex 1 takes the next color its rule allows
     g = path(4)
     tree = bfs_tree(g, 0)
-    coloring, steps = greedy_extend_by_rules(g, tree, {0: 1}, forbidden={1: {2}})
+    picks = {1: avoiding({2})}
+    coloring, steps = greedy_extend_by_rules(g, tree, {0: 1}, picks=picks)
     assert coloring.values == (1, 3, 1, 2)
-    assert greedy_extend(g, tree, 1, forbidden={1: {2}}) == coloring
+    assert greedy_extend(g, tree, 1, picks=picks) == coloring
     assert steps[1].constrained
     assert not steps[2].constrained
+
+
+def test_a_chooser_sees_only_the_colors_its_rule_allows():
+    # the leaves of the claw follow rule ii: the third sees neither the
+    # root's color nor its two siblings' colors, though both are proper
+    g = star(4)
+    tree = bfs_tree(g, 0)
+    seen = {}
+
+    def record(v, candidates, values):
+        seen[v] = candidates
+        return candidates[0]
+
+    coloring = greedy_extend(g, tree, 1, k=5, picks={3: record})
+    assert seen[3] == (4, 5)
+    assert coloring.values == (1, 2, 3, 4)
+
+
+def test_a_chooser_without_an_answer_is_a_bug():
+    # path(3) from vertex 0 with root color 2 and k = 2 leaves vertex 1 only
+    # color 1; the diameter-three case's chooser that keeps 1 off a vertex
+    # answers None, a construction bug and not an exhausted palette
+    g = path(3)
+    with pytest.raises(InternalConsistencyError, match="picked color None is not available"):
+        greedy_extend(g, bfs_tree(g, 0), 2, k=2, picks={1: solver._avoid_one})
 
 
 def test_chooser_picks_among_legal_candidates():
@@ -299,18 +343,17 @@ def test_greedy_matches_the_rule_oracle(g, seed):
     root_color = rng.randint(1, k)
     rest = list(tree.order[1:])
     picked = rng.sample(rest, min(len(rest), rng.randint(0, 6)))
-    # a fixed color or a chooser on the first two, forbidden colors from the
-    # second on, so one pick may meet a forbidden set
+    # a fixed color or a chooser that takes the last allowed color on the
+    # first two, a chooser that avoids one or two colors on the rest
     picks = {v: rng.choice([rng.randint(1, k + 1), pick_last]) for v in picked[:2]}
-    forbidden = {v: set(rng.sample(range(1, k + 1), rng.randint(1, 2))) for v in picked[1:]}
+    for v in picked[2:]:
+        picks[v] = avoiding(set(rng.sample(range(1, k + 1), rng.randint(1, 2))))
     lists = None
     if rng.random() < 0.5:
         lists = ListAssignment(
             [rng.sample(range(1, 2 * k + 1), k - rng.randint(0, 1)) for _ in range(g.n)]
         )
-    kwargs = dict(
-        k=None if lists else k, picks=picks, forbidden=forbidden, lists=lists
-    )
+    kwargs = dict(k=None if lists else k, picks=picks, lists=lists)
     expected = outcome(greedy_extend_by_rules, g, tree, {tree.root: root_color}, **kwargs)
     if isinstance(expected[0], Coloring):
         expected = expected[0]

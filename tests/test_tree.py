@@ -64,13 +64,6 @@ def test_default_parent_is_smallest_earlier_neighbor():
     assert tree.children[0] == (1, 4)
 
 
-def test_siblings_share_a_parent():
-    g = star(4)
-    tree = bfs_tree(g, 0)
-    assert tree.siblings(1) == (2, 3)
-    assert tree.siblings(0) == ()
-
-
 def test_slot_directives_pin_child_order(monkeypatch):
     # any ranking is an order: tied and gapped ranks sort by (rank, id), the
     # unranked children follow in ascending id and LAST comes after them; a
