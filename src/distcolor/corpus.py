@@ -2,9 +2,9 @@
 
 The same runners back the ``distcolor corpus`` subcommand and the acceptance
 test module, so a green table in one means a green table in the other.  Every
-check re-verifies constructions from the outside (properness, color bounds,
-the exact symmetry search) instead of trusting the flags the library already
-sets on its own results.
+construction criteria 1, 2, 3 and 5 run passes one outside check,
+``_check_coloring``: properness, the color bound and the exact symmetry
+search, instead of the flags the library already sets on its own results.
 """
 
 import random
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterator
 
-from .coloring import ListAssignment
+from .coloring import Coloring, ListAssignment
 from .errors import DistcolorError, PreconditionError
 from .generators import (
     cycle,
@@ -71,6 +71,18 @@ def _need(condition: bool, message: str) -> None:
         raise CriterionFailure(message)
 
 
+def _check_coloring(label: str, g: Graph, coloring: Coloring, bound: int) -> None:
+    # the outside check of a construction: proper, within its color bound
+    # and preserved by no nontrivial automorphism
+    _need(coloring.is_proper(g), f"{label}: improper coloring")
+    top = coloring.max_color()
+    _need(top <= bound, f"{label}: color {top} exceeds {bound}")
+    _need(
+        is_distinguishing(g, coloring).distinguishing,
+        f"{label}: coloring is not distinguishing",
+    )
+
+
 def corpus_graphs(
     seed: int = 0, trees: int = TREE_COUNT, randoms: int = RANDOM_COUNT
 ) -> Iterator[tuple[str, Graph]]:
@@ -104,15 +116,7 @@ def check_theorem_suite(graphs: list[tuple[str, Graph]]) -> str:
     for label, g in graphs:
         result = solve(g)
         bound = 4 if result.branch == BRANCH_C6 else g.max_degree() + 1
-        _need(result.coloring.is_proper(g), f"{label}: improper coloring")
-        _need(
-            result.coloring.max_color() <= bound,
-            f"{label}: color {result.coloring.max_color()} exceeds {bound}",
-        )
-        _need(
-            is_distinguishing(g, result.coloring).distinguishing,
-            f"{label}: coloring is not distinguishing",
-        )
+        _check_coloring(label, g, result.coloring, bound)
     elapsed = time.perf_counter() - start
     _need(elapsed < 120.0, f"suite took {elapsed:.1f}s, budget is 120s")
     return f"{len(graphs)} graphs solved and verified"
@@ -123,18 +127,12 @@ def check_moore_recursion() -> str:
     g = hoffman_singleton()
     start = time.perf_counter()
     result = solve(g)
-    verdict = is_distinguishing(g, result.coloring)
+    _check_coloring("hoffman-singleton", g, result.coloring, 8)
     elapsed = time.perf_counter() - start
     _need(
         result.branch == BRANCH_MOORE,
         f"expected branch {BRANCH_MOORE}, got {result.branch}",
     )
-    _need(result.coloring.is_proper(g), "improper coloring")
-    _need(
-        result.coloring.max_color() <= 8,
-        f"color {result.coloring.max_color()} exceeds 8",
-    )
-    _need(verdict.distinguishing, "coloring is not distinguishing")
     _need(elapsed < 300.0, f"took {elapsed:.1f}s, budget is 300s")
     return f"hoffman-singleton: {result.colors_used} colors via {result.branch}, verified"
 
@@ -142,14 +140,10 @@ def check_moore_recursion() -> str:
 def check_stored_colorings() -> str:
     """Criterion 3: the stored 4-colorings are proper and distinguishing."""
     for label, g, coloring in special_colorings():
-        _need(coloring.is_proper(g), f"{label}: improper stored coloring")
+        _check_coloring(label, g, coloring, 4)
         _need(
             coloring.num_colors() == 4,
             f"{label}: {coloring.num_colors()} colors instead of 4",
-        )
-        _need(
-            is_distinguishing(g, coloring).distinguishing,
-            f"{label}: stored coloring is not distinguishing",
         )
     label, g, coloring = special_colorings()[0]
     for u, v in combinations(g.vertices(), 2):
@@ -336,22 +330,9 @@ def check_two_extra_colors(
     """
     _at_least_one("lists_per_graph", lists_per_graph)
     rng = random.Random(1009 * seed + 7)
-    plain = 0
     small = 0
-    assignments = 0
     for label, g in graphs:
-        coloring = color_delta_plus_2(g)
-        bound = g.max_degree() + 2
-        _need(coloring.is_proper(g), f"{label}: improper Δ+2 coloring")
-        _need(
-            coloring.max_color() <= bound,
-            f"{label}: color {coloring.max_color()} exceeds {bound}",
-        )
-        _need(
-            is_distinguishing(g, coloring).distinguishing,
-            f"{label}: Δ+2 coloring is not distinguishing",
-        )
-        plain += 1
+        _check_coloring(f"{label} Δ+2", g, color_delta_plus_2(g), g.max_degree() + 2)
         if g.n > 20:
             continue
         small += 1
@@ -373,10 +354,9 @@ def check_two_extra_colors(
                     is_distinguishing(g, coloring).distinguishing,
                     f"{label}: list coloring is not distinguishing",
                 )
-            assignments += 1
     return (
-        f"{plain} Δ+2 colorings verified;"
-        f" {assignments} list assignments over {small} small graphs respected"
+        f"{len(graphs)} Δ+2 colorings verified;"
+        f" {small * lists_per_graph} list assignments over {small} small graphs respected"
     )
 
 

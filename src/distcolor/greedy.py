@@ -56,8 +56,9 @@ def greedy_extend(
     allows (no call when there are none) and must answer one of them.
     Anything else is a bug in the construction: InternalConsistencyError.
     So is running out of the palette 1..k, which every construction sizes
-    to fit; an exhausted list raises PaletteExhaustedError. ``tree`` must be
-    a BFS tree of ``g``. The result is proper.
+    to fit; an exhausted list raises PaletteExhaustedError, which numbers
+    the vertex from 1 as a list file does (the other errors number it from
+    0). ``tree`` must be a BFS tree of ``g``. The result is proper.
 
     The vertices are taken child group by child group, which is sigma's
     order. With the plain palette a vertex costs O(deg v): rule i's scan
@@ -133,7 +134,7 @@ def greedy_extend(
                     if c not in blocked:
                         break
                 else:
-                    raise PaletteExhaustedError(f"no available color for vertex {v}")
+                    raise PaletteExhaustedError(f"no available color for vertex {v + 1}")
             else:
                 while c in blocked:
                     c += 1

@@ -128,17 +128,6 @@ def is_c6(g: Graph) -> bool:
     )
 
 
-def _verified_result(
-    g: Graph, tree: BfsTree, coloring: Coloring, branch: str
-) -> SolveResult:
-    """Certify a case's coloring with ``symmetry.certify``; failures name the branch."""
-    try:
-        prefix = certify(g, tree, coloring)
-    except InternalConsistencyError as err:
-        raise InternalConsistencyError(f"{branch}: {err}") from err
-    return SolveResult(coloring, coloring.num_colors(), branch, tree, prefix)
-
-
 def _walk_from(g: Graph, start: int) -> list[int]:
     """Vertex sequence along a path or cycle, starting toward the smaller id."""
     order = [start]
@@ -157,9 +146,8 @@ def _c6_case(
     g: Graph, delta: int, scan: Callable[[], GeodesicScan]
 ) -> Parts | None:
     """1,2,3,1,2,4 along the six-cycle from vertex 0, which three colors
-    cannot distinguish. g is connected, so Δ = 2 with six vertices and six
-    edges is the six-cycle."""
-    if delta != 2 or g.n != 6 or g.m != 6:
+    cannot distinguish; None for any graph that ``is_c6`` refuses."""
+    if not is_c6(g):
         return None
     color = dict(zip(_walk_from(g, 0), (1, 2, 3, 1, 2, 4)))
     return bfs_tree(g, 0), Coloring([color[v] for v in g.vertices()])
@@ -470,11 +458,16 @@ def solve(g: Graph) -> SolveResult:
     graphs, which get stored colorings. Every other cubic graph of girth five
     has a geodesic configuration, so a graph that no case takes is a bug. The
     geodesic scan runs at most once per call, with at most one BFS per vertex,
-    and the two diameter cases read the diameter off it.
+    and the two diameter cases read the diameter off it. ``symmetry.certify``
+    then certifies the case's coloring; its failures name the branch.
     """
     _validate(g)
     branch, tree, coloring = _run_cases(g)
-    return _verified_result(g, tree, coloring, branch)
+    try:
+        prefix = certify(g, tree, coloring)
+    except InternalConsistencyError as err:
+        raise InternalConsistencyError(f"{branch}: {err}") from err
+    return SolveResult(coloring, coloring.num_colors(), branch, tree, prefix)
 
 
 def _run_cases(g: Graph) -> tuple[str, BfsTree, Coloring]:
@@ -491,10 +484,8 @@ def _run_cases(g: Graph) -> tuple[str, BfsTree, Coloring]:
 
 
 def solve_c6_extension(g: Graph) -> SolveResult:
-    """``solve``'s six-cycle case alone: four colors, 1,2,3,1,2,4 around
-    the cycle. Raises PreconditionError for any other graph."""
+    """``solve`` on the six-cycle: four colors, 1,2,3,1,2,4 around the
+    cycle. Raises PreconditionError for any other graph."""
     if not is_c6(g):
         raise PreconditionError("input is not a six-cycle")
-    # a connected six-cycle passes solve's checks; its case reads no scan
-    tree, coloring = _c6_case(g, 2, None)
-    return _verified_result(g, tree, coloring, BRANCH_C6)
+    return solve(g)

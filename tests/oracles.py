@@ -298,8 +298,10 @@ def greedy_extend_by_rules(g, tree, prefix, *, k=None, picks=None, lists=None):
 
         c = next((c for c in palette if c not in blocked), None)
         if c is None:
-            error = PaletteExhaustedError if lists is not None else InternalConsistencyError
-            raise error(f"no available color for vertex {v}")
+            # a list is named as its file numbers it, from 1
+            if lists is not None:
+                raise PaletteExhaustedError(f"no available color for vertex {v + 1}")
+            raise InternalConsistencyError(f"no available color for vertex {v}")
         constrained = lists is not None
         if not constrained and v != root and not g.has_edge(v, root):
             _check_color_bounds(v, rule == RULE_NEIGHBORS, c, delta, stats)

@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 import distcolor
 from distcolor import solver
 from distcolor.cli import main
-from distcolor.coloring import Coloring, parse_coloring, parse_lists
-from distcolor.errors import PreconditionError
+from distcolor.coloring import Coloring, parse_coloring
 from distcolor.generators import cycle, dodecahedron, path, petersen, random_tree, star
 from distcolor.graph import parse_graph, render_graph
 from distcolor.solver import render_result, solve
@@ -187,14 +186,14 @@ def test_listcolor_exits_one_when_short_lists_run_out(tmp_path, capsys):
     lists_file.write_text("l 1 1 2 3\nl 2 1 2 3\nl 3 1 3 4\nl 4 1 3 4\nl 5 1 2 4\n")
     code, out, err = run_cli(["listcolor", graph_file, str(lists_file)], capsys)
     assert (code, out) == (1, "")
-    assert err.startswith("distcolor: no available color for vertex ")
+    assert err == "distcolor: no available color for vertex 4\n"
 
 
-def test_listcolor_names_an_emptied_list_by_the_files_vertex(tmp_path, capsys):
+def test_listcolor_checks_the_graph_before_its_lists(tmp_path, capsys):
     # with no edges one color per list would pass the size check, but the
     # graph is checked first; a connected graph on two or more vertices
     # needs two colors in every list but the root's, so deleting the root's
-    # color can no longer empty one through listcolor
+    # color cannot empty one through listcolor
     graph_file = tmp_path / "graph.col"
     graph_file.write_text("p edge 2 0\n")
     lists_file = tmp_path / "lists.txt"
@@ -202,9 +201,6 @@ def test_listcolor_names_an_emptied_list_by_the_files_vertex(tmp_path, capsys):
     code, out, err = run_cli(["listcolor", str(graph_file), str(lists_file)], capsys)
     assert (code, out) == (1, "")
     assert err == "distcolor: graph must be connected\n"
-    # the emptied-list message still numbers the vertex as the file does
-    with pytest.raises(PreconditionError, match="^list of vertex 2 is empty$"):
-        parse_lists(lists_file.read_text(), 2).without(1, keep=0)
 
 
 def test_gen_named_graph_round_trip(capsys):

@@ -123,12 +123,18 @@ def test_list_assignment_basics():
     assert lists[1] == (2, 3)
 
 
-def test_uniform_and_without():
+def test_without_deletes_a_color_from_every_list_but_one():
     lists = ListAssignment([range(1, 5)] * 3)
     assert lists[0] == (1, 2, 3, 4)
     pruned = lists.without(2, keep=0)
     assert pruned[0] == (1, 2, 3, 4)
     assert pruned[1] == (1, 3, 4)
+
+
+def test_without_refuses_to_empty_a_list():
+    # the message numbers the vertex from 1, as a list file does
+    with pytest.raises(PreconditionError, match="^list of vertex 2 is empty$"):
+        ListAssignment([(1, 2), (1,)]).without(1, keep=0)
 
 
 def test_empty_list_is_rejected():

@@ -1,6 +1,8 @@
 """The acceptance machinery itself: corpus shape, enumeration, result rows."""
 
+import re
 from collections import Counter
+from dataclasses import replace
 from functools import partial
 from itertools import combinations
 
@@ -26,7 +28,10 @@ from distcolor.corpus import (
     _run,
     check_exact_boundary,
     check_greedy_bounds,
+    check_moore_recursion,
     check_propagation_soundness,
+    check_stored_colorings,
+    check_theorem_suite,
     check_two_extra_colors,
     connected_girth5_graphs,
     corpus_graphs,
@@ -304,6 +309,44 @@ def test_run_all_small_count_passes():
         assert line.startswith(f"criterion {r.number} ")
         assert "PASS" in line
         assert r.detail in line
+
+
+# each criterion that runs a construction: its runner with every
+# construction swapped to path-5 (Δ = 2), and the label and color bound its
+# check gives that graph
+CHECKED_CRITERIA = {
+    1: (partial(check_theorem_suite, [("path-5", path(5))]), "path-5", 3),
+    2: (check_moore_recursion, "hoffman-singleton", 8),
+    3: (check_stored_colorings, "path-5", 4),
+    5: (partial(check_two_extra_colors, [("path-5", path(5))], 0, 1), "path-5 Δ+2", 4),
+}
+
+
+@pytest.mark.parametrize(
+    "values, problem",
+    [
+        ((1, 1, 2, 1, 2), "improper coloring"),
+        ((1, 2, 1, 2, None), "color {over} exceeds {bound}"),
+        ((1, 2, 3, 2, 1), "coloring is not distinguishing"),
+    ],
+    ids=["improper", "over-bound", "symmetric"],
+)
+@pytest.mark.parametrize("number", sorted(CHECKED_CRITERIA))
+def test_every_construction_gets_the_outside_check(monkeypatch, number, values, problem):
+    # each refuses a bad coloring with the same three messages; None stands
+    # for the color one above the bound, and 1,2,3,2,1 is proper but kept by
+    # the path's reflection
+    runner, label, bound = CHECKED_CRITERIA[number]
+    g = path(5)
+    bad = Coloring(tuple(bound + 1 if c is None else c for c in values))
+    real = corpus.solve(g)
+    monkeypatch.setattr(corpus, "solve", lambda h: replace(real, coloring=bad))
+    monkeypatch.setattr(corpus, "hoffman_singleton", lambda: g)
+    monkeypatch.setattr(corpus, "special_colorings", lambda: (("path-5", g, bad),))
+    monkeypatch.setattr(corpus, "color_delta_plus_2", lambda h: bad)
+    message = f"{label}: " + problem.format(over=bound + 1, bound=bound)
+    with pytest.raises(CriterionFailure, match=f"^{re.escape(message)}$"):
+        runner()
 
 
 def test_run_reports_failure_line():

@@ -137,8 +137,9 @@ def test_palette_can_run_out():
     tree = bfs_tree(g, 0)
     with pytest.raises(InternalConsistencyError, match="no available color for vertex 2"):
         greedy_extend(g, tree, 1, k=2)
+    # a list is named as its file numbers it, from 1
     lists = ListAssignment([(1, 2)] * 4)
-    with pytest.raises(PaletteExhaustedError, match="no available color for vertex 2"):
+    with pytest.raises(PaletteExhaustedError, match="no available color for vertex 3$"):
         greedy_extend(g, tree, 1, lists=lists)
 
 

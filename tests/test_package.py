@@ -26,7 +26,8 @@ def _used_names(node: ast.AST) -> Counter[str]:
 # Public names kept only because the benchmark names them: the tracer wraps
 # exists_automorphism_mapping, diameter and greedy_extend_traced (its
 # LAYERS), run.py reports a count for every solver.BRANCH_* constant, and
-# the solve-pipeline workload routes the six-cycle to solve_c6_extension.
+# the solve-pipeline workload routes the six-cycle to solve_c6_extension,
+# which checks is_c6 and calls solve.
 # greedy_extend_traced is a second name for greedy_extend, under which the
 # tracer wraps every greedy call. The next change to benchmarks/ can drop
 # those entries and then the names.
@@ -127,6 +128,24 @@ def test_only_symmetry_reaches_the_unchecked_propagation():
         if "_propagate" in _used_names(ast.parse(source.read_text(encoding="utf-8")))
     ]
     assert users == ["symmetry"]
+
+
+def _calls(node: ast.AST, name: str) -> int:
+    return sum(
+        isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name) and sub.func.id == name
+        for sub in ast.walk(node)
+    )
+
+
+def test_only_solve_certifies_and_builds_a_result():
+    # one route to a certified SolveResult: nothing else in solver.py calls
+    # certify or builds the result
+    module = ast.parse((SOURCES / "solver.py").read_text(encoding="utf-8"))
+    solve = next(
+        node for node in module.body if isinstance(node, ast.FunctionDef) and node.name == "solve"
+    )
+    for name in ("certify", "SolveResult"):
+        assert _calls(module, name) == _calls(solve, name) == 1, name
 
 
 def _is_result_cache(decorator: ast.expr) -> bool:

@@ -53,7 +53,6 @@ from distcolor.solver import (
     _moore_case,
     _nonregular_case,
     _special_case,
-    _verified_result,
     render_result,
     solve,
     solve_c6_extension,
@@ -215,9 +214,9 @@ def test_geodesic_configuration_on_the_dodecahedron():
     assert cfg == GeodesicConfig(w=0, x1=1, x2=2, x3=3, x=4)
     tree, coloring = _geodesic_parts(g, cfg)
     # the construction pins w through x2; the shortest prefix is shorter
-    r = _verified_result(g, tree, coloring, BRANCH_GEODESIC)
-    assert r.prefix == (0, 1)
-    assert len(r.prefix) <= tree.order.index(cfg.x2) + 1
+    prefix = certify(g, tree, coloring)
+    assert prefix == (0, 1)
+    assert len(prefix) <= tree.order.index(cfg.x2) + 1
     assert coloring.is_proper(g)
     assert coloring.max_color() <= 4
     assert is_distinguishing(g, coloring).distinguishing
@@ -255,7 +254,7 @@ def test_diameter_three_on_the_robertson_graph():
         w=0, x1=1, x2=9, y1=18, y2=11, z1=7, z2=6, z3=10
     )
     tree, coloring = _diam3_parts(g, cfg, dist)
-    _verified_result(g, tree, coloring, BRANCH_DIAMETER3)
+    certify(g, tree, coloring)
     assert coloring.values == (
         1, 5, 2, 1, 3, 2, 1, 5, 2, 3, 2, 3, 4, 3, 1, 4, 2, 1, 2,
     )
@@ -585,8 +584,8 @@ def test_a_moved_prefix_is_not_certified():
     coloring = Coloring((1, 2, 3) * 3)
     prefix = tree.order[:2]
     assert len(fixed_propagation(g, tree, coloring, prefix)) == g.n
-    with pytest.raises(InternalConsistencyError, match="path_or_cycle: refinement"):
-        _verified_result(g, tree, coloring, BRANCH_PATH_OR_CYCLE)
+    with pytest.raises(InternalConsistencyError, match="^refinement"):
+        certify(g, tree, coloring)
 
 
 @pytest.mark.parametrize(
@@ -597,7 +596,8 @@ def test_a_broken_case_is_an_internal_failure(values, monkeypatch):
         return bfs_tree(g, 0), Coloring(values)
 
     monkeypatch.setattr(solver, "_CASES", ((BRANCH_PATH_OR_CYCLE, broken),))
-    with pytest.raises(InternalConsistencyError):
+    # solve names the branch whose coloring failed its certificate
+    with pytest.raises(InternalConsistencyError, match=f"^{BRANCH_PATH_OR_CYCLE}: "):
         solve(path(5))
 
 
