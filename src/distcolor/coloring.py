@@ -120,7 +120,7 @@ class ListAssignment:
         for v, colors in enumerate(self.lists):
             if not colors:
                 raise PreconditionError(f"list of vertex {v + 1} is empty")
-            if any(c < 1 for c in colors):
+            if colors[0] < 1:  # sorted: the first color is the smallest
                 raise PreconditionError(f"list of vertex {v + 1} has a non-positive color")
 
     def __len__(self) -> int:

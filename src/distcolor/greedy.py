@@ -21,6 +21,8 @@ checks the color bounds that way.
 
 from __future__ import annotations
 
+from itertools import islice
+from operator import contains
 from typing import Callable, Mapping
 
 from .coloring import Coloring, ListAssignment
@@ -222,17 +224,20 @@ def list_color_delta_plus_2(g: Graph, lists: ListAssignment) -> Coloring:
     tree = _rooted_tree(g)
     if len(lists) != g.n:
         raise PreconditionError("list assignment length does not match the graph")
+    # Each check runs in C; its loop runs only to name the first offender.
     need = g.max_degree() + 1
-    for v, colors in enumerate(lists.lists):
-        if v > 0 and len(colors) < need:
-            raise PreconditionError(f"list for vertex {v + 1} has fewer than {need} colors")
+    if min(map(len, islice(lists.lists, 1, None)), default=need) < need:
+        for v, colors in enumerate(lists.lists):
+            if v > 0 and len(colors) < need:
+                raise PreconditionError(f"list for vertex {v + 1} has fewer than {need} colors")
     alpha = min(lists[0])
     pruned = lists.without(alpha, keep=0)
     coloring = greedy_extend(g, tree, alpha, lists=pruned)
     if coloring.values.count(alpha) > 1:
         raise InternalConsistencyError("root color leaked into another list")
-    for v, (c, allowed) in enumerate(zip(coloring.values, lists.lists)):
-        if c not in allowed:
-            raise InternalConsistencyError(f"vertex {v + 1} was colored outside its list")
+    if not all(map(contains, lists.lists, coloring.values)):
+        for v, (c, allowed) in enumerate(zip(coloring.values, lists.lists)):
+            if c not in allowed:
+                raise InternalConsistencyError(f"vertex {v + 1} was colored outside its list")
     certify(g, tree, coloring)
     return coloring

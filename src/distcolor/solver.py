@@ -146,8 +146,10 @@ def _c6_case(
     g: Graph, delta: int, scan: Callable[[], GeodesicScan]
 ) -> Parts | None:
     """1,2,3,1,2,4 along the six-cycle from vertex 0, which three colors
-    cannot distinguish; None for any graph that ``is_c6`` refuses."""
-    if not is_c6(g):
+    cannot distinguish; None for any other graph. Every graph that reaches
+    a case is connected, so six vertices, six edges and Δ = 2 make the
+    six-cycle."""
+    if not (delta == 2 and g.n == 6 and g.m == 6):
         return None
     color = dict(zip(_walk_from(g, 0), (1, 2, 3, 1, 2, 4)))
     return bfs_tree(g, 0), Coloring([color[v] for v in g.vertices()])

@@ -433,9 +433,9 @@ def fixed_propagation(
     result is their least fixpoint whatever the order they fire in. A
     worklist re-applies them only where a new certification changes their
     inputs: a newly certified x re-examines itself and its certified
-    neighbors one level up, except the one whose second rule certified x,
-    where the loss of x leaves no color unique. O(m * max degree) after the
-    O(n + m) input checks.
+    neighbors one level up, except the vertex that certified x, where the
+    loss of x leaves no color unique. O(m * max degree) after the O(n + m)
+    input checks.
     """
     if has_cycle_shorter_than_five(g):
         raise PreconditionError("girth must be at least five")
@@ -502,8 +502,10 @@ def _propagate(
     added something, is the length of the shortest part of ``prefix`` that
     certifies as much. A worklist of newly certified vertices, each
     remembering the vertex that certified it (none for a prefix vertex); see
-    ``fixed_propagation``. A count of the vertices left uncertified ends the
-    pass once it reaches zero, when no rule can add anything.
+    ``fixed_propagation``. Each pop reads its vertex's adjacency once, and
+    rescans only the lower sets of the upper neighbors it re-examines. A
+    count of the vertices left uncertified ends the pass once it reaches
+    zero, when no rule can add anything.
     """
     # Popping a newly certified x counts it at its neighbors (rule 1) and
     # re-examines, for rule 2, x itself and each certified neighbor one level
@@ -519,8 +521,15 @@ def _propagate(
     # none, and its own pop re-examines y. A prefix vertex, taken when the
     # worklist runs dry, has none, so its pop re-examines every certified
     # neighbor one level up.
-    # The adjacency loop also gathers x's own lower set, as it stands after
-    # the loop's rule-1 certifications, so x's examination rescans nothing.
+    # One pass over x's adjacency does the rest (a neighbor lies at most one
+    # level away, so a lower or higher level is the next one): it collects
+    # the certified neighbors one level up to re-examine, certifies an
+    # uncertified neighbor on its second hit (an uncertified vertex holds at
+    # most one), and gathers x's own lower set as it stands after those
+    # certifications, so x's examination rescans nothing. A list is built
+    # only for something to put in it. The upper neighbors' lower sets lie on
+    # x's level and are rescanned after x's examination, which certifies only
+    # a level below.
     colors = coloring.values
     level = tree.level
     adj = g.adj
@@ -541,42 +550,61 @@ def _propagate(
         while work and left:
             x = work.pop()
             here = level[x]
-            up, down = here - 1, here + 1
             skip = certifier[x]
-            examine = [x]
-            below = []
+            upper = below = None
             for u in adj[x]:
                 if certified[u]:
-                    if level[u] == up and u != skip:
-                        examine.append(u)
-                else:
-                    hits[u] += 1
-                    if hits[u] == 2:
-                        certified[u] = True
-                        certifier[u] = x
-                        left -= 1
-                        work.append(u)
-                    elif level[u] == down:
-                        below.append(u)
-            for y in examine:
-                if y != x:
-                    # y is one level up, so its lower set lies on x's level
-                    below = [u for u in adj[y] if not certified[u] and level[u] == here]
-                if not below:
-                    continue
-                if len(below) == 1:
-                    unique = below
-                else:
-                    counts: dict[int, int] = {}
-                    for u in below:
-                        c = colors[u]
-                        counts[c] = counts.get(c, 0) + 1
-                    unique = [u for u in below if counts[colors[u]] == 1]
-                for u in unique:
+                    if level[u] < here and u != skip:
+                        if upper is None:
+                            upper = [u]
+                        else:
+                            upper.append(u)
+                elif hits[u]:
                     certified[u] = True
-                    certifier[u] = y
+                    certifier[u] = x
+                    left -= 1
                     work.append(u)
-                left -= len(unique)
+                else:
+                    hits[u] = 1
+                    if level[u] > here:
+                        if below is None:
+                            below = [u]
+                        else:
+                            below.append(u)
+            # Rule 2 at x, then at each upper neighbor y popped from upper:
+            # certify the uniquely colored vertices of its lower set. One or
+            # two vertices need no color count.
+            y = x
+            while True:
+                if below:
+                    if len(below) == 1:
+                        u = below[0]
+                        certified[u] = True
+                        certifier[u] = y
+                        work.append(u)
+                        left -= 1
+                    elif len(below) == 2:
+                        u, v = below
+                        if colors[u] != colors[v]:
+                            certified[u] = certified[v] = True
+                            certifier[u] = certifier[v] = y
+                            work += below
+                            left -= 2
+                    else:
+                        counts: dict[int, int] = {}
+                        for u in below:
+                            c = colors[u]
+                            counts[c] = counts.get(c, 0) + 1
+                        unique = [u for u in below if counts[colors[u]] == 1]
+                        for u in unique:
+                            certified[u] = True
+                            certifier[u] = y
+                            work.append(u)
+                        left -= len(unique)
+                if not upper:
+                    break
+                y = upper.pop()
+                below = [u for u in adj[y] if not certified[u] and level[u] == here]
     return certified, taken
 
 

@@ -142,6 +142,12 @@ def test_empty_list_is_rejected():
         ListAssignment(((1, 2), ()))
 
 
+def test_non_positive_color_is_named_by_the_files_vertex():
+    # each list is sorted first, so (3, 0, 5) is refused by its first color
+    with pytest.raises(PreconditionError, match="^list of vertex 2 has a non-positive color$"):
+        ListAssignment([(2, 1), (3, 0, 5)])
+
+
 def test_parse_lists_round_trip():
     lists = parse_lists("l 1 5 6 7\nl 2 6 5\n", 2)
     assert lists[0] == (5, 6, 7)

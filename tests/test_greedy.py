@@ -271,6 +271,21 @@ def test_undersized_list_is_rejected():
         )
 
 
+def test_the_first_short_list_is_named_and_the_roots_is_not_checked():
+    full = (1, 2, 3, 4)
+    short = ListAssignment([full, full, (1, 2), full, (1,)])
+    with pytest.raises(PreconditionError, match="^list for vertex 3 has fewer than 3 colors$"):
+        list_color_delta_plus_2(path(5), short)
+    assert list_color_delta_plus_2(path(5), ListAssignment([(1,)] + [full] * 4)).values[0] == 1
+
+
+def test_a_color_off_its_list_names_the_lowest_such_vertex(monkeypatch):
+    # a proper coloring off the lists at vertices 2 and 4, counted from 1
+    monkeypatch.setattr(greedy, "greedy_extend", lambda *args, **kwargs: Coloring((1, 5, 2, 5, 2)))
+    with pytest.raises(InternalConsistencyError, match="^vertex 2 was colored outside its list$"):
+        list_color_delta_plus_2(path(5), ListAssignment([(1, 2, 3, 4)] * 5))
+
+
 def test_preconditions_on_shape():
     from distcolor.graph import Graph
 

@@ -155,6 +155,20 @@ def test_c6_entry_point_rejects_everything_else():
         solve_c6_extension(path(6))
 
 
+def test_the_six_cycle_is_checked_for_connectivity_once(monkeypatch):
+    # solve's validation proves the graph connected; the six-cycle case
+    # reads its size alone and runs no second BFS
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return is_connected(g)
+
+    monkeypatch.setattr(solver, "is_connected", counted)
+    assert solve(cycle(6)).branch == BRANCH_C6
+    assert len(calls) == 1
+
+
 def test_six_cycle_needs_the_fourth_color():
     assert exact_chi_D(cycle(6)) == 4
 
